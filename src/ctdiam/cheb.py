@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .body import ConvexBody, Exponent, as_fraction, check_dagger
-from .errors import DegenerateWeight, ThetaNotInterior, ValidationError
+from .errors import CtdiamError, DegenerateWeight, ThetaNotInterior, ValidationError
 from .lp import solve_minimax
 from .mesh import Mesh, Polynomial, monomial_values
 from .order import CGREVLEX, GREVLEX, order_key
@@ -69,6 +69,8 @@ def chebyshev_constant(mesh: Mesh, body: ConvexBody, k: int, alpha: Exponent,
     alpha = tuple(int(a) for a in alpha)
     if mesh.dim != body.dim:
         raise ValidationError(f"mesh dimension {mesh.dim} != body dimension {body.dim}")
+    if m_phases < 3:
+        raise ValidationError(f"the polygon relaxation needs m_phases >= 3, got {m_phases}")
     support = mesh.support
     if support.size == 0:
         raise DegenerateWeight("no positively weighted mesh points")
@@ -138,7 +140,7 @@ def transform_grid(mesh: Mesh, body: ConvexBody, k: int,
         alpha, ordering = task
         try:
             return chebyshev_constant(mesh, body, k, alpha, ordering, m_phases)
-        except Exception as exc:  # row-level isolation
+        except (CtdiamError, np.linalg.LinAlgError) as exc:  # row-level isolation
             return exc
 
     if workers > 1:

@@ -4,8 +4,9 @@ The s-th determinant uses the first s monomials of the graded stream and
 the weight power w^k with k the graded degree of the newest monomial.
 Because the weight factors enter only through k * sum(log w) over the
 chosen points, the monomial part of each determinant is independent of
-k; the per-step argmax therefore needs no recomputation when k steps up,
-and every stored value is recomputed from scratch for robustness.
+k, so the sequence is `vdm.greedy_grow` (the kernel behind approximate
+Fekete search) run with the per-step weight powers k; every stored
+value is recomputed from scratch for robustness.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .body import ConvexBody, Exponent
 from .errors import InsufficientSupport, ValidationError
 from .mesh import Mesh, monomial_values
 from .order import monomial_sequence
-from .vdm import log_abs_det
+from .vdm import greedy_grow, selection_value
 
 
 @dataclass
@@ -61,49 +62,11 @@ def leja_sequence(mesh: Mesh, body: ConvexBody, count: int) -> LejaSequence:
     k_values = [body.degree(alpha) for alpha in exponents]
     z = monomial_values(mesh.points, exponents)
     logw = mesh.log_weights
-
-    first = int(np.argmax(logw))
-    indices = [first]
-    log_values = [_weighted_logdet(z, logw, indices, k_values[0])]
-    for s in range(1, count):
-        k = k_values[s]
-        cols = np.array(indices)
-        try:
-            y = np.linalg.solve(z[:s, cols].T, z[s, cols])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                resid = np.log(np.abs(z[s] - y @ z[:s]))
-        except np.linalg.LinAlgError:
-            resid = _bordered_scores(z, indices, s)
-        scores = resid + (k * logw if k else 0.0)
-        scores[cols] = -np.inf
-        scores[np.isnan(scores)] = -np.inf  # inf - inf residuals must not win the argmax
-        nxt = int(np.argmax(scores))
-        indices.append(nxt)
-        log_values.append(_weighted_logdet(z, logw, indices, k))
+    indices = greedy_grow(z, logw, k_values, int(np.argmax(logw)))
+    log_values = [selection_value(z, logw, k_values[s - 1], indices[:s])
+                  for s in range(1, count + 1)]
     return LejaSequence(mesh=mesh, indices=indices, log_values=log_values,
                         k_values=k_values, exponents=exponents)
-
-
-def _weighted_logdet(z, logw, indices, k) -> float:
-    cols = np.array(indices)
-    base = log_abs_det(z[: len(indices), cols])
-    if k == 0:
-        return base
-    w = logw[cols]
-    if not np.all(np.isfinite(w)):
-        return -math.inf
-    return base + float(k * w.sum())
-
-
-def _bordered_scores(z, indices, s) -> np.ndarray:
-    """Fallback when the prefix matrix is singular: full (s+1)x(s+1) determinants."""
-    n = z.shape[1]
-    out = np.full(n, -np.inf)
-    for c in range(n):
-        if c in indices:
-            continue
-        out[c] = log_abs_det(z[: s + 1, np.array(indices + [c])])
-    return out
 
 
 @dataclass

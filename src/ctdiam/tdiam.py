@@ -24,11 +24,14 @@ import numpy as np
 
 from .body import ConvexBody, as_fraction, average_total_degree, body_quadrature, check_dagger
 from .cheb import TransformTable, transform_grid
-from .errors import InsufficientSupport, ValidationError
+from .errors import CtdiamError, InsufficientSupport, ValidationError
 from .leja import leja_diameter
 from .mesh import Mesh
 from .order import CGREVLEX, GREVLEX
 from .vdm import Greedy, MaxVdmResult, max_vdm, strategy_from_config
+
+# failures a report records in a cell's `errors` entry; anything else is a bug
+_CELL_ERRORS = (CtdiamError, np.linalg.LinAlgError)
 
 
 def delta_k(mesh: Mesh, body: ConvexBody, k: int, strategy=None) -> float:
@@ -181,7 +184,7 @@ def build_report(mesh: Mesh, body: ConvexBody, k_max: int, options: ReportOption
         try:
             leja_report = leja_diameter(mesh, body, k_max)
             leja_rows = {r.k: r.value for r in leja_report.rows}
-        except Exception as exc:
+        except _CELL_ERRORS as exc:
             leja_error = f"{type(exc).__name__}: {exc}"
 
     rows = []
@@ -197,7 +200,7 @@ def build_report(mesh: Mesh, body: ConvexBody, k_max: int, options: ReportOption
             exact = result.exact
             delta = math.exp(log_vdm / l_k)
             d_vdm = math.exp(log_vdm / (k * m_k))
-        except Exception as exc:
+        except _CELL_ERRORS as exc:
             errors["vdm"] = f"{type(exc).__name__}: {exc}"
         d_transform: dict[str, float] = {}
         sum_log_nu: dict[str, float] = {}
@@ -211,7 +214,7 @@ def build_report(mesh: Mesh, body: ConvexBody, k_max: int, options: ReportOption
                     sum_log_nu[ordering] = mean_log * k * m_k
                 except ValidationError as exc:
                     errors[f"transform:{ordering}"] = str(exc)
-        except Exception as exc:
+        except _CELL_ERRORS as exc:
             errors["transform"] = f"{type(exc).__name__}: {exc}"
         sandwich = None
         if exact and CGREVLEX in sum_log_nu and math.isfinite(log_vdm):

@@ -48,11 +48,6 @@ def log_abs_det(matrix) -> float:
     return total
 
 
-def _batched_log_abs_det(stack: np.ndarray) -> np.ndarray:
-    sign, ld = np.linalg.slogdet(stack)
-    return np.where(sign == 0, -np.inf, ld)
-
-
 @dataclass(frozen=True)
 class VdmValue:
     """log |VDM| for one point selection at level k (s points, s <= M_k)."""
@@ -72,10 +67,10 @@ class BruteForce:
 
 @dataclass(frozen=True)
 class Greedy:
-    """Seeded greedy growth plus single-point exchange passes (lower bound).
+    """Greedy growth plus single-point exchange passes (lower bound).
 
     Restart r starts from the r-th highest-weight point, so runs are
-    reproducible; `seed` is carried for config echo only.
+    deterministic; `seed` is accepted and echoed but drives nothing.
     """
 
     restarts: int = 4
@@ -140,45 +135,62 @@ def _brute_force(mesh, body, k, strategy: BruteForce):
         block = list(itertools.islice(combos, chunk))
         if not block:
             break
-        cols = np.array(block)
-        stack = z[:, cols].transpose(1, 0, 2)  # (chunk, m_k, m_k)
-        lds = _batched_log_abs_det(stack)
-        totals = lds + k * logw[cols].sum(axis=1)
+        totals = _selection_values(z, logw, k, block)
         i = int(np.argmax(totals))
-        if totals[i] > best_val:  # strict: lexicographically first subset wins ties
+        # strict: the lexicographically first subset wins ties, and the very
+        # first subset stands in when none is unisolvent (all -inf)
+        if best_combo is None or totals[i] > best_val:
             best_val = float(totals[i])
             best_combo = block[i]
     indices = tuple(int(support[i]) for i in best_combo)
     return MaxVdmResult(VdmValue(best_val, indices, k, m_k), exact=True)
 
 
-def _greedy_value(z, logw, k, sel) -> float:
+def selection_value(z, logw, k, sel) -> float:
+    """log |VDM| of the columns `sel` of z: the first len(sel) rows, weight power k."""
     return log_abs_det(z[: len(sel), sel]) + float(k * logw[sel].sum())
 
 
-def _greedy_grow(z, logw, k, start: int, m_k: int) -> list[int]:
+def _selection_values(z, logw, k, selections) -> np.ndarray:
+    """`selection_value` for each row of a 2-D stack of selections, batched."""
+    sel = np.asarray(selections)
+    sign, ld = np.linalg.slogdet(z[: sel.shape[1]][:, sel].transpose(1, 0, 2))  # (n, s, s)
+    return np.where(sign == 0, -np.inf, ld) + k * logw[sel].sum(axis=1)
+
+
+def greedy_grow(z, logw, powers, start: int) -> list[int]:
+    """Greedy determinant maximizer shared by approximate Fekete search and Leja sequences.
+
+    z holds one row per basis monomial and one column per candidate point.
+    From column `start`, step s appends the column c maximizing
+    |det z[:s+1, sel + [c]]| * w(c)^powers[s] (lowest index on ties), scored
+    as the residual of row s against the prefix rows; a singular prefix
+    falls back to the full bordered determinants.  When every candidate
+    scores -inf the lowest unselected column is taken, so no column repeats.
+    """
     ns = z.shape[1]
     sel = [start]
-    for s in range(1, m_k):
+    for s in range(1, len(powers)):
+        k = powers[s]
         cols = np.array(sel)
         try:
             y = np.linalg.solve(z[:s, cols].T, z[s, cols])
             with np.errstate(divide="ignore", invalid="ignore"):
                 scores = np.log(np.abs(z[s] - y @ z[:s])) + k * logw
         except np.linalg.LinAlgError:
-            # singular prefix: score candidates by the full bordered determinant
-            trial = np.array([sel + [c] for c in range(ns)])
-            stack = z[: s + 1][:, trial].transpose(1, 0, 2)
-            scores = _batched_log_abs_det(stack) + k * logw[trial].sum(axis=1)
+            scores = _selection_values(z, logw, k, [sel + [c] for c in range(ns)])
         scores[cols] = -np.inf
         scores[np.isnan(scores)] = -np.inf  # inf - inf residuals must not win the argmax
-        sel.append(int(np.argmax(scores)))
+        nxt = int(np.argmax(scores))
+        if scores[nxt] == -np.inf:
+            nxt = min(set(range(ns)).difference(sel))
+        sel.append(nxt)
     return sel
 
 
 def _exchange_passes(z, logw, k, sel: list[int], m_k: int):
     ns = z.shape[1]
-    val = _greedy_value(z, logw, k, sel)
+    val = selection_value(z, logw, k, sel)
     improved = True
     while improved:
         improved = False
@@ -188,8 +200,7 @@ def _exchange_passes(z, logw, k, sel: list[int], m_k: int):
                 continue
             trials = np.tile(np.array(sel), (cands.size, 1))
             trials[:, pos] = cands
-            stack = z[:m_k][:, trials].transpose(1, 0, 2)
-            totals = _batched_log_abs_det(stack) + k * logw[trials].sum(axis=1)
+            totals = _selection_values(z, logw, k, trials)
             i = int(np.argmax(totals))
             if totals[i] > val + 1e-12:
                 sel[pos] = int(cands[i])
@@ -205,9 +216,9 @@ def _greedy(mesh, body, k, strategy: Greedy):
     best_val = -math.inf
     best_sel = None
     for start in seeds:
-        sel = _greedy_grow(z, logw, k, start, m_k)
+        sel = greedy_grow(z, logw, [k] * m_k, start)
         sel, val = _exchange_passes(z, logw, k, sel, m_k)
-        if val > best_val:
+        if best_sel is None or val > best_val:
             best_val = val
             best_sel = sel
     indices = tuple(int(support[i]) for i in best_sel)

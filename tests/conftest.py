@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ctdiam import box_body, build_mesh, simplex_body, validate_body
@@ -68,3 +69,11 @@ def torus16():
 @pytest.fixture(scope="session")
 def box_mesh():
     return build_mesh({"kind": "box2d", "x": [0, 1], "y": [0, 1], "counts": [5, 5]})
+
+
+@pytest.fixture(scope="session")
+def collinear9():
+    # 9 points (t, t) in C^2: z1 = z2 on the mesh, so no three points are
+    # unisolvent for the level-1 simplex basis {1, z1, z2}
+    return build_mesh({"kind": "explicit", "dim": 2,
+                       "points": [[t, 0, t, 0] for t in np.linspace(-1, 1, 9)]})

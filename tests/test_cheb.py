@@ -213,6 +213,17 @@ def test_transform_grid_isolates_row_failures(cheb401, simplex1, monkeypatch):
     assert len(ok) == 2
 
 
+def test_transform_grid_propagates_programming_errors(mesh7, simplex1, monkeypatch):
+    import ctdiam.cheb as cheb_mod
+
+    def broken(*args, **kwargs):
+        raise TypeError("not a solver failure")
+
+    monkeypatch.setattr(cheb_mod, "solve_minimax", broken)
+    with pytest.raises(TypeError):
+        transform_grid(mesh7, simplex1, 1)
+
+
 def test_transform_csv(tmp_path, cheb401, simplex1):
     table = transform_grid(cheb401, simplex1, 2)
     path = tmp_path / "transform.csv"

@@ -92,6 +92,16 @@ def test_cheb_subcommand_with_overrides(tmp_path, capsys):
     assert nu == pytest.approx(0.25, abs=2.5e-3)
 
 
+def test_cheb_polygon_below_three_phases_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "circle.json", {
+        "body": SIMPLEX1,
+        "mesh": CIRCLE32,
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["cheb", "--config", cfg, "--k", "2", "--alpha", "1", "--polygon-m", "2"]) == 2
+    assert "m_phases >= 3" in capsys.readouterr().err
+
+
 def test_enumerate_and_vdm_and_leja(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "cfg.json", {

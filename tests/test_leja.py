@@ -1,11 +1,48 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctdiam import BruteForce, build_mesh, chebyshev_constant, leja_diameter, leja_sequence, max_vdm
+from ctdiam import (
+    BruteForce,
+    box_body,
+    build_mesh,
+    chebyshev_constant,
+    leja_diameter,
+    leja_sequence,
+    max_vdm,
+    simplex_body,
+    validate_body,
+    vandermonde_det,
+)
 from ctdiam.errors import InsufficientSupport, ValidationError
 from ctdiam.leja import leja_to_csv
+from ctdiam.mesh import Mesh
 from ctdiam.order import CGREVLEX
+
+BODIES = [
+    simplex_body(1),
+    simplex_body(2),
+    box_body(2),
+    validate_body([(("1", "0"), "1"), (("0", "1"), "1"), (("1", "1"), "3/2")], 2),  # pentagon
+]
+# few coordinate values make repeated and collinear points, hence all -inf
+# steps and singular prefixes, likely
+coordinates = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1j])
+
+
+@st.composite
+def weighted_cases(draw):
+    body = draw(st.sampled_from(BODIES))
+    n = draw(st.integers(2, 8))
+    points = [[draw(coordinates) for _ in range(body.dim)] for _ in range(n)]
+    log_weights = draw(st.lists(st.sampled_from([0.0, -0.5, 1.0, -math.inf]),
+                                min_size=n, max_size=n))
+    log_weights[draw(st.integers(0, n - 1))] = 0.0  # keep the support nonempty
+    count = draw(st.integers(1, n))
+    return body, Mesh(body.dim, np.array(points), np.array(log_weights)), count
 
 
 def test_leja_five_point_interval(mesh5, simplex1):
@@ -96,6 +133,13 @@ def test_leja_prefix_consistency(circle64, simplex1):
     assert long.indices[:5] == short.indices
 
 
+def test_leja_never_repeats_an_index(collinear9, simplex2):
+    # past the second point every candidate scores -inf on this mesh
+    seq = leja_sequence(collinear9, simplex2, 6)
+    assert len(set(seq.indices)) == 6
+    assert all(v == -math.inf for v in seq.log_values[2:])
+
+
 def test_leja_insufficient_points(mesh5, simplex1):
     with pytest.raises(InsufficientSupport):
         leja_sequence(mesh5, simplex1, 6)
@@ -119,3 +163,17 @@ def test_leja_csv(tmp_path, mesh5, simplex1):
     text = path.read_text().splitlines()
     assert text[0] == "s,k,re_1,im_1,log_vdm"
     assert any(line.startswith("k,M_k") for line in text)
+
+
+@settings(deadline=None)
+@given(case=weighted_cases())
+def test_leja_values_match_vandermonde_det(case):
+    body, mesh, count = case
+    seq = leja_sequence(mesh, body, count)
+    assert len(set(seq.indices)) == count
+    for s in range(1, count + 1):
+        expected = vandermonde_det(mesh, body, seq.k_values[s - 1], seq.indices[:s]).log_abs
+        if expected == -math.inf:
+            assert seq.log_values[s - 1] == -math.inf
+        else:
+            assert seq.log_values[s - 1] == pytest.approx(expected, abs=1e-9)

@@ -161,6 +161,26 @@ def test_build_report_isolates_failures(mesh5, simplex1):
     assert report.rows[0].log_vdm is not None
 
 
+def test_build_report_collinear_mesh(collinear9, simplex2):
+    # no point triple is unisolvent: the determinant cells read -inf, not errors
+    report = build_report(collinear9, simplex2, 1, ReportOptions(include_leja=True))
+    row = report.rows[0]
+    assert row.errors == {}
+    assert row.log_vdm == -math.inf and row.d_vdm == 0.0
+    assert row.leja_value == 0.0
+
+
+def test_build_report_propagates_programming_errors(mesh5, simplex1, monkeypatch):
+    import ctdiam.tdiam as tdiam_mod
+
+    def broken(*args, **kwargs):
+        raise TypeError("not a package error")
+
+    monkeypatch.setattr(tdiam_mod, "max_vdm", broken)
+    with pytest.raises(TypeError):
+        build_report(mesh5, simplex1, 1)
+
+
 def test_build_report_rejects_empty_support(simplex1):
     mesh = build_mesh({"kind": "interval", "a": 0, "b": 1, "count": 4})
     lw = np.full(4, -math.inf)

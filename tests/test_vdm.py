@@ -216,3 +216,10 @@ def test_fekete_to_dict(mesh5, simplex1):
     payload = fekete_to_dict(mesh5, result)
     assert payload["k"] == 2 and payload["exact"] is True
     assert payload["points"] == [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("strategy", [BruteForce(), Greedy(restarts=3)])
+def test_max_vdm_without_unisolvent_subset(collinear9, simplex2, strategy):
+    result = max_vdm(collinear9, simplex2, 1, strategy)
+    assert result.value.log_abs == -math.inf
+    assert len(set(result.value.point_indices)) == 3
