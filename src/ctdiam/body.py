@@ -9,7 +9,9 @@ r(alpha) = inf{r >= 0 : alpha in r*C} then has the closed form
 max(0, max_i (a_i . alpha) / b_i), which we evaluate exactly with
 `fractions.Fraction`.  Order comparisons downstream depend on exact
 gauge ties, so nothing in this module touches floating point except
-the quadrature in `average_total_degree`.
+the sampled boundary cells of `body_quadrature`.  Lattice membership and
+cell classification use the halfspaces scaled once to integer rows
+A x <= B, which keeps them exact and vectorized.
 """
 
 from __future__ import annotations
@@ -44,7 +46,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"not an exact rational: {value!r} ({exc})") from exc
     raise ValidationError(f"expected an exact rational (int, Fraction, or 'p/q' string), got {value!r}")
 
 
@@ -224,84 +229,80 @@ def _coordinate_max(body: ConvexBody, j: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def _integer_rows(body: ConvexBody):
+    """The halfspaces a.x <= b scaled by their denominators to A x <= B.
+
+    Entries are Python ints in object arrays, so they hold any rational
+    exactly; `_box_excess` narrows them to int64 where that is exact.
+    """
+    a_rows, b_vals = [], []
+    for a, b in body.halfspaces:
+        scale = math.lcm(b.denominator, *(aj.denominator for aj in a))
+        a_rows.append([int(aj * scale) for aj in a])
+        b_vals.append(int(b * scale))
+    return np.array(a_rows, dtype=object), np.array(b_vals, dtype=object)
+
+
+def _box_excess(body: ConvexBody, corners, width: int, p: int, q: int):
+    """q * (max, min) of A.x - B over each box [corner, corner + width] * p/q, exact.
+
+    `corners` is an integer array with one box per row; the results have
+    one column per halfspace and the signs of the true extremes.
+    """
+    a_int, b_int = _integer_rows(body)
+    corners = np.asarray(corners)
+    # every intermediate is at most `reach` in size, so int64 is exact below 2**62
+    reach = (int(np.abs(corners).max()) + width) * max(np.abs(a_int).sum(axis=1)) * p
+    if reach + max(np.abs(b_int)) * q < 2**62:
+        a_int, b_int = a_int.astype(np.int64), b_int.astype(np.int64)
+    at_corner = (corners @ a_int.T) * p - b_int * q
+    up = np.where(a_int > 0, a_int, 0).sum(axis=1)
+    down = np.where(a_int < 0, a_int, 0).sum(axis=1)
+    return at_corner + width * p * up, at_corner + width * p * down
+
+
+@lru_cache(maxsize=None)
 def _lattice_points(body: ConvexBody, k: int) -> tuple[Exponent, ...]:
     from .order import cgrevlex_key  # local import to avoid a cycle
 
     box = [int(k * body.coordinate_max(j)) for j in range(body.dim)]
-    kf = Fraction(k)
-    pts = [
-        alpha
-        for alpha in itertools.product(*(range(u + 1) for u in box))
-        if body.gauge(alpha) <= kf
-    ]
+    candidates = list(itertools.product(*(range(u + 1) for u in box)))
+    excess, _ = _box_excess(body, candidates, 0, 1, k)  # gauge(alpha) <= k iff A alpha <= k B
+    pts = list(itertools.compress(candidates, np.all(excess <= 0, axis=1)))
     pts.sort(key=lambda a: cgrevlex_key(body, a))
     return tuple(pts)
+
+
+def cells_in_interior(body: ConvexBody, alphas, k: int) -> np.ndarray:
+    """Whether each lattice cell [alpha - 1/2, alpha + 1/2] / k lies in the interior of C.
+
+    Exact; a cell that touches a coordinate plane is not interior.
+    """
+    corners = 2 * np.asarray(alphas) - 1  # the cell is [corner, corner + 2] / (2k)
+    highest, _ = _box_excess(body, corners, 2, 1, 2 * k)
+    return np.all(corners > 0, axis=1) & np.all(highest < 0, axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Quadrature for the degree-normalization constant
 #   A_N = (1 / vol C) * integral over C of (theta_1 + ... + theta_N)
 # Midpoint rule on an axis-aligned cell grid.  Cells are classified
-# exactly (floating-point prefilter, rational confirmation near the
-# threshold); boundary cells get a sampled volume fraction.
+# exactly with the integer rows; boundary cells get a volume fraction
+# and a mean coordinate sum sampled at sub^N midpoints.
 # ---------------------------------------------------------------------------
 
 def _classify_cells(body: ConvexBody, resolution: Fraction):
-    """Yield (lo_corner, status) for every grid cell meeting the bounding box.
+    """(cells, status) for every grid cell [c, c + 1] * resolution meeting the bounding box.
 
     status: 1 inside, 0 boundary, -1 outside.  A cell is inside iff every
     halfspace holds at its max corner, outside iff some halfspace fails at
     its min corner; both tests are exact for boxes.
     """
-    n = body.dim
-    res_f = float(resolution)
-    counts = [math.ceil(body.coordinate_max(j) / resolution) for j in range(n)]
-    a_mat = np.array([[float(aj) for aj in a] for a, _ in body.halfspaces])
-    b_vec = np.array([float(b) for _, b in body.halfspaces])
-    grids = [np.arange(c) * res_f for c in counts]
-    lo = np.stack([g.ravel() for g in np.meshgrid(*grids, indexing="ij")], axis=1)
-    hi = lo + res_f
-    pos = a_mat > 0
-    max_vals = lo @ np.where(pos, 0.0, a_mat).T + hi @ np.where(pos, a_mat, 0.0).T
-    min_vals = lo @ np.where(pos, a_mat, 0.0).T + hi @ np.where(pos, 0.0, a_mat).T
-    eps = 1e-9 * max(1.0, float(np.max(np.abs(b_vec))))
-    inside = np.all(max_vals <= b_vec - eps, axis=1)
-    outside = np.any(min_vals >= b_vec + eps, axis=1)
-    uncertain = ~(inside | outside)
-    cells = np.stack([np.rint(lo[:, j] / res_f).astype(int) for j in range(n)], axis=1)
-    status = np.where(inside, 1, np.where(outside, -1, 0))
-    for idx in np.flatnonzero(uncertain):
-        cell = tuple(int(c) for c in cells[idx])
-        lo_fr = [c * resolution for c in cell]
-        hi_fr = [(c + 1) * resolution for c in cell]
-        is_in = True
-        is_out = False
-        for a, b in body.halfspaces:
-            mx = sum((aj * (h if aj > 0 else l) for aj, l, h in zip(a, lo_fr, hi_fr)), Fraction(0))
-            mn = sum((aj * (l if aj > 0 else h) for aj, l, h in zip(a, lo_fr, hi_fr)), Fraction(0))
-            if mx > b:
-                is_in = False
-            if mn > b:
-                is_out = True
-        status[idx] = 1 if is_in else (-1 if is_out else 0)
+    counts = [math.ceil(body.coordinate_max(j) / resolution) for j in range(body.dim)]
+    cells = np.stack([g.ravel() for g in np.meshgrid(*map(np.arange, counts), indexing="ij")], axis=1)
+    highest, lowest = _box_excess(body, cells, 1, resolution.numerator, resolution.denominator)
+    status = np.where(np.all(highest <= 0, axis=1), 1, np.where(np.any(lowest > 0, axis=1), -1, 0))
     return cells, status
-
-
-def _boundary_fraction_and_mean(body: ConvexBody, cell, resolution: Fraction, sub: int):
-    """Sampled (volume fraction, mean coordinate sum) of cell ∩ C via sub^N midpoints."""
-    n = body.dim
-    res_f = float(resolution)
-    lo = np.array([float(c * resolution) for c in cell])
-    offs = (np.arange(sub) + 0.5) * (res_f / sub)
-    pts = np.stack(
-        [g.ravel() for g in np.meshgrid(*([offs] * n), indexing="ij")], axis=1
-    ) + lo
-    a_mat = np.array([[float(aj) for aj in a] for a, _ in body.halfspaces])
-    b_vec = np.array([float(b) for _, b in body.halfspaces])
-    keep = np.all(pts @ a_mat.T <= b_vec, axis=1)
-    frac = keep.mean()
-    mean_sum = float(pts[keep].sum(axis=1).mean()) if keep.any() else 0.0
-    return frac, mean_sum
 
 
 def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: int = 32):
@@ -313,6 +314,8 @@ def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: in
     resolution = as_fraction(resolution)
     if resolution <= 0:
         raise ValidationError("resolution must be positive")
+    if subsamples < 1:
+        raise ValidationError(f"subsamples must be >= 1, got {subsamples}")
     cells, status = _classify_cells(body, resolution)
     res_f = float(resolution)
     cell_vol = res_f ** body.dim
@@ -323,9 +326,15 @@ def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: in
         mids = (cells[inside] + 0.5) * res_f
         volume += cell_vol * int(inside.sum())
         integral += cell_vol * float(mids.sum())
+    offs = (np.arange(subsamples) + 0.5) * (res_f / subsamples)
+    offsets = np.stack([g.ravel() for g in np.meshgrid(*([offs] * body.dim), indexing="ij")], axis=1)
+    a_mat = np.array([[float(aj) for aj in a] for a, _ in body.halfspaces])
+    b_vec = np.array([float(b) for _, b in body.halfspaces])
     for idx in np.flatnonzero(status == 0):
-        cell = tuple(int(c) for c in cells[idx])
-        frac, mean_sum = _boundary_fraction_and_mean(body, cell, resolution, subsamples)
+        pts = offsets + np.array([float(c * resolution) for c in cells[idx].tolist()])
+        keep = np.all(pts @ a_mat.T <= b_vec, axis=1)
+        frac = keep.mean()
+        mean_sum = float(pts[keep].sum(axis=1).mean()) if keep.any() else 0.0
         volume += cell_vol * frac
         integral += cell_vol * frac * mean_sum
     return volume, integral

@@ -118,7 +118,7 @@ def _workers(run: dict) -> int:
 
 
 def _run_body_check(config, artifacts: _Artifacts) -> int:
-    body = parse_body_spec(config["body"])
+    body = parse_body_spec(config.get("body"))
     k_max = int(config.get("run", {}).get("k_max", 4))
     report = check_dagger(body, k_max)
     payload = {
@@ -139,7 +139,7 @@ def _run_body_check(config, artifacts: _Artifacts) -> int:
 
 
 def _run_enumerate(config, artifacts: _Artifacts) -> int:
-    body = parse_body_spec(config["body"])
+    body = parse_body_spec(config.get("body"))
     run = config.get("run", {})
     k_max = int(run.get("k_max", run.get("k", 4)))
     name = "lattice.csv"
@@ -156,7 +156,7 @@ def _run_enumerate(config, artifacts: _Artifacts) -> int:
 
 
 def _run_cheb(config, artifacts: _Artifacts) -> int:
-    body = parse_body_spec(config["body"])
+    body = parse_body_spec(config.get("body"))
     mesh = _mesh_from_config(config)
     run = config.get("run", {})
     if "k" not in run or "alpha" not in run:
@@ -196,7 +196,7 @@ def _run_cheb(config, artifacts: _Artifacts) -> int:
 
 
 def _run_transform(config, artifacts: _Artifacts) -> int:
-    body = parse_body_spec(config["body"])
+    body = parse_body_spec(config.get("body"))
     mesh = _mesh_from_config(config)
     run = config.get("run", {})
     k = int(run.get("k", run.get("k_max", 4)))
@@ -225,7 +225,7 @@ def _run_transform(config, artifacts: _Artifacts) -> int:
 
 
 def _run_vdm(config, artifacts: _Artifacts, name="vdm.json") -> int:
-    body = parse_body_spec(config["body"])
+    body = parse_body_spec(config.get("body"))
     mesh = _mesh_from_config(config)
     run = config.get("run", {})
     k = int(run.get("k", run.get("k_max", 4)))
@@ -239,7 +239,7 @@ def _run_vdm(config, artifacts: _Artifacts, name="vdm.json") -> int:
 
 
 def _run_leja(config, artifacts: _Artifacts) -> int:
-    body = parse_body_spec(config["body"])
+    body = parse_body_spec(config.get("body"))
     mesh = _mesh_from_config(config)
     run = config.get("run", {})
     k_max = int(run.get("k_max", 4))
@@ -254,7 +254,7 @@ def _run_leja(config, artifacts: _Artifacts) -> int:
 
 
 def _run_tdiam(config, artifacts: _Artifacts) -> int:
-    body = parse_body_spec(config["body"])
+    body = parse_body_spec(config.get("body"))
     mesh = _mesh_from_config(config)
     run = config.get("run", {})
     options = ReportOptions(

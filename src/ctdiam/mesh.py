@@ -293,11 +293,14 @@ def mesh_from_csv(path, dim: int) -> Mesh:
     points = []
     weights = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        for line, row in enumerate(csv.reader(fh), start=1):
             row = [c for c in row if c.strip() != ""]
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            vals = [float(c) for c in row]
+            try:
+                vals = [float(c) for c in row]
+            except ValueError as exc:
+                raise ValidationError(f"{path} row {line} is not numeric: {row}") from exc
             if len(vals) == 2 * dim:
                 lw = 0.0
             elif len(vals) == 2 * dim + 1:

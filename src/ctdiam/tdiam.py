@@ -22,7 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .body import ConvexBody, as_fraction, average_total_degree, body_quadrature, check_dagger
+from .body import (ConvexBody, as_fraction, average_total_degree, body_quadrature,
+                   cells_in_interior, check_dagger)
 from .cheb import TransformTable, transform_grid
 from .errors import CtdiamError, InsufficientSupport, ValidationError
 from .leja import leja_diameter
@@ -80,28 +81,16 @@ def d_estimate_transform(mesh: Mesh, body: ConvexBody, k: int, ordering: str = C
         return math.exp(transform_mean_log(table, ordering))
     if method == "cell-quadrature":
         volume, _ = body_quadrature(body, resolution, subsamples)
-        half = Fraction(1, 2 * k)
+        interior = cells_in_interior(body, [row.alpha for row in table.rows], k)
         total = 0.0
         cell_vol = (1.0 / k) ** body.dim
-        for row in table.rows:
+        for row, inner in zip(table.rows, interior):
             if ordering not in row.records:
                 raise ValidationError(f"transform row failed for {row.alpha}")
-            if _cell_strictly_interior(body, row.alpha, k, half):
+            if inner:
                 total += row.records[ordering].log_T * cell_vol
         return math.exp(total / volume)
     raise ValidationError(f"unknown transform method {method!r}")
-
-
-def _cell_strictly_interior(body: ConvexBody, alpha, k: int, half: Fraction) -> bool:
-    lo = [Fraction(a, k) - half for a in alpha]
-    hi = [Fraction(a, k) + half for a in alpha]
-    if any(l <= 0 for l in lo):
-        return False
-    for a, b in body.halfspaces:
-        mx = sum((aj * (h if aj > 0 else l) for aj, l, h in zip(a, lo, hi)), Fraction(0))
-        if mx >= b:
-            return False
-    return True
 
 
 def final_delta(mesh: Mesh, body: ConvexBody, k: int, strategy=None, route: str = "vdm",

@@ -1,12 +1,19 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctdiam import average_total_degree, check_dagger, validate_body
-from ctdiam.body import parse_body_spec, rational_lp_max
+from ctdiam.body import (
+    _classify_cells,
+    body_quadrature,
+    cells_in_interior,
+    parse_body_spec,
+    rational_lp_max,
+)
 from ctdiam.errors import (
     DimensionMismatch,
     NonpositiveOffset,
@@ -14,6 +21,7 @@ from ctdiam.errors import (
     Unbounded,
     ValidationError,
 )
+from ctdiam.order import cgrevlex_key
 
 
 def test_validate_simplex_itself(simplex2):
@@ -146,6 +154,86 @@ def test_average_degree_square(square):
 def test_average_degree_simplex3(simplex3):
     value = average_total_degree(simplex3, Fraction(1, 24), 24)
     assert value == pytest.approx(0.75, abs=1e-3)
+
+
+def test_average_degree_pins(skew_body):
+    # exact cell classification pins A_N at the default resolution and subsamples
+    pentagon = validate_body([(("1", "0"), "1"), (("0", "1"), "1"), (("1", "1"), "3/2")], 2)
+    assert average_total_degree(pentagon) == 0.9049280312935843
+    assert average_total_degree(skew_body) == 0.7777780427389239
+
+
+@pytest.mark.parametrize("subsamples", [0, -1])
+def test_quadrature_rejects_subsamples_below_one(skew_body, subsamples):
+    with pytest.raises(ValidationError, match="subsamples"):
+        body_quadrature(skew_body, Fraction(1, 8), subsamples)
+
+
+# Fraction oracles for the integer-row geometry: the corner loops the
+# float prefilter fell back to, and the gauge itself.
+
+def _oracle_status(body, cell, resolution):
+    lo = [c * resolution for c in cell]
+    hi = [(c + 1) * resolution for c in cell]
+    is_in, is_out = True, False
+    for a, b in body.halfspaces:
+        mx = sum((aj * (h if aj > 0 else l) for aj, l, h in zip(a, lo, hi)), Fraction(0))
+        mn = sum((aj * (l if aj > 0 else h) for aj, l, h in zip(a, lo, hi)), Fraction(0))
+        is_in = is_in and mx <= b
+        is_out = is_out or mn > b
+    return 1 if is_in else (-1 if is_out else 0)
+
+
+def _oracle_interior(body, alpha, k):
+    half = Fraction(1, 2 * k)
+    lo = [Fraction(a, k) - half for a in alpha]
+    hi = [Fraction(a, k) + half for a in alpha]
+    if any(l <= 0 for l in lo):
+        return False
+    for a, b in body.halfspaces:
+        if sum((aj * (h if aj > 0 else l) for aj, l, h in zip(a, lo, hi)), Fraction(0)) >= b:
+            return False
+    return True
+
+
+small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def bodies_and_resolutions(draw):
+    dim = draw(st.integers(1, 3))
+    # a first row with every a_j in [b/3, b] keeps the body inside [0, 3]^dim
+    b0 = draw(st.builds(Fraction, st.integers(1, 4), st.integers(1, 3)))
+    rows = [(tuple(b0 * Fraction(draw(st.integers(2, 6)), 6) for _ in range(dim)), b0)]
+    for _ in range(draw(st.integers(0, 2))):
+        b = draw(st.builds(Fraction, st.integers(1, 5), st.integers(1, 3)))
+        rows.append((tuple(min(draw(small_rationals), b) for _ in range(dim)), b))
+    q_max = 9 if dim < 3 else 4
+    resolution = Fraction(draw(st.integers(1, 3)), draw(st.integers(1, q_max)))
+    return validate_body(rows, dim), resolution
+
+
+def _check_against_oracles(body, resolution, k):
+    cells, status = _classify_cells(body, resolution)
+    assert [_oracle_status(body, cell, resolution) for cell in cells.tolist()] == status.tolist()
+    box = [range(int(k * body.coordinate_max(j)) + 1) for j in range(body.dim)]
+    in_kc = [alpha for alpha in itertools.product(*box) if body.gauge(alpha) <= k]
+    pts = body.lattice_points(k)
+    assert pts == sorted(in_kc, key=lambda a: cgrevlex_key(body, a))
+    assert cells_in_interior(body, pts, k).tolist() == [_oracle_interior(body, a, k) for a in pts]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=bodies_and_resolutions(), k=st.integers(1, 4))
+def test_integer_rows_match_fraction_oracles(case, k):
+    _check_against_oracles(*case, k)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_integer_rows_beyond_int64(k):
+    # scaled rows reach 2**62, so the exact tests run on Python ints
+    body = validate_body([((1, Fraction(2**62 - 1, 2**62)), 1), ((Fraction(-1, 2**61 + 1), 1), 1)], 2)
+    _check_against_oracles(body, Fraction(1, 4), k)
 
 
 def test_dagger_simplex(simplex2):

@@ -150,6 +150,24 @@ def test_invalid_json_is_validation_error(tmp_path):
     assert main(["tdiam", "--config", str(path)]) == 2
 
 
+PENTAGON = {"dim": 2, "halfspaces": [{"a": ["1", "0"], "b": "1"}, {"a": ["0", "1"], "b": "1"},
+                                     {"a": ["1", "1"], "b": "3/2"}]}
+BOX3 = {"kind": "box2d", "x": [0, 1], "y": [0, 1], "counts": [3, 3]}
+
+
+@pytest.mark.parametrize("config, flags, message", [
+    ({"body": PENTAGON, "run": {"subsamples": 0}}, [], "subsamples"),
+    ({"body": PENTAGON}, ["--resolution", "abc"], "'abc'"),
+    ({"body": {"dim": 1, "halfspaces": [{"a": ["1/0"], "b": "1"}]}}, [], "'1/0'"),
+    ({}, [], "body spec"),
+], ids=["zero-subsamples", "resolution-not-rational", "zero-denominator", "no-body"])
+def test_tdiam_invalid_input_exit_2(tmp_path, capsys, config, flags, message):
+    cfg = write_config(tmp_path, "bad.json", {"mesh": BOX3, "output_dir": str(tmp_path / "out"),
+                                              **config})
+    assert main(["tdiam", "--config", cfg, *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_workers_env_override(tmp_path, monkeypatch):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "cfg.json", {

@@ -64,6 +64,13 @@ def test_explicit_and_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(back.log_weights, mesh.log_weights, atol=1e-15)
 
 
+def test_csv_mesh_rejects_non_numeric_cell(tmp_path):
+    path = tmp_path / "mesh.csv"
+    path.write_text("0,0\n1,abc\n")
+    with pytest.raises(ValidationError, match="row 2"):
+        mesh_from_csv(path, 1)
+
+
 def test_radial_gaussian_weight():
     mesh = build_mesh({"kind": "circle", "center": 0, "radius": 2, "count": 8,
                        "weight": {"kind": "radial-gaussian", "sigma": 1.0}})
