@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -124,17 +124,32 @@ class TransformTable:
 
 def transform_grid(mesh: Mesh, body: ConvexBody, k: int,
                    orderings=(GREVLEX, CGREVLEX), m_phases: int = 32,
-                   workers: int = 1) -> TransformTable:
+                   workers: int = 1, cache: dict | None = None) -> TransformTable:
     """One ChebyshevRecord per lattice exponent of level k per ordering.
 
     Rows whose solve fails are kept with the error message recorded, so
     the table is always returned whole.
+
+    Each distinct min-max problem is solved once.  A problem is fixed by
+    alpha, its lower monomials and, on a weighted mesh, the weight power
+    k; the two orders coincide on a simplex, and on an unweighted mesh
+    one exponent's problem repeats at every level where its lower set is
+    the same.  `cache` carries the outcomes across calls with the
+    same mesh, body and m_phases (`build_report` passes one per report).
     """
     if k < 1:
         raise ValidationError("transform grid needs k >= 1")
+    cache = {} if cache is None else cache
     alphas = body.lattice_points(k)
     orderings = tuple(orderings)
+    weight_power = None if mesh.is_unweighted else k
     tasks = [(alpha, ordering) for alpha in alphas for ordering in orderings]
+    keys = [(alpha, tuple(lower_monomials(body, k, alpha, ordering)), weight_power)
+            for alpha, ordering in tasks]
+    pending = {}  # unsolved key -> the first task that poses it
+    for key, task in zip(keys, tasks):
+        if key not in cache:
+            pending.setdefault(key, task)
 
     def solve(task):
         alpha, ordering = task
@@ -145,18 +160,18 @@ def transform_grid(mesh: Mesh, body: ConvexBody, k: int,
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(solve, tasks))
+            cache.update(zip(pending, pool.map(solve, pending.values())))
     else:
-        outcomes = [solve(t) for t in tasks]
+        cache.update((key, solve(task)) for key, task in pending.items())
 
     rows = []
     for i, alpha in enumerate(alphas):
         records: dict[str, ChebyshevRecord] = {}
         errors: dict[str, str] = {}
         for j, ordering in enumerate(orderings):
-            out = outcomes[i * len(orderings) + j]
+            out = cache[keys[i * len(orderings) + j]]
             if isinstance(out, ChebyshevRecord):
-                records[ordering] = out
+                records[ordering] = replace(out, k=k, ordering=ordering)
             else:
                 errors[ordering] = f"{type(out).__name__}: {out}"
         rows.append(TransformRow(

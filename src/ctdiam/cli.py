@@ -60,6 +60,30 @@ class _Artifacts:
         self.add(name)
 
 
+def _as_int(value, field: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{field} must be an integer, got {value!r}") from None
+
+
+def _as_ints(values, field: str) -> list[int]:
+    """Integers from a JSON list or a comma-separated flag value."""
+    if isinstance(values, str):
+        values = values.split(",")
+    if not isinstance(values, list):
+        raise ValidationError(f"{field} must be a list of integers, got {values!r}")
+    return [_as_int(v, field) for v in values]
+
+
+def _run_int(run: dict, *names: str, default: int) -> int:
+    """run[name] as an integer for the first of `names` present, else `default`."""
+    for name in names:
+        if name in run:
+            return _as_int(run[name], f"run.{name}")
+    return default
+
+
 def _load_config(path: str | None, overrides: argparse.Namespace) -> dict:
     if path is None:
         raise ValidationError("a --config file is required")
@@ -73,12 +97,14 @@ def _load_config(path: str | None, overrides: argparse.Namespace) -> dict:
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
     run = config.setdefault("run", {})
+    if not isinstance(run, dict):
+        raise ValidationError("config 'run' must be a JSON object")
     for name in ("k", "k_max", "count", "workers", "polygon_m"):
         value = getattr(overrides, name, None)
         if value is not None:
             run[name] = value
     if overrides.alpha is not None:
-        run["alpha"] = [int(v) for v in overrides.alpha.split(",")]
+        run["alpha"] = _as_ints(overrides.alpha, "--alpha")
     if overrides.ordering is not None:
         run["orderings"] = [overrides.ordering]
     if overrides.strategy is not None:
@@ -90,7 +116,7 @@ def _load_config(path: str | None, overrides: argparse.Namespace) -> dict:
     if overrides.theta is not None:
         run["theta"] = [overrides.theta.split(",")]
     if overrides.schedule is not None:
-        run["schedule"] = [int(v) for v in overrides.schedule.split(",")]
+        run["schedule"] = _as_ints(overrides.schedule, "--schedule")
     if overrides.resolution is not None:
         run["resolution"] = overrides.resolution
     if overrides.emit_plot_data:
@@ -106,20 +132,22 @@ def _mesh_from_config(config: dict):
     if spec is None:
         raise ValidationError("config has no 'mesh' section")
     if isinstance(spec, dict) and spec.get("kind") == "csv":
-        return mesh_from_csv(spec["path"], int(spec["dim"]))
+        if "path" not in spec:
+            raise ValidationError("csv mesh needs a 'path'")
+        return mesh_from_csv(spec["path"], _as_int(spec.get("dim"), "mesh.dim"))
     return build_mesh(spec)
 
 
 def _workers(run: dict) -> int:
     if "workers" in run:
-        return max(1, int(run["workers"]))
+        return max(1, _as_int(run["workers"], "run.workers"))
     env = os.environ.get("CTDIAM_WORKERS")
-    return max(1, int(env)) if env else 1
+    return max(1, _as_int(env, "CTDIAM_WORKERS")) if env else 1
 
 
 def _run_body_check(config, artifacts: _Artifacts) -> int:
     body = parse_body_spec(config.get("body"))
-    k_max = int(config.get("run", {}).get("k_max", 4))
+    k_max = _run_int(config.get("run", {}), "k_max", default=4)
     report = check_dagger(body, k_max)
     payload = {
         "dim": body.dim,
@@ -141,7 +169,7 @@ def _run_body_check(config, artifacts: _Artifacts) -> int:
 def _run_enumerate(config, artifacts: _Artifacts) -> int:
     body = parse_body_spec(config.get("body"))
     run = config.get("run", {})
-    k_max = int(run.get("k_max", run.get("k", 4)))
+    k_max = _run_int(run, "k_max", "k", default=4)
     name = "lattice.csv"
     with open(artifacts.outdir / name, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -161,9 +189,9 @@ def _run_cheb(config, artifacts: _Artifacts) -> int:
     run = config.get("run", {})
     if "k" not in run or "alpha" not in run:
         raise ValidationError("cheb needs run.k and run.alpha")
-    k = int(run["k"])
-    alpha = tuple(int(a) for a in run["alpha"])
-    m_phases = int(run.get("polygon_m", 32))
+    k = _as_int(run["k"], "run.k")
+    alpha = tuple(_as_ints(run["alpha"], "run.alpha"))
+    m_phases = _run_int(run, "polygon_m", default=32)
     records = {}
     for ordering in run.get("orderings", list(ORDERINGS)):
         rec = chebyshev_constant(mesh, body, k, alpha, ordering, m_phases)
@@ -184,7 +212,7 @@ def _run_cheb(config, artifacts: _Artifacts) -> int:
         print(f"k={k} alpha={alpha} {ordering}: nu-opt={nu:.12g} T={records[ordering]['T']:.12g}")
     maybe_theta = run.get("theta")
     if maybe_theta:
-        schedule = [int(v) for v in run.get("schedule", [4, 8, 12])]
+        schedule = _as_ints(run.get("schedule", [4, 8, 12]), "run.schedule")
         for theta in maybe_theta:
             res = directional_constant(mesh, body, theta, schedule,
                                        m_phases=m_phases)
@@ -199,10 +227,10 @@ def _run_transform(config, artifacts: _Artifacts) -> int:
     body = parse_body_spec(config.get("body"))
     mesh = _mesh_from_config(config)
     run = config.get("run", {})
-    k = int(run.get("k", run.get("k_max", 4)))
+    k = _run_int(run, "k", "k_max", default=4)
     table = transform_grid(mesh, body, k,
                            orderings=tuple(run.get("orderings", ORDERINGS)),
-                           m_phases=int(run.get("polygon_m", 32)),
+                           m_phases=_run_int(run, "polygon_m", default=32),
                            workers=_workers(run))
     transform_to_csv(table, artifacts.outdir / "transform.csv")
     artifacts.add("transform.csv")
@@ -228,7 +256,7 @@ def _run_vdm(config, artifacts: _Artifacts, name="vdm.json") -> int:
     body = parse_body_spec(config.get("body"))
     mesh = _mesh_from_config(config)
     run = config.get("run", {})
-    k = int(run.get("k", run.get("k_max", 4)))
+    k = _run_int(run, "k", "k_max", default=4)
     strategy = strategy_from_config(run.get("strategy"))
     result = max_vdm(mesh, body, k, strategy)
     payload = fekete_to_dict(mesh, result)
@@ -242,7 +270,7 @@ def _run_leja(config, artifacts: _Artifacts) -> int:
     body = parse_body_spec(config.get("body"))
     mesh = _mesh_from_config(config)
     run = config.get("run", {})
-    k_max = int(run.get("k_max", 4))
+    k_max = _run_int(run, "k_max", default=4)
     report = leja_diameter(mesh, body, k_max)
     for row in report.rows:
         print(f"k={row.k}: M_k={row.m_k} L_k={row.l_k} value={row.value:.10g}")
@@ -260,16 +288,16 @@ def _run_tdiam(config, artifacts: _Artifacts) -> int:
     options = ReportOptions(
         strategy=strategy_from_config(run.get("strategy")),
         orderings=tuple(run.get("orderings", ORDERINGS)),
-        m_phases=int(run.get("polygon_m", 32)),
+        m_phases=_run_int(run, "polygon_m", default=32),
         include_leja=bool(run.get("include_leja", True)),
         resolution=run.get("resolution", "1/32"),
-        subsamples=int(run.get("subsamples", 32)),
+        subsamples=_run_int(run, "subsamples", default=32),
         workers=_workers(run),
     )
     from .body import as_fraction
 
     options.resolution = as_fraction(options.resolution)
-    k_max = int(run.get("k_max", 4))
+    k_max = _run_int(run, "k_max", default=4)
     report = build_report(mesh, body, k_max, options)
     for row in report.rows:
         dvdm = f"{row.d_vdm:.8g}" if row.d_vdm is not None else "-"

@@ -17,8 +17,11 @@ lexicographic ratio test on the [rhs | B^-1] block, which is
 deterministic and cannot cycle.  (Lowest-index pricing alone also
 terminates but was measured to need two orders of magnitude more
 iterations on production-size instances; it is kept as a fallback.)
-Every solve is verified against its optimality certificate before the
-result is returned.
+A pivot updates the tableau in place, row by row and only on the rows
+its column reaches, so no tableau-sized temporary is allocated per
+iteration; each entry still receives the one product c_i * r_j an
+outer-product update would subtract.  Every solve is verified against
+its optimality certificate before the result is returned.
 """
 
 from __future__ import annotations
@@ -39,15 +42,17 @@ class _IterationCap(Exception):
 
 
 def _pivot(tab, rhs, basis, row, col):
-    piv = tab[row, col]
-    tab[row] /= piv
+    """Pivot on (row, col) in place, updating only the rows the column reaches."""
+    pivot_row = tab[row]
+    piv = pivot_row[col]
+    pivot_row /= piv
     rhs[row] /= piv
     colvals = tab[:, col].copy()
     colvals[row] = 0.0
-    mask = colvals != 0.0
-    if mask.any():
-        tab[mask] -= np.outer(colvals[mask], tab[row])
-        rhs[mask] -= colvals[mask] * rhs[row]
+    reached = np.flatnonzero(colvals)
+    for i in reached:
+        tab[i] -= colvals[i] * pivot_row
+    rhs[reached] -= colvals[reached] * rhs[row]
     tab[:, col] = 0.0
     tab[row, col] = 1.0
     basis[row] = col
@@ -126,12 +131,16 @@ def solve_standard_form(B, h, c, max_iter=50000):
     in_struct = basis < n
     lam[basis[in_struct]] = rhs[in_struct]
     value = float(c @ lam)
-    cost_full = np.concatenate([c, np.zeros(m)])
-    basis_matrix = np.hstack([Bw, np.eye(m)])[:, basis]
+    # the basis columns of [Bw | I] and their costs
+    basis_matrix = np.zeros((m, m))
+    basis_cost = np.zeros(m)
+    basis_matrix[:, in_struct] = Bw[:, basis[in_struct]]
+    basis_matrix[basis[~in_struct] - n, np.flatnonzero(~in_struct)] = 1.0
+    basis_cost[in_struct] = c[basis[in_struct]]
     try:
-        pi = np.linalg.solve(basis_matrix.T, cost_full[basis])
+        pi = np.linalg.solve(basis_matrix.T, basis_cost)
     except np.linalg.LinAlgError:
-        pi = np.linalg.lstsq(basis_matrix.T, cost_full[basis], rcond=None)[0]
+        pi = np.linalg.lstsq(basis_matrix.T, basis_cost, rcond=None)[0]
     pi[flip] *= -1.0
     return value, lam, pi, iters
 

@@ -176,6 +176,7 @@ def build_report(mesh: Mesh, body: ConvexBody, k_max: int, options: ReportOption
         except _CELL_ERRORS as exc:
             leja_error = f"{type(exc).__name__}: {exc}"
 
+    transform_cache: dict = {}  # one solve per distinct min-max problem of the report
     rows = []
     for k in range(1, k_max + 1):
         m_k, h_k, l_k = body.counts(k)
@@ -195,7 +196,8 @@ def build_report(mesh: Mesh, body: ConvexBody, k_max: int, options: ReportOption
         sum_log_nu: dict[str, float] = {}
         try:
             table = transform_grid(mesh, body, k, orderings=options.orderings,
-                                   m_phases=options.m_phases, workers=options.workers)
+                                   m_phases=options.m_phases, workers=options.workers,
+                                   cache=transform_cache)
             for ordering in options.orderings:
                 try:
                     mean_log = transform_mean_log(table, ordering)

@@ -168,6 +168,24 @@ def test_tdiam_invalid_input_exit_2(tmp_path, capsys, config, flags, message):
     assert message in capsys.readouterr().err
 
 
+INTERVAL9 = {"kind": "interval", "a": -1, "b": 1, "count": 9}
+
+
+@pytest.mark.parametrize("subcommand, config, flags, message", [
+    ("cheb", {"run": {"k": 2}}, ["--alpha", "x"], "--alpha"),
+    ("cheb", {"run": {"k": 2, "alpha": [1]}}, ["--theta", "1/2", "--schedule", "2,x"],
+     "--schedule"),
+    ("cheb", {"run": {"k": 2, "alpha": 1}}, [], "run.alpha"),
+    ("tdiam", {"run": {"k_max": "two"}}, [], "run.k_max"),
+    ("tdiam", {"mesh": {"kind": "csv", "dim": 1}}, [], "'path'"),
+], ids=["alpha-flag", "schedule-flag", "alpha-not-a-list", "k-max-not-int", "csv-mesh-no-path"])
+def test_bad_scalar_input_exit_2(tmp_path, capsys, subcommand, config, flags, message):
+    cfg = write_config(tmp_path, "bad.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
+                                              "output_dir": str(tmp_path / "out"), **config})
+    assert main([subcommand, "--config", cfg, *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_workers_env_override(tmp_path, monkeypatch):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "cfg.json", {

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from ctdiam import lp
 from ctdiam.lp import solve_minimax, solve_standard_form
 
 
@@ -121,3 +123,57 @@ def test_minimax_rejects_infinite_weights():
 def test_minimax_rejects_degenerate_polygon():
     with pytest.raises(ValueError):
         solve_minimax(np.ones((1, 3), dtype=complex), np.ones(3) + 1j, np.zeros(3), m_phases=2)
+
+
+def _outer_product_pivot(tab, rhs, basis, row, col):
+    """Reference pivot: every reached row updated by one outer product."""
+    piv = tab[row, col]
+    tab[row] /= piv
+    rhs[row] /= piv
+    colvals = tab[:, col].copy()
+    colvals[row] = 0.0
+    mask = colvals != 0.0
+    if mask.any():
+        tab[mask] -= np.outer(colvals[mask], tab[row])
+        rhs[mask] -= colvals[mask] * rhs[row]
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+    basis[row] = col
+
+
+def _random_minimax(rng, complex_mesh):
+    npts, d = int(rng.integers(6, 30)), int(rng.integers(1, 5))
+    z = rng.normal(size=npts) + (1j * rng.normal(size=npts) if complex_mesh else 0.0)
+    lower = np.vstack([z**a for a in range(d)]).astype(complex)
+    return lower, (z**d).astype(complex), rng.uniform(-1.0, 1.0, size=npts)
+
+
+@pytest.mark.parametrize("complex_mesh", [False, True], ids=["real", "complex"])
+def test_pivot_matches_outer_product_reference(monkeypatch, complex_mesh):
+    rng = np.random.default_rng(11 if complex_mesh else 10)
+    instances = [_random_minimax(rng, complex_mesh) for _ in range(12)]
+    row_pivot = [solve_minimax(*inst, m_phases=16) for inst in instances]
+    monkeypatch.setattr(lp, "_pivot", _outer_product_pivot)
+    outer_pivot = [solve_minimax(*inst, m_phases=16) for inst in instances]
+    for new, ref in zip(row_pivot, outer_pivot):
+        assert new.real_path is not complex_mesh
+        assert new.log_value == ref.log_value
+        assert new.iterations == ref.iterations > 0
+        assert new.coefficients.tobytes() == ref.coefficients.tobytes()
+
+
+def test_pivot_allocates_no_tableau_sized_temporary():
+    # the shape of a level-5 complex transform LP on a 16x16 torus: 2*20 + 1
+    # rows, 32 phases * 256 points + 41 artificial columns
+    rng = np.random.default_rng(3)
+    tab = rng.normal(size=(41, 8233))
+    rhs = rng.uniform(size=41)
+    basis = np.arange(8192, 8233)
+    tracemalloc.start()
+    try:
+        lp._pivot(tab, rhs, basis, 7, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < tab.nbytes / 4
+    assert basis[7] == 100 and tab[7, 100] == 1.0 and np.count_nonzero(tab[:, 100]) == 1

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctdiam import (
     BruteForce,
@@ -10,12 +12,15 @@ from ctdiam import (
     ReportOptions,
     build_mesh,
     build_report,
+    chebyshev_constant,
     d_estimate_transform,
     d_estimate_vdm,
     delta_k,
     final_delta,
+    simplex_body,
+    validate_body,
 )
-from ctdiam.errors import InsufficientSupport
+from ctdiam.errors import CtdiamError, InsufficientSupport, SolverFailure
 from ctdiam.mesh import Mesh
 from ctdiam.order import CGREVLEX, GREVLEX
 from ctdiam.tdiam import report_to_csv, report_to_json, transform_mean_log
@@ -212,3 +217,101 @@ def test_transform_mean_log_requires_complete_rows(mesh7, simplex1):
     table = transform_grid(mesh7, simplex1, 2, orderings=(GREVLEX,))
     with pytest.raises(Exception):
         transform_mean_log(table, CGREVLEX)
+
+
+CACHE_BODIES = [
+    simplex_body(1),
+    simplex_body(2),
+    validate_body([(("1", "0"), "1"), (("0", "1"), "1"), (("1", "1"), "3/2")], 2),  # pentagon
+]
+
+
+@st.composite
+def report_cases(draw):
+    body = draw(st.sampled_from(CACHE_BODIES))
+    n = draw(st.integers(4, 10))
+    points = [[draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 1j, 0.5 - 1j]))
+               for _ in range(body.dim)] for _ in range(n)]
+    if draw(st.booleans()):
+        log_weights = [0.0] * n
+    else:
+        log_weights = draw(st.lists(st.sampled_from([0.0, -0.5, 1.0, -math.inf]),
+                                    min_size=n, max_size=n))
+        log_weights[:body.dim + 1] = [0.25] * (body.dim + 1)  # enough support for level 1
+    mesh = Mesh(body.dim, np.array(points), np.array(log_weights))
+    return body, mesh, draw(st.integers(1, 3)), draw(st.sampled_from([1, 2]))
+
+
+def _record_bits(rec):
+    terms = sorted((beta, float(c.real).hex(), float(c.imag).hex())
+                   for beta, c in rec.coefficients.terms.items())
+    return (rec.k, rec.alpha, rec.ordering, float(rec.log_nu).hex(),
+            float(rec.bracket_factor).hex(), rec.iterations, rec.real_path, terms)
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=report_cases())
+def test_report_transform_cache_matches_direct_solves(case):
+    import ctdiam.tdiam as tdiam_mod
+
+    body, mesh, k_max, workers = case
+    tables = []
+
+    def recording_grid(*args, **kwargs):
+        tables.append(transform_grid(*args, **kwargs))
+        return tables[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tdiam_mod, "transform_grid", recording_grid)
+        build_report(mesh, body, k_max, ReportOptions(workers=workers))
+    assert [table.k for table in tables] == list(range(1, k_max + 1))
+    for table in tables:
+        for row in table.rows:
+            for ordering in table.orderings:
+                try:
+                    fresh = chebyshev_constant(mesh, body, table.k, row.alpha, ordering)
+                except CtdiamError as exc:
+                    assert row.errors[ordering] == f"{type(exc).__name__}: {exc}"
+                    continue
+                assert _record_bits(row.records[ordering]) == _record_bits(fresh)
+
+
+def _count_solves(monkeypatch, fail_single_lower=False):
+    import ctdiam.cheb as cheb_mod
+
+    original, calls = cheb_mod.solve_minimax, []
+
+    def counting(lower_vals, *args, **kwargs):
+        calls.append(lower_vals.shape[0])
+        if fail_single_lower and lower_vals.shape[0] == 1:
+            raise SolverFailure("injected")
+        return original(lower_vals, *args, **kwargs)
+
+    monkeypatch.setattr(cheb_mod, "solve_minimax", counting)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_report_solves_each_distinct_problem_once(monkeypatch, simplex2, workers):
+    # levels 1..3 pose 19 exponents in two orders; on the unweighted simplex
+    # the 10 exponents of level 3 are the only distinct problems
+    calls = _count_solves(monkeypatch)
+    mesh = build_mesh({"kind": "torus", "counts": [8, 8]})
+    report = build_report(mesh, simplex2, 3, ReportOptions(workers=workers))
+    assert len(calls) == 10
+    assert all(not row.errors for row in report.rows)
+
+
+def test_transform_cache_reuses_a_failed_problem(monkeypatch, mesh7, simplex1):
+    # alpha = 1 has the lower set {0} at every level and in both orders
+    calls = _count_solves(monkeypatch, fail_single_lower=True)
+    cache = {}
+    tables = [transform_grid(mesh7, simplex1, k, cache=cache) for k in (1, 2, 3)]
+    assert calls.count(1) == 1
+    assert len(calls) == 4  # the distinct exponents 0..3
+    for table in tables:
+        failed = [row for row in table.rows if row.errors]
+        assert [row.alpha for row in failed] == [(1,)]
+        assert failed[0].errors == {GREVLEX: "SolverFailure: injected",
+                                    CGREVLEX: "SolverFailure: injected"}
+        assert all(len(row.records) == 2 for row in table.rows if row.alpha != (1,))
