@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .body import check_dagger, parse_body_spec
+from .body import as_fraction, check_dagger, parse_body_spec
 from .cheb import chebyshev_constant, directional_constant, transform_grid, transform_to_csv
 from .errors import SolverFailure, ValidationError
 from .leja import leja_diameter, leja_to_csv
@@ -84,6 +84,15 @@ def _run_int(run: dict, *names: str, default: int) -> int:
     return default
 
 
+def _orderings(run: dict) -> tuple[str, ...]:
+    """run.orderings as a tuple of names from ORDERINGS; both orders when absent."""
+    value = run.get("orderings", list(ORDERINGS))
+    if not isinstance(value, list) or not all(name in ORDERINGS for name in value):
+        raise ValidationError(f"run.orderings must be a list of names from {list(ORDERINGS)}, "
+                              f"got {value!r}")
+    return tuple(value)
+
+
 def _load_config(path: str | None, overrides: argparse.Namespace) -> dict:
     if path is None:
         raise ValidationError("a --config file is required")
@@ -99,7 +108,7 @@ def _load_config(path: str | None, overrides: argparse.Namespace) -> dict:
     run = config.setdefault("run", {})
     if not isinstance(run, dict):
         raise ValidationError("config 'run' must be a JSON object")
-    for name in ("k", "k_max", "count", "workers", "polygon_m"):
+    for name in ("k", "k_max", "workers", "polygon_m"):
         value = getattr(overrides, name, None)
         if value is not None:
             run[name] = value
@@ -193,7 +202,7 @@ def _run_cheb(config, artifacts: _Artifacts) -> int:
     alpha = tuple(_as_ints(run["alpha"], "run.alpha"))
     m_phases = _run_int(run, "polygon_m", default=32)
     records = {}
-    for ordering in run.get("orderings", list(ORDERINGS)):
+    for ordering in _orderings(run):
         rec = chebyshev_constant(mesh, body, k, alpha, ordering, m_phases)
         records[ordering] = {
             "k": k,
@@ -229,7 +238,7 @@ def _run_transform(config, artifacts: _Artifacts) -> int:
     run = config.get("run", {})
     k = _run_int(run, "k", "k_max", default=4)
     table = transform_grid(mesh, body, k,
-                           orderings=tuple(run.get("orderings", ORDERINGS)),
+                           orderings=_orderings(run),
                            m_phases=_run_int(run, "polygon_m", default=32),
                            workers=_workers(run))
     transform_to_csv(table, artifacts.outdir / "transform.csv")
@@ -287,16 +296,13 @@ def _run_tdiam(config, artifacts: _Artifacts) -> int:
     run = config.get("run", {})
     options = ReportOptions(
         strategy=strategy_from_config(run.get("strategy")),
-        orderings=tuple(run.get("orderings", ORDERINGS)),
+        orderings=_orderings(run),
         m_phases=_run_int(run, "polygon_m", default=32),
         include_leja=bool(run.get("include_leja", True)),
-        resolution=run.get("resolution", "1/32"),
+        resolution=as_fraction(run.get("resolution", "1/32")),
         subsamples=_run_int(run, "subsamples", default=32),
         workers=_workers(run),
     )
-    from .body import as_fraction
-
-    options.resolution = as_fraction(options.resolution)
     k_max = _run_int(run, "k_max", default=4)
     report = build_report(mesh, body, k_max, options)
     for row in report.rows:
@@ -338,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--k", type=int)
     parser.add_argument("--k-max", dest="k_max", type=int)
     parser.add_argument("--alpha", help="comma-separated exponent, e.g. 2,0")
-    parser.add_argument("--count", type=int)
     parser.add_argument("--workers", type=int)
     parser.add_argument("--polygon-m", dest="polygon_m", type=int)
     parser.add_argument("--ordering", choices=ORDERINGS)

@@ -96,22 +96,17 @@ def d_estimate_transform(mesh: Mesh, body: ConvexBody, k: int, ordering: str = C
 def final_delta(mesh: Mesh, body: ConvexBody, k: int, strategy=None, route: str = "vdm",
                 m_phases: int = 32, workers: int = 1,
                 resolution=Fraction(1, 32), subsamples: int = 32):
-    """Length-scaled diameter estimate D ** (1/A) plus its report row."""
-    options = ReportOptions(strategy=strategy if strategy is not None else Greedy(),
-                            m_phases=m_phases, workers=workers,
-                            resolution=as_fraction(resolution), subsamples=subsamples,
-                            include_leja=False)
-    report = build_report(mesh, body, k, options)
-    row = report.rows[-1]
-    if route == "vdm":
-        d_value = row.d_vdm
-    elif route == "transform":
-        d_value = row.d_transform.get(CGREVLEX)
-    else:
+    """Length-scaled diameter estimate D ** (1/A) plus its level-k report row."""
+    if route not in ("vdm", "transform"):
         raise ValidationError(f"unknown route {route!r}")
+    _check_support(mesh, body, k)
+    a_n = average_total_degree(body, as_fraction(resolution), subsamples)
+    row = _level_row(mesh, body, k, strategy_from_config(strategy),
+                     ReportOptions(m_phases=m_phases, workers=workers), {}, None, None)
+    d_value = row.d_vdm if route == "vdm" else row.d_transform.get(CGREVLEX)
     if d_value is None:
         raise ValidationError(f"route {route} unavailable: {row.errors}")
-    return d_value ** (1.0 / report.a_n), row
+    return _length_scaled(d_value, a_n), row
 
 
 @dataclass
@@ -153,15 +148,60 @@ class DiameterReport:
     options: ReportOptions
 
 
-def build_report(mesh: Mesh, body: ConvexBody, k_max: int, options: ReportOptions | None = None) -> DiameterReport:
-    """Assemble per-level rows for k = 1..k_max; row-level failures never abort."""
+def _check_support(mesh: Mesh, body: ConvexBody, k_max: int) -> None:
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
     m_1, _, _ = body.counts(1)
     if mesh.support.size < m_1:
-        raise InsufficientSupport(
-            f"mesh supports {mesh.support.size} points; even level 1 needs {m_1}"
-        )
+        raise InsufficientSupport(f"mesh supports {mesh.support.size} points; even level 1 needs {m_1}")
+
+
+def _length_scaled(d_value: float | None, a_n: float) -> float | None:
+    return d_value ** (1.0 / a_n) if d_value is not None else None
+
+
+def _level_row(mesh: Mesh, body: ConvexBody, k: int, strategy, options: ReportOptions,
+               cache: dict, leja_value: float | None, leja_error: str | None) -> ReportRow:
+    """Report row of level k: the vdm cell, the transform cells, the sandwich check."""
+    m_k, h_k, l_k = body.counts(k)
+    errors: dict[str, str] = {"leja": leja_error} if leja_error else {}
+    log_vdm = exact = delta = d_vdm = None
+    try:
+        result: MaxVdmResult = max_vdm(mesh, body, k, strategy)
+        log_vdm = result.value.log_abs
+        exact = result.exact
+        delta = math.exp(log_vdm / l_k)
+        d_vdm = math.exp(log_vdm / (k * m_k))
+    except _CELL_ERRORS as exc:
+        errors["vdm"] = f"{type(exc).__name__}: {exc}"
+    d_transform: dict[str, float] = {}
+    sum_log_nu: dict[str, float] = {}
+    try:
+        table = transform_grid(mesh, body, k, orderings=options.orderings,
+                               m_phases=options.m_phases, workers=options.workers,
+                               cache=cache)
+        for ordering in options.orderings:
+            try:
+                mean_log = transform_mean_log(table, ordering)
+                d_transform[ordering] = math.exp(mean_log)
+                sum_log_nu[ordering] = mean_log * k * m_k
+            except ValidationError as exc:
+                errors[f"transform:{ordering}"] = str(exc)
+    except _CELL_ERRORS as exc:
+        errors["transform"] = f"{type(exc).__name__}: {exc}"
+    sandwich = None
+    if exact and CGREVLEX in sum_log_nu and math.isfinite(log_vdm):
+        slack = 1e-6 * m_k
+        lo = sum_log_nu[CGREVLEX]
+        sandwich = (lo - slack <= log_vdm <= lo + math.lgamma(m_k + 1) + slack)
+    return ReportRow(k=k, m_k=m_k, h_k=h_k, l_k=l_k, log_vdm=log_vdm, exact=exact, delta=delta,
+                     d_vdm=d_vdm, d_transform=d_transform, leja_value=leja_value,
+                     sandwich_consistent=sandwich, errors=errors)
+
+
+def build_report(mesh: Mesh, body: ConvexBody, k_max: int, options: ReportOptions | None = None) -> DiameterReport:
+    """Assemble per-level rows for k = 1..k_max; row-level failures never abort."""
+    _check_support(mesh, body, k_max)
     options = options or ReportOptions()
     strategy = strategy_from_config(options.strategy)
     dagger = check_dagger(body, k_max)
@@ -177,52 +217,12 @@ def build_report(mesh: Mesh, body: ConvexBody, k_max: int, options: ReportOption
             leja_error = f"{type(exc).__name__}: {exc}"
 
     transform_cache: dict = {}  # one solve per distinct min-max problem of the report
-    rows = []
-    for k in range(1, k_max + 1):
-        m_k, h_k, l_k = body.counts(k)
-        errors: dict[str, str] = {}
-        if leja_error:
-            errors["leja"] = leja_error
-        log_vdm = exact = delta = d_vdm = None
-        try:
-            result: MaxVdmResult = max_vdm(mesh, body, k, strategy)
-            log_vdm = result.value.log_abs
-            exact = result.exact
-            delta = math.exp(log_vdm / l_k)
-            d_vdm = math.exp(log_vdm / (k * m_k))
-        except _CELL_ERRORS as exc:
-            errors["vdm"] = f"{type(exc).__name__}: {exc}"
-        d_transform: dict[str, float] = {}
-        sum_log_nu: dict[str, float] = {}
-        try:
-            table = transform_grid(mesh, body, k, orderings=options.orderings,
-                                   m_phases=options.m_phases, workers=options.workers,
-                                   cache=transform_cache)
-            for ordering in options.orderings:
-                try:
-                    mean_log = transform_mean_log(table, ordering)
-                    d_transform[ordering] = math.exp(mean_log)
-                    sum_log_nu[ordering] = mean_log * k * m_k
-                except ValidationError as exc:
-                    errors[f"transform:{ordering}"] = str(exc)
-        except _CELL_ERRORS as exc:
-            errors["transform"] = f"{type(exc).__name__}: {exc}"
-        sandwich = None
-        if exact and CGREVLEX in sum_log_nu and math.isfinite(log_vdm):
-            slack = 1e-6 * m_k
-            lo = sum_log_nu[CGREVLEX]
-            sandwich = (lo - slack <= log_vdm <= lo + math.lgamma(m_k + 1) + slack)
-        rows.append(ReportRow(k=k, m_k=m_k, h_k=h_k, l_k=l_k, log_vdm=log_vdm,
-                              exact=exact, delta=delta, d_vdm=d_vdm,
-                              d_transform=d_transform, leja_value=leja_rows.get(k),
-                              sandwich_consistent=sandwich, errors=errors))
-
-    last = rows[-1]
-    fd_vdm = last.d_vdm ** (1.0 / a_n) if last.d_vdm is not None else None
-    d_tr = last.d_transform.get(CGREVLEX)
-    fd_tr = d_tr ** (1.0 / a_n) if d_tr is not None else None
+    rows = [_level_row(mesh, body, k, strategy, options, transform_cache,
+                       leja_rows.get(k), leja_error)
+            for k in range(1, k_max + 1)]
     return DiameterReport(rows=rows, a_n=a_n, dagger_verdict=dagger.verdict,
-                          final_delta_vdm=fd_vdm, final_delta_transform=fd_tr,
+                          final_delta_vdm=_length_scaled(rows[-1].d_vdm, a_n),
+                          final_delta_transform=_length_scaled(rows[-1].d_transform.get(CGREVLEX), a_n),
                           mesh_provenance=mesh.provenance, options=options)
 
 

@@ -186,6 +186,25 @@ def test_bad_scalar_input_exit_2(tmp_path, capsys, subcommand, config, flags, me
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["tdiam", "transform"])
+@pytest.mark.parametrize("orderings", [["grevlx"], "cgrevlex"], ids=["misspelt", "string"])
+def test_bad_orderings_exit_2(tmp_path, capsys, subcommand, orderings):
+    cfg = write_config(tmp_path, "bad.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
+                                              "run": {"k_max": 2, "orderings": orderings},
+                                              "output_dir": str(tmp_path / "out")})
+    assert main([subcommand, "--config", cfg]) == 2
+    assert "run.orderings" in capsys.readouterr().err
+
+
+def test_count_flag_is_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
+                                              "output_dir": str(tmp_path / "out")})
+    with pytest.raises(SystemExit) as exc:
+        main(["leja", "--config", cfg, "--count", "3"])
+    assert exc.value.code == 2
+    assert "--count" in capsys.readouterr().err
+
+
 def test_workers_env_override(tmp_path, monkeypatch):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "cfg.json", {

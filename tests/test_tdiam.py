@@ -20,7 +20,7 @@ from ctdiam import (
     simplex_body,
     validate_body,
 )
-from ctdiam.errors import CtdiamError, InsufficientSupport, SolverFailure
+from ctdiam.errors import CtdiamError, InsufficientSupport, SolverFailure, ValidationError
 from ctdiam.mesh import Mesh
 from ctdiam.order import CGREVLEX, GREVLEX
 from ctdiam.tdiam import report_to_csv, report_to_json, transform_mean_log
@@ -315,3 +315,47 @@ def test_transform_cache_reuses_a_failed_problem(monkeypatch, mesh7, simplex1):
         assert failed[0].errors == {GREVLEX: "SolverFailure: injected",
                                     CGREVLEX: "SolverFailure: injected"}
         assert all(len(row.records) == 2 for row in table.rows if row.alpha != (1,))
+
+
+def _bits(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return [(key, _bits(v)) for key, v in value.items()]
+    return value
+
+
+def _row_bits(row):
+    return [(name, _bits(getattr(row, name))) for name in row.__dataclass_fields__]
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=report_cases(), route=st.sampled_from(["vdm", "transform"]))
+def test_final_delta_is_the_last_report_row_of_one_level(case, route):
+    import ctdiam.tdiam as tdiam_mod
+
+    body, mesh, k, workers = case
+    report = build_report(mesh, body, k, ReportOptions(include_leja=False, workers=workers))
+    last = report.rows[-1]
+    calls = []
+
+    def counted(name):
+        original = getattr(tdiam_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    d_value = last.d_vdm if route == "vdm" else last.d_transform.get(CGREVLEX)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("max_vdm", "transform_grid", "check_dagger"):
+            mp.setattr(tdiam_mod, name, counted(name))
+        if d_value is None:
+            with pytest.raises(ValidationError):
+                final_delta(mesh, body, k, route=route, workers=workers)
+        else:
+            value, row = final_delta(mesh, body, k, route=route, workers=workers)
+            assert value.hex() == (d_value ** (1.0 / report.a_n)).hex()
+            assert _row_bits(row) == _row_bits(last)
+    assert sorted(calls) == ["max_vdm", "transform_grid"]
