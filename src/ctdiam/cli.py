@@ -84,6 +84,14 @@ def _run_int(run: dict, *names: str, default: int) -> int:
     return default
 
 
+def _run_bool(run: dict, name: str, default: bool) -> bool:
+    """run[name] as a JSON boolean, else `default`; strings such as "false" are rejected."""
+    value = run.get(name, default)
+    if not isinstance(value, bool):
+        raise ValidationError(f"run.{name} must be true or false, got {value!r}")
+    return value
+
+
 def _orderings(run: dict) -> tuple[str, ...]:
     """run.orderings as a tuple of names from ORDERINGS; both orders when absent."""
     value = run.get("orderings", list(ORDERINGS))
@@ -237,6 +245,7 @@ def _run_transform(config, artifacts: _Artifacts) -> int:
     mesh = _mesh_from_config(config)
     run = config.get("run", {})
     k = _run_int(run, "k", "k_max", default=4)
+    emit_plot_data = _run_bool(run, "emit_plot_data", default=False)
     table = transform_grid(mesh, body, k,
                            orderings=_orderings(run),
                            m_phases=_run_int(run, "polygon_m", default=32),
@@ -245,7 +254,7 @@ def _run_transform(config, artifacts: _Artifacts) -> int:
     artifacts.add("transform.csv")
     solved = sum(1 for row in table.rows if row.records)
     print(f"k={k}: {solved}/{len(table.rows)} transform rows solved")
-    if run.get("emit_plot_data"):
+    if emit_plot_data:
         name = "transform_plot.csv"
         with open(artifacts.outdir / name, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -298,7 +307,7 @@ def _run_tdiam(config, artifacts: _Artifacts) -> int:
         strategy=strategy_from_config(run.get("strategy")),
         orderings=_orderings(run),
         m_phases=_run_int(run, "polygon_m", default=32),
-        include_leja=bool(run.get("include_leja", True)),
+        include_leja=_run_bool(run, "include_leja", default=True),
         resolution=as_fraction(run.get("resolution", "1/32")),
         subsamples=_run_int(run, "subsamples", default=32),
         workers=_workers(run),

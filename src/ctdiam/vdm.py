@@ -188,16 +188,53 @@ def greedy_grow(z, logw, powers, start: int) -> list[int]:
     return sel
 
 
+_RATIO_TIE = 1e-9  # ratio scores this close to the best are re-scored by slogdet
+_RATIO_COND = 1e6  # above this cond(A) the ratios may misrank swaps; scan them all
+
+
+def _swap_ratios(z, sel: list[int], m_k: int):
+    """A^{-1} z[:m_k] for A = z[:m_k, sel]; None when A is singular or
+    ill-conditioned, or an overflowing monomial column makes a ratio non-finite."""
+    a = z[:m_k, sel]
+    if not np.linalg.cond(a) <= _RATIO_COND:
+        return None
+    try:
+        ratios = np.linalg.solve(a, z[:m_k])
+    except np.linalg.LinAlgError:
+        return None
+    return ratios if np.isfinite(ratios).all() else None
+
+
 def _exchange_passes(z, logw, k, sel: list[int], m_k: int):
+    """Single-point exchanges until no swap raises the value by more than 1e-12.
+
+    Each position takes the unselected column with the largest value
+    (lowest index on ties), exactly as a full `_selection_values` scan over
+    every swap would.  Swapping column c into position pos multiplies
+    |det A| by |R[pos, c]| (Cramer's rule) and the weight term by
+    (w(c) / w(sel[pos]))^k, where R = A^{-1} z[:m_k] is solved once per
+    accepted swap.  These ratio scores only shortlist the swaps within
+    _RATIO_TIE of the best; the shortlist is re-scored with
+    `_selection_values`, so picks and values are those of the full scan.
+    A value of -inf, a singular A or cond(A) above _RATIO_COND scans every
+    swap instead.
+    """
     ns = z.shape[1]
     val = selection_value(z, logw, k, sel)
+    ratios = _swap_ratios(z, sel, m_k) if val > -math.inf else None
     improved = True
     while improved:
         improved = False
         for pos in range(m_k):
-            cands = np.array([c for c in range(ns) if c not in sel])
+            free = np.ones(ns, dtype=bool)
+            free[sel] = False
+            cands = np.flatnonzero(free)
             if cands.size == 0:
                 continue
+            if ratios is not None:
+                with np.errstate(divide="ignore"):
+                    scores = np.log(np.abs(ratios[pos, cands])) + k * logw[cands]
+                cands = cands[scores >= scores.max() - _RATIO_TIE]
             trials = np.tile(np.array(sel), (cands.size, 1))
             trials[:, pos] = cands
             totals = _selection_values(z, logw, k, trials)
@@ -206,6 +243,7 @@ def _exchange_passes(z, logw, k, sel: list[int], m_k: int):
                 sel[pos] = int(cands[i])
                 val = float(totals[i])
                 improved = True
+                ratios = _swap_ratios(z, sel, m_k)
     return sel, val
 
 
@@ -247,19 +285,29 @@ def fekete_points(mesh: Mesh, body: ConvexBody, k: int, strategy=None) -> list[i
     return list(max_vdm(mesh, body, k, strategy).value.point_indices)
 
 
+def _strategy_int(raw: dict, name: str, default: int) -> int:
+    value = raw.get(name, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"run.strategy.{name} must be an integer, got {value!r}") from None
+
+
 def strategy_from_config(raw) -> BruteForce | Greedy:
-    """Strategy object from its config form {'kind': 'brute-force' | 'greedy', ...}."""
+    """Strategy object from its config form run.strategy = {'kind': 'brute-force' | 'greedy', ...}."""
     if raw is None:
         return Greedy()
     if isinstance(raw, (BruteForce, Greedy)):
         return raw
+    if not isinstance(raw, dict):
+        raise ValidationError(f"run.strategy must be a JSON object with a 'kind', got {raw!r}")
     kind = raw.get("kind")
     if kind == "brute-force":
-        return BruteForce(cap=int(raw.get("cap", BruteForce.cap)))
+        return BruteForce(cap=_strategy_int(raw, "cap", BruteForce.cap))
     if kind == "greedy":
-        return Greedy(restarts=int(raw.get("restarts", Greedy.restarts)),
-                      seed=int(raw.get("seed", Greedy.seed)))
-    raise ValidationError(f"unknown strategy kind {kind!r}")
+        return Greedy(restarts=_strategy_int(raw, "restarts", Greedy.restarts),
+                      seed=_strategy_int(raw, "seed", Greedy.seed))
+    raise ValidationError(f"unknown run.strategy kind {kind!r}")
 
 
 def fekete_to_dict(mesh: Mesh, result: MaxVdmResult) -> dict:

@@ -186,6 +186,32 @@ def test_bad_scalar_input_exit_2(tmp_path, capsys, subcommand, config, flags, me
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["tdiam", "vdm"])
+@pytest.mark.parametrize("strategy, message", [
+    ({"kind": "greedy", "restarts": "x"}, "run.strategy.restarts"),
+    ({"kind": "brute-force", "cap": "many"}, "run.strategy.cap"),
+    ("greedy", "run.strategy must be a JSON object"),
+], ids=["restarts-not-int", "cap-not-int", "not-an-object"])
+def test_bad_strategy_exit_2(tmp_path, capsys, subcommand, strategy, message):
+    cfg = write_config(tmp_path, "bad.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
+                                              "run": {"k_max": 2, "strategy": strategy},
+                                              "output_dir": str(tmp_path / "out")})
+    assert main([subcommand, "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, field", [("tdiam", "include_leja"),
+                                               ("transform", "emit_plot_data")])
+@pytest.mark.parametrize("value", ["false", 0], ids=["string", "number"])
+def test_non_boolean_switch_exit_2(tmp_path, capsys, subcommand, field, value):
+    # bool("false") is True, so only JSON booleans may switch Leja or the plot data
+    cfg = write_config(tmp_path, "bad.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
+                                              "run": {"k_max": 2, field: value},
+                                              "output_dir": str(tmp_path / "out")})
+    assert main([subcommand, "--config", cfg]) == 2
+    assert f"run.{field}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("subcommand", ["tdiam", "transform"])
 @pytest.mark.parametrize("orderings", [["grevlx"], "cgrevlex"], ids=["misspelt", "string"])
 def test_bad_orderings_exit_2(tmp_path, capsys, subcommand, orderings):

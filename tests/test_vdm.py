@@ -3,9 +3,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctdiam import BruteForce, Greedy, build_mesh, chebyshev_constant, fekete_points, max_vdm, vandermonde_det
-from ctdiam.errors import BruteForceCapExceeded, InsufficientSupport, TooManyPoints, ValidationError
+import ctdiam.vdm as vdm_mod
+from ctdiam import (
+    BruteForce,
+    Greedy,
+    box_body,
+    build_mesh,
+    chebyshev_constant,
+    fekete_points,
+    max_vdm,
+    simplex_body,
+    validate_body,
+    vandermonde_det,
+)
+from ctdiam.errors import (
+    BruteForceCapExceeded,
+    CtdiamError,
+    InsufficientSupport,
+    TooManyPoints,
+    ValidationError,
+)
+from ctdiam.mesh import Mesh
 from ctdiam.order import CGREVLEX, GREVLEX
 from ctdiam.vdm import fekete_to_dict, log_abs_det, strategy_from_config
 
@@ -223,3 +244,104 @@ def test_max_vdm_without_unisolvent_subset(collinear9, simplex2, strategy):
     result = max_vdm(collinear9, simplex2, 1, strategy)
     assert result.value.log_abs == -math.inf
     assert len(set(result.value.point_indices)) == 3
+
+
+def _full_scan_exchange(z, logw, k, sel, m_k):
+    """Reference exchange passes that score every swap by slogdet."""
+    ns = z.shape[1]
+    val = vdm_mod.selection_value(z, logw, k, sel)
+    improved = True
+    while improved:
+        improved = False
+        for pos in range(m_k):
+            cands = np.array([c for c in range(ns) if c not in sel])
+            if cands.size == 0:
+                continue
+            trials = np.tile(np.array(sel), (cands.size, 1))
+            trials[:, pos] = cands
+            totals = vdm_mod._selection_values(z, logw, k, trials)
+            i = int(np.argmax(totals))
+            if totals[i] > val + 1e-12:
+                sel[pos] = int(cands[i])
+                val = float(totals[i])
+                improved = True
+    return sel, val
+
+
+def _greedy_outcome(mesh, body, k):
+    try:
+        value = max_vdm(mesh, body, k, Greedy()).value
+    except CtdiamError as exc:
+        return type(exc), str(exc)
+    return value.log_abs.hex(), value.point_indices
+
+
+def _assert_exchange_matches_full_scan(mesh, body, k):
+    ratio = _greedy_outcome(mesh, body, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vdm_mod, "_exchange_passes", _full_scan_exchange)
+        full = _greedy_outcome(mesh, body, k)
+    assert ratio == full
+
+
+EXCHANGE_BODIES = [
+    simplex_body(1),
+    simplex_body(2),
+    box_body(2),
+    validate_body([(("1", "0"), "1"), (("0", "1"), "1"), (("1", "1"), "3/2")], 2),  # pentagon
+]
+GRID = [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+@st.composite
+def exchange_cases(draw):
+    body = draw(st.sampled_from(EXCHANGE_BODIES))
+    n = draw(st.integers(3, 30))
+    imag = GRID if draw(st.booleans()) else [0.0]
+    coord = st.builds(complex, st.sampled_from(GRID), st.sampled_from(imag))
+    points = np.array([[draw(coord) for _ in range(body.dim)] for _ in range(n)])
+    log_weights = draw(st.lists(st.sampled_from([0.0, 0.0, -0.3, 0.2, -1.0, -math.inf]),
+                                min_size=n, max_size=n)
+                       .filter(lambda ws: max(ws) > -math.inf))  # some point has weight
+    return Mesh(body.dim, points, np.array(log_weights)), body, draw(st.integers(1, 4))
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=exchange_cases())
+def test_exchange_matches_full_scan(case):
+    # the ratio-scored exchange picks the same swaps, bit for bit, as scoring
+    # every swap by slogdet; repeated points and zero weights make many ties
+    _assert_exchange_matches_full_scan(*case)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_exchange_matches_full_scan_collinear(collinear9, simplex2, k):
+    _assert_exchange_matches_full_scan(collinear9, simplex2, k)
+
+
+def test_exchange_on_rank_deficient_mesh(simplex2):
+    # repeated points leave some selections near-singular on the way; there
+    # the determinant ratios misrank swaps, and the full scan must take over
+    points = [(.5, 1), (.5, .5), (-1, -.5), (0, -.5), (0, 0), (0, 0), (.5, 1), (0, -1),
+              (-.5, -.5), (1, 0), (-.5, .5), (.5, .5), (-.5, .5), (-.5, 0)]
+    log_weights = [-.3, -1, 0, .2, -math.inf, -math.inf, -.3, -.3, .2, 0, .2, -1, 0, 0]
+    mesh = Mesh(2, np.array(points, dtype=complex), np.array(log_weights))
+    value = max_vdm(mesh, simplex2, 3).value
+    assert value.log_abs == -42.50743807178562
+    assert value.point_indices == (2, 11, 3, 12, 9, 7, 13, 8, 6, 10)
+
+
+def test_exchange_scores_few_swaps_by_slogdet(monkeypatch, torus16, simplex2):
+    # the full scan scores 29,520 selections here; ratio scoring re-scores
+    # only near-ties, so a silent fallback to the full scan fails this
+    scored = []
+    original = vdm_mod._selection_values
+
+    def counting(z, logw, k, selections):
+        totals = original(z, logw, k, selections)
+        scored.append(len(totals))
+        return totals
+
+    monkeypatch.setattr(vdm_mod, "_selection_values", counting)
+    max_vdm(torus16, simplex2, 3)
+    assert 0 < sum(scored) < 1000
