@@ -16,6 +16,7 @@ A x <= B, which keeps them exact and vectorized.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -252,7 +253,7 @@ def _box_excess(body: ConvexBody, corners, width: int, p: int, q: int):
     a_int, b_int = _integer_rows(body)
     corners = np.asarray(corners)
     # every intermediate is at most `reach` in size, so int64 is exact below 2**62
-    reach = (int(np.abs(corners).max()) + width) * max(np.abs(a_int).sum(axis=1)) * p
+    reach = (int(np.abs(corners).max(initial=0)) + width) * max(np.abs(a_int).sum(axis=1)) * p
     if reach + max(np.abs(b_int)) * q < 2**62:
         a_int, b_int = a_int.astype(np.int64), b_int.astype(np.int64)
     at_corner = (corners @ a_int.T) * p - b_int * q
@@ -288,7 +289,11 @@ def cells_in_interior(body: ConvexBody, alphas, k: int) -> np.ndarray:
 #   A_N = (1 / vol C) * integral over C of (theta_1 + ... + theta_N)
 # Midpoint rule on an axis-aligned cell grid.  Cells are classified
 # exactly with the integer rows; boundary cells get a volume fraction
-# and a mean coordinate sum sampled at sub^N midpoints.
+# and a mean coordinate sum sampled at sub^N midpoints.  A boundary cell
+# tests its samples only against the halfspaces that exactly cut it:
+# every sample lies at least resolution/(2*sub) inside its cell, so a
+# halfspace that holds on the whole closed cell holds at every sample.
+# Every float accumulated is the one a test of every halfspace gives.
 # ---------------------------------------------------------------------------
 
 def _classify_cells(body: ConvexBody, resolution: Fraction):
@@ -303,6 +308,23 @@ def _classify_cells(body: ConvexBody, resolution: Fraction):
     highest, lowest = _box_excess(body, cells, 1, resolution.numerator, resolution.denominator)
     status = np.where(np.all(highest <= 0, axis=1), 1, np.where(np.any(lowest > 0, axis=1), -1, 0))
     return cells, status
+
+
+def _sampled_cell(cols, a_mat, b_vec, cutting):
+    """(fraction, mean coordinate sum) of the samples inside the `cutting` halfspaces.
+
+    `cols` holds one contiguous row of samples per coordinate.  The sums
+    add the columns in the order of a row sum.  The product runs over
+    every halfspace, as a test of all of them would: gemm rounds alike in
+    either memory layout, but numpy hands a one-column product to gemv,
+    whose rounding depends on the layout, so a one-halfspace body keeps
+    one row per sample.
+    """
+    sums = sum(cols[1:], cols[0])  # (x + y) + z
+    pts = cols.T if len(b_vec) > 1 else np.ascontiguousarray(cols.T)
+    vals = pts @ a_mat.T
+    keep = functools.reduce(np.logical_and, (vals[:, i] <= b_vec[i] for i in np.flatnonzero(cutting)))
+    return keep.mean(), (float(sums[keep].mean()) if keep.any() else 0.0)
 
 
 def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: int = 32):
@@ -323,18 +345,19 @@ def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: in
     integral = 0.0
     inside = status == 1
     if inside.any():
-        mids = (cells[inside] + 0.5) * res_f
         volume += cell_vol * int(inside.sum())
-        integral += cell_vol * float(mids.sum())
+        integral += cell_vol * float(((cells[inside] + 0.5) * res_f).sum())
     offs = (np.arange(subsamples) + 0.5) * (res_f / subsamples)
-    offsets = np.stack([g.ravel() for g in np.meshgrid(*([offs] * body.dim), indexing="ij")], axis=1)
+    # one contiguous row of sample offsets per coordinate
+    offsets = np.stack([g.ravel() for g in np.meshgrid(*([offs] * body.dim), indexing="ij")])
     a_mat = np.array([[float(aj) for aj in a] for a, _ in body.halfspaces])
     b_vec = np.array([float(b) for _, b in body.halfspaces])
-    for idx in np.flatnonzero(status == 0):
-        pts = offsets + np.array([float(c * resolution) for c in cells[idx].tolist()])
-        keep = np.all(pts @ a_mat.T <= b_vec, axis=1)
-        frac = keep.mean()
-        mean_sum = float(pts[keep].sum(axis=1).mean()) if keep.any() else 0.0
+    boundary = cells[status == 0]
+    highest, _ = _box_excess(body, boundary, 1, resolution.numerator, resolution.denominator)
+    for cell, cutting in zip(boundary.tolist(), highest > 0):
+        corner = np.array([[float(c * resolution)] for c in cell])
+        # the call frees each cell's sample arrays before the next cell's are built
+        frac, mean_sum = _sampled_cell(offsets + corner, a_mat, b_vec, cutting)
         volume += cell_vol * frac
         integral += cell_vol * frac * mean_sum
     return volume, integral

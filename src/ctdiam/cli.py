@@ -61,6 +61,9 @@ class _Artifacts:
 
 
 def _as_int(value, field: str) -> int:
+    # int() would truncate 2.9 and overflow on JSON's Infinity
+    if isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"{field} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError):

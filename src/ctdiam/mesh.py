@@ -74,15 +74,24 @@ class Mesh:
 
 
 def monomial_values(points: np.ndarray, exponents) -> np.ndarray:
-    """Matrix of z^alpha(zeta): rows indexed by exponent, columns by point."""
+    """Matrix of z^alpha(zeta): rows indexed by exponent, columns by point.
+
+    A monomial that overflows at some point raises ValidationError naming
+    its degree, so no inf or nan reaches a determinant or an LP.
+    """
     pts = np.asarray(points, dtype=complex)
     out = np.empty((len(exponents), pts.shape[0]), dtype=complex)
-    for j, alpha in enumerate(exponents):
-        v = np.ones(pts.shape[0], dtype=complex)
-        for i, e in enumerate(alpha):
-            if e:
-                v = v * pts[:, i] ** e
-        out[j] = v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, alpha in enumerate(exponents):
+            v = np.ones(pts.shape[0], dtype=complex)
+            for i, e in enumerate(alpha):
+                if e:
+                    v = v * pts[:, i] ** e
+            out[j] = v
+    if not np.isfinite(out).all():
+        alpha = tuple(exponents[int(np.argmin(np.isfinite(out).all(axis=1)))])
+        raise ValidationError(
+            f"monomial z^{alpha} of degree {sum(alpha)} is not finite on the mesh (overflow)")
     return out
 
 

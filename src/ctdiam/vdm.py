@@ -3,7 +3,9 @@
 The level-k basis is always the graded monomial stream restricted to the
 level-k lattice; permuting it only flips the determinant's sign, which is
 discarded.  Weight powers w^k are folded in as k * sum(log w) over the
-chosen points, so the monomial matrix itself never under- or overflows.
+chosen points, so the monomial matrix itself never under- or overflows
+through the weights; a monomial that overflows on the mesh raises
+ValidationError.
 """
 
 from __future__ import annotations
@@ -194,7 +196,7 @@ _RATIO_COND = 1e6  # above this cond(A) the ratios may misrank swaps; scan them 
 
 def _swap_ratios(z, sel: list[int], m_k: int):
     """A^{-1} z[:m_k] for A = z[:m_k, sel]; None when A is singular or
-    ill-conditioned, or an overflowing monomial column makes a ratio non-finite."""
+    ill-conditioned, or some ratio is not finite."""
     a = z[:m_k, sel]
     if not np.linalg.cond(a) <= _RATIO_COND:
         return None
@@ -287,9 +289,12 @@ def fekete_points(mesh: Mesh, body: ConvexBody, k: int, strategy=None) -> list[i
 
 def _strategy_int(raw: dict, name: str, default: int) -> int:
     value = raw.get(name, default)
+    # int() would truncate 2.5 and overflow on JSON's Infinity
+    if isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"run.strategy.{name} must be an integer, got {value!r}")
     try:
         return int(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError):
         raise ValidationError(f"run.strategy.{name} must be an integer, got {value!r}") from None
 
 

@@ -2,8 +2,9 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctdiam import average_total_degree, check_dagger, validate_body
@@ -227,6 +228,53 @@ def _check_against_oracles(body, resolution, k):
 @given(case=bodies_and_resolutions(), k=st.integers(1, 4))
 def test_integer_rows_match_fraction_oracles(case, k):
     _check_against_oracles(*case, k)
+
+
+def _reference_quadrature(body, resolution, subsamples):
+    # body_quadrature as it was before boundary cells tested only their
+    # cutting halfspaces: every sample against every halfspace, row sums
+    cells, status = _classify_cells(body, resolution)
+    res_f = float(resolution)
+    cell_vol = res_f ** body.dim
+    volume = 0.0
+    integral = 0.0
+    inside = status == 1
+    if inside.any():
+        mids = (cells[inside] + 0.5) * res_f
+        volume += cell_vol * int(inside.sum())
+        integral += cell_vol * float(mids.sum())
+    offs = (np.arange(subsamples) + 0.5) * (res_f / subsamples)
+    offsets = np.stack([g.ravel() for g in np.meshgrid(*([offs] * body.dim), indexing="ij")], axis=1)
+    a_mat = np.array([[float(aj) for aj in a] for a, _ in body.halfspaces])
+    b_vec = np.array([float(b) for _, b in body.halfspaces])
+    for idx in np.flatnonzero(status == 0):
+        pts = offsets + np.array([float(c * resolution) for c in cells[idx].tolist()])
+        keep = np.all(pts @ a_mat.T <= b_vec, axis=1)
+        frac = keep.mean()
+        mean_sum = float(pts[keep].sum(axis=1).mean()) if keep.any() else 0.0
+        volume += cell_vol * frac
+        integral += cell_vol * frac * mean_sum
+    return volume, integral
+
+
+PENTAGON = [(("1", "0"), "1"), (("0", "1"), "1"), (("1", "1"), "3/2")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=bodies_and_resolutions(), subsamples=st.integers(1, 8))
+# x + y = 3/2 passes exactly through sample points at resolution 1/32
+@example(case=(validate_body(PENTAGON, 2), Fraction(1, 32)), subsamples=8)
+@example(case=(validate_body(PENTAGON, 2), Fraction(1, 32)), subsamples=32)
+# rounding-sensitive sums and a cell cut by only one of two halfspaces
+@example(case=(validate_body([(("1/3", "5/12", "5/12"), "1/2"), (("-1/2", "1", "0"), "1")], 3),
+               Fraction(1, 4)), subsamples=5)
+# one halfspace, so the reference product goes through gemv, whose rounding depends on the layout
+@example(case=(validate_body([(("2/9", "4/9", "2/9"), "2/3")], 3), Fraction(1, 4)), subsamples=8)
+def test_quadrature_matches_all_halfspace_reference(case, subsamples):
+    body, resolution = case
+    got = body_quadrature(body, resolution, subsamples)
+    want = _reference_quadrature(body, resolution, subsamples)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 @pytest.mark.parametrize("k", [1, 3])

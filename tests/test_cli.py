@@ -177,8 +177,12 @@ INTERVAL9 = {"kind": "interval", "a": -1, "b": 1, "count": 9}
      "--schedule"),
     ("cheb", {"run": {"k": 2, "alpha": 1}}, [], "run.alpha"),
     ("tdiam", {"run": {"k_max": "two"}}, [], "run.k_max"),
+    ("tdiam", {"run": {"k_max": math.inf}}, [], "run.k_max"),
+    ("tdiam", {"run": {"k_max": math.nan}}, [], "run.k_max"),
+    ("tdiam", {"run": {"k_max": 2.9}}, [], "run.k_max"),
     ("tdiam", {"mesh": {"kind": "csv", "dim": 1}}, [], "'path'"),
-], ids=["alpha-flag", "schedule-flag", "alpha-not-a-list", "k-max-not-int", "csv-mesh-no-path"])
+], ids=["alpha-flag", "schedule-flag", "alpha-not-a-list", "k-max-not-int", "k-max-infinity",
+        "k-max-nan", "k-max-fractional", "csv-mesh-no-path"])
 def test_bad_scalar_input_exit_2(tmp_path, capsys, subcommand, config, flags, message):
     cfg = write_config(tmp_path, "bad.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
                                               "output_dir": str(tmp_path / "out"), **config})
@@ -189,9 +193,10 @@ def test_bad_scalar_input_exit_2(tmp_path, capsys, subcommand, config, flags, me
 @pytest.mark.parametrize("subcommand", ["tdiam", "vdm"])
 @pytest.mark.parametrize("strategy, message", [
     ({"kind": "greedy", "restarts": "x"}, "run.strategy.restarts"),
+    ({"kind": "greedy", "restarts": 2.5}, "run.strategy.restarts"),
     ({"kind": "brute-force", "cap": "many"}, "run.strategy.cap"),
     ("greedy", "run.strategy must be a JSON object"),
-], ids=["restarts-not-int", "cap-not-int", "not-an-object"])
+], ids=["restarts-not-int", "restarts-fractional", "cap-not-int", "not-an-object"])
 def test_bad_strategy_exit_2(tmp_path, capsys, subcommand, strategy, message):
     cfg = write_config(tmp_path, "bad.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
                                               "run": {"k_max": 2, "strategy": strategy},

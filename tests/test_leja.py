@@ -177,3 +177,9 @@ def test_leja_values_match_vandermonde_det(case):
             assert seq.log_values[s - 1] == -math.inf
         else:
             assert seq.log_values[s - 1] == pytest.approx(expected, abs=1e-9)
+
+
+def test_leja_overflowing_monomial_is_a_validation_error(simplex1):
+    mesh = Mesh(1, [[-1], [0], [1], [2], [3], [1e200]], np.zeros(6))
+    with pytest.raises(ValidationError, match="degree 2"):
+        leja_diameter(mesh, simplex1, 2)

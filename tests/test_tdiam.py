@@ -175,6 +175,16 @@ def test_build_report_collinear_mesh(collinear9, simplex2):
     assert row.leja_value == 0.0
 
 
+def test_build_report_records_overflowing_monomial_as_cell_error(simplex1):
+    # level 2 squares 1e200: the vdm and leja cells carry the error, not nan
+    mesh = Mesh(1, [[-1], [0], [1], [2], [3], [1e200]], np.zeros(6))
+    report = build_report(mesh, simplex1, 2, ReportOptions(include_leja=True))
+    first, second = report.rows
+    assert "vdm" not in first.errors and math.isfinite(first.log_vdm)
+    assert "degree 2" in second.errors["vdm"] and second.log_vdm is None
+    assert "degree 2" in second.errors["leja"]
+
+
 def test_build_report_propagates_programming_errors(mesh5, simplex1, monkeypatch):
     import ctdiam.tdiam as tdiam_mod
 

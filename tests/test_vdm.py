@@ -345,3 +345,11 @@ def test_exchange_scores_few_swaps_by_slogdet(monkeypatch, torus16, simplex2):
     monkeypatch.setattr(vdm_mod, "_selection_values", counting)
     max_vdm(torus16, simplex2, 3)
     assert 0 < sum(scored) < 1000
+
+
+def test_max_vdm_overflowing_monomial_is_a_validation_error(simplex1):
+    # 1e200 ** 2 overflows: the level-2 matrix would carry inf and the value nan
+    mesh = Mesh(1, [[-1], [0], [1], [2], [3], [1e200]], np.zeros(6))
+    assert math.isfinite(max_vdm(mesh, simplex1, 1).value.log_abs)
+    with pytest.raises(ValidationError, match="degree 2"):
+        max_vdm(mesh, simplex1, 2)
