@@ -293,6 +293,10 @@ def cells_in_interior(body: ConvexBody, alphas, k: int) -> np.ndarray:
 # tests its samples only against the halfspaces that exactly cut it:
 # every sample lies at least resolution/(2*sub) inside its cell, so a
 # halfspace that holds on the whole closed cell holds at every sample.
+# A cutting halfspace is first estimated on the cell's sample grid from
+# its per-axis values; samples whose estimate clears a rounding-error
+# margin are decided as the product test would decide them, and a cell
+# with any sample inside the margin (an exact tie, say) takes that test.
 # Every float accumulated is the one a test of every halfspace gives.
 # ---------------------------------------------------------------------------
 
@@ -310,21 +314,64 @@ def _classify_cells(body: ConvexBody, resolution: Fraction):
     return cells, status
 
 
-def _sampled_cell(cols, a_mat, b_vec, cutting):
-    """(fraction, mean coordinate sum) of the samples inside the `cutting` halfspaces.
+def _outer_sum(u, v):
+    """fl(u_i + v_j) for every pair, in row-major order.
 
-    `cols` holds one contiguous row of samples per coordinate.  The sums
-    add the columns in the order of a row sum.  The product runs over
-    every halfspace, as a test of all of them would: gemm rounds alike in
-    either memory layout, but numpy hands a one-column product to gemv,
-    whose rounding depends on the layout, so a one-halfspace body keeps
-    one row per sample.
+    A matrix product computes it: each entry is u_i * 1 + 1 * v_j, two
+    exact terms and one rounded addition in any kernel, and gemm writes
+    the table several times faster than a broadcast addition.
     """
-    sums = sum(cols[1:], cols[0])  # (x + y) + z
+    left = np.ones((u.size, 2))
+    left[:, 0] = u
+    right = np.ones((2, v.size))
+    right[1] = v
+    return (left @ right).ravel()
+
+
+def _certified_keep(axes, a_cut, b_cut, margins):
+    """Which samples satisfy the `a_cut` halfspaces, or None if one lies within a margin.
+
+    Each halfspace is estimated on the grid as ((a_0 x - b) + a_1 y) + a_2 z.
+    A sample whose estimate is farther than the margin from 0 is decided
+    as `_product_keep` decides it.
+    """
+    keep = None
+    for a, b, margin in zip(a_cut, b_cut, margins):
+        est = functools.reduce(_outer_sum, a[1:, None] * axes[1:], a[0] * axes[0] - b)
+        if np.abs(est).min() <= margin:
+            return None
+        keep = est < 0 if keep is None else keep & (est < 0)
+    return keep
+
+
+def _product_keep(cols, a_mat, b_vec, cutting):
+    """Which samples satisfy the `cutting` halfspaces, by the product with every halfspace.
+
+    `cols` holds one contiguous row of samples per coordinate.  The product
+    runs over every halfspace, as a test of all of them would: gemm rounds
+    alike in either memory layout, but numpy hands a one-column product to
+    gemv, whose rounding depends on the layout, so a one-halfspace body
+    keeps one row per sample.
+    """
     pts = cols.T if len(b_vec) > 1 else np.ascontiguousarray(cols.T)
     vals = pts @ a_mat.T
-    keep = functools.reduce(np.logical_and, (vals[:, i] <= b_vec[i] for i in np.flatnonzero(cutting)))
-    return keep.mean(), (float(sums[keep].mean()) if keep.any() else 0.0)
+    return functools.reduce(np.logical_and, (vals[:, i] <= b_vec[i] for i in np.flatnonzero(cutting)))
+
+
+def _sampled_cell(corner, offs, offsets, a_mat, b_vec, cutting, margins):
+    """(fraction, mean coordinate sum) of the cell's samples inside the `cutting` halfspaces.
+
+    The samples are `corner + offsets`, the tensor product of the per-axis
+    values `corner[d] + offs` in row-major order.  The sums add the
+    coordinates in the order of a row sum, (x + y) + z.
+    """
+    axes = offs + corner[:, None]
+    keep = _certified_keep(axes, a_mat[cutting], b_vec[cutting], margins[cutting])
+    if keep is None:
+        keep = _product_keep(offsets + corner[:, None], a_mat, b_vec, cutting)
+    sums = functools.reduce(_outer_sum, axes)
+    count = np.count_nonzero(keep)
+    return count / keep.size, (float(sums[keep].mean()) if count else 0.0)
 
 
 def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: int = 32):
@@ -354,10 +401,19 @@ def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: in
     b_vec = np.array([float(b) for _, b in body.halfspaces])
     boundary = cells[status == 0]
     highest, _ = _box_excess(body, boundary, 1, resolution.numerator, resolution.denominator)
-    for cell, cutting in zip(boundary.tolist(), highest > 0):
-        corner = np.array([[float(c * resolution)] for c in cell])
+    # float(c * resolution) for every cell index c, one Fraction product each
+    edges = np.array([float(c * resolution) for c in range(int(cells.max(initial=0)) + 1)])
+    corners = edges[boundary]
+    # The estimate and the product test each lie within
+    # gamma_{N+1} * (sum_k |a_k x_k| + |b|) of a.x - b, with
+    # gamma_n = n u / (1 - n u) (Higham 2002, 3.1) and x_k < corner_k + resolution.
+    # The margin is twice their sum, which also covers its own rounding;
+    # the last term covers products that underflow.
+    gamma = (body.dim + 1) * 2.0**-53 / (1 - (body.dim + 1) * 2.0**-53)
+    margins = 4 * gamma * ((corners + res_f) @ np.abs(a_mat).T + np.abs(b_vec)) + 2.0**-1000
+    for corner, cutting, margin in zip(corners, highest > 0, margins):
         # the call frees each cell's sample arrays before the next cell's are built
-        frac, mean_sum = _sampled_cell(offsets + corner, a_mat, b_vec, cutting)
+        frac, mean_sum = _sampled_cell(corner, offs, offsets, a_mat, b_vec, cutting, margin)
         volume += cell_vol * frac
         integral += cell_vol * frac * mean_sum
     return volume, integral

@@ -15,6 +15,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,12 +54,26 @@ class ChebyshevRecord:
         return self.log_nu + math.log(self.bracket_factor)
 
 
+@lru_cache(maxsize=None)
+def _lattice_positions(body: ConvexBody, k: int) -> dict[Exponent, int]:
+    """Index of each exponent in `body.lattice_points(k)`."""
+    return {alpha: i for i, alpha in enumerate(body.lattice_points(k))}
+
+
 def lower_monomials(body: ConvexBody, k: int, alpha: Exponent, ordering: str) -> list[Exponent]:
-    """Exponents in the level-k lattice strictly preceding alpha under `ordering`."""
+    """Exponents in the level-k lattice strictly preceding alpha under `ordering`.
+
+    The lattice is sorted by the body-graded key, which no two exponents
+    share, so under that order the answer is the prefix before alpha.
+    """
     alpha = tuple(int(a) for a in alpha)
-    if body.gauge(alpha) > k:
+    # a negative level has no lattice, so the gauge check rejects every alpha
+    pos = _lattice_positions(body, k).get(alpha) if k >= 0 else None
+    if pos is None and body.gauge(alpha) > k:
         raise ValidationError(f"alpha={alpha} lies outside level {k} (gauge {body.gauge(alpha)})")
     key = order_key(body, ordering)
+    if ordering == CGREVLEX and pos is not None:
+        return body.lattice_points(k)[:pos]
     cut = key(alpha)
     return [beta for beta in body.lattice_points(k) if key(beta) < cut]
 

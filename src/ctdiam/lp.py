@@ -67,10 +67,15 @@ def _run_simplex(tab, rhs, basis, cost, allowed, n_struct, max_iter, bland):
         if iters > max_iter:
             raise _IterationCap
         reduced = cost[:allowed] - cost[basis] @ tab[:, :allowed]
-        negative = np.flatnonzero(reduced < -_RC_TOL)
-        if negative.size == 0:
-            return iters
-        col = int(negative[0]) if bland else int(np.argmin(reduced))
+        if bland:
+            negative = np.flatnonzero(reduced < -_RC_TOL)
+            if negative.size == 0:
+                return iters
+            col = int(negative[0])
+        else:
+            col = int(np.argmin(reduced))
+            if not reduced[col] < -_RC_TOL:
+                return iters
         column = tab[:, col]
         rows = np.flatnonzero(column > _PIV_TOL)
         if rows.size == 0:

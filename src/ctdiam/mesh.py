@@ -46,8 +46,11 @@ class Mesh:
             raise WeightLengthMismatch(
                 f"{lw.shape[0] if lw.ndim == 1 else lw.shape} weights for {pts.shape[0]} points"
             )
-        if np.isnan(lw).any():
-            raise ValidationError("log weights must not be NaN")
+        if not np.isfinite(pts).all():
+            row = int(np.argmin(np.isfinite(pts).all(axis=1)))
+            raise ValidationError(f"mesh point {row} is not finite: {pts[row].tolist()}")
+        if np.isnan(lw).any() or np.isposinf(lw).any():
+            raise ValidationError("log weights must not be NaN or +inf")
         if not np.any(np.isfinite(lw)):
             raise DegenerateWeight("every mesh point has zero weight")
         pts.flags.writeable = False

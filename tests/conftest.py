@@ -31,6 +31,19 @@ def skew_body():
 
 
 @pytest.fixture(scope="session")
+def pentagon():
+    # the unit square cut by x + y <= 3/2
+    return validate_body([(("1", "0"), "1"), (("0", "1"), "1"), (("1", "1"), "3/2")], 2)
+
+
+@pytest.fixture(scope="session")
+def cube3():
+    # the unit cube cut by x + y + z <= 2, the cube3-real benchmark body
+    return validate_body([(("1", "0", "0"), "1"), (("0", "1", "0"), "1"), (("0", "0", "1"), "1"),
+                          (("1", "1", "1"), "2")], 3)
+
+
+@pytest.fixture(scope="session")
 def wide_simplex():
     # the simplex conv{0, 2e1, e2}, given with one redundant halfspace
     return validate_body([(("1", "0"), "2"), (("1", "2"), "2")], 2)

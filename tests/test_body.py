@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from ctdiam import average_total_degree, check_dagger, validate_body
 from ctdiam.body import (
     _classify_cells,
+    _product_keep,
     body_quadrature,
     cells_in_interior,
     parse_body_spec,
@@ -258,23 +260,47 @@ def _reference_quadrature(body, resolution, subsamples):
 
 
 PENTAGON = [(("1", "0"), "1"), (("0", "1"), "1"), (("1", "1"), "3/2")]
+# y/4 + z = 1 passes exactly through sample points at resolution 2/3 with 3 subsamples
+TIE_3D = [(("0", "1/4", "1"), "1"), (("1", "0", "0"), "1")]
+# bodies whose exact ties send some boundary cells, and not others, to the product test
+TIE_CASES = [
+    (validate_body(PENTAGON, 2), Fraction(1, 32), 32),
+    (validate_body(TIE_3D, 3), Fraction(2, 3), 3),
+]
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=bodies_and_resolutions(), subsamples=st.integers(1, 8))
 # x + y = 3/2 passes exactly through sample points at resolution 1/32
 @example(case=(validate_body(PENTAGON, 2), Fraction(1, 32)), subsamples=8)
-@example(case=(validate_body(PENTAGON, 2), Fraction(1, 32)), subsamples=32)
-# rounding-sensitive sums and a cell cut by only one of two halfspaces
+@example(case=TIE_CASES[0][:2], subsamples=TIE_CASES[0][2])
+# an exact 3-D tie, which also tells (x + y) + z from x + (y + z)
+@example(case=TIE_CASES[1][:2], subsamples=TIE_CASES[1][2])
+# rounding-sensitive sums and estimates (a zero margin fails here), and a cell
+# cut by only one of two halfspaces
 @example(case=(validate_body([(("1/3", "5/12", "5/12"), "1/2"), (("-1/2", "1", "0"), "1")], 3),
                Fraction(1, 4)), subsamples=5)
 # one halfspace, so the reference product goes through gemv, whose rounding depends on the layout
 @example(case=(validate_body([(("2/9", "4/9", "2/9"), "2/3")], 3), Fraction(1, 4)), subsamples=8)
+# every row scaled by 10**-310, so products underflow and only the margin's absolute term holds
+@example(case=(validate_body([(tuple(Fraction(x) / 10**310 for x in a), Fraction(b) / 10**310) for a, b in
+                              [(("1/2", "1/2", "1"), "3/2"), (("-1/2", "3/4", "2/3"), "4"),
+                               (("1/2", "-1/2", "-2/3"), "3")]], 3), Fraction(1, 3)), subsamples=2)
 def test_quadrature_matches_all_halfspace_reference(case, subsamples):
     body, resolution = case
     got = body_quadrature(body, resolution, subsamples)
     want = _reference_quadrature(body, resolution, subsamples)
     assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("body, resolution, subsamples", TIE_CASES)
+def test_quadrature_ties_take_both_paths(body, resolution, subsamples):
+    # cells with a sample inside the rounding margin fall back to the product
+    # test; the explicit examples above check the values of both paths
+    with mock.patch("ctdiam.body._product_keep", wraps=_product_keep) as product_test:
+        body_quadrature(body, resolution, subsamples)
+    boundary = int(np.count_nonzero(_classify_cells(body, resolution)[1] == 0))
+    assert 0 < product_test.call_count < boundary
 
 
 @pytest.mark.parametrize("k", [1, 3])

@@ -31,6 +31,28 @@ def test_lower_monomials_requires_membership(square):
         lower_monomials(square, 1, (2, 0), CGREVLEX)
 
 
+@pytest.mark.parametrize("ordering", [GREVLEX, CGREVLEX])
+@pytest.mark.parametrize("name", ["simplex2", "square", "skew_body", "pentagon", "cube3"])
+def test_lower_monomials_match_key_filter(request, name, ordering):
+    body = request.getfixturevalue(name)
+    key = order_key(body, ordering)
+    for k in range(7):
+        pts = body.lattice_points(k)
+        keys = [key(beta) for beta in pts]
+        for alpha, cut in zip(pts, keys):
+            want = [beta for beta, kb in zip(pts, keys) if kb < cut]
+            assert lower_monomials(body, k, alpha, ordering) == want
+
+
+def test_lower_monomials_outside_lattice(pentagon):
+    # a negative entry keeps the gauge check and the filter
+    assert lower_monomials(pentagon, 2, (-1, 1), CGREVLEX) == [(0, 0)]
+    with pytest.raises(ValidationError, match=r"alpha=\(2, 2\) lies outside level 2 \(gauge 8/3\)"):
+        lower_monomials(pentagon, 2, (2, 2), CGREVLEX)
+    with pytest.raises(ValidationError, match="outside level -1"):
+        lower_monomials(pentagon, -1, (0, 0), GREVLEX)
+
+
 def test_lower_monomials_are_sequence_predecessors(skew_body):
     for k in (1, 2, 3):
         pts = skew_body.lattice_points(k)

@@ -181,8 +181,12 @@ INTERVAL9 = {"kind": "interval", "a": -1, "b": 1, "count": 9}
     ("tdiam", {"run": {"k_max": math.nan}}, [], "run.k_max"),
     ("tdiam", {"run": {"k_max": 2.9}}, [], "run.k_max"),
     ("tdiam", {"mesh": {"kind": "csv", "dim": 1}}, [], "'path'"),
+    ("tdiam", {"mesh": {"kind": "explicit", "points": [[0, 0], [1, math.nan], [2, 0]]}}, [],
+     "mesh point 1 is not finite"),
+    ("vdm", {"mesh": {**INTERVAL9, "weight": {"kind": "table", "log_weights": [0] * 8 + [math.inf]}}},
+     [], "+inf"),
 ], ids=["alpha-flag", "schedule-flag", "alpha-not-a-list", "k-max-not-int", "k-max-infinity",
-        "k-max-nan", "k-max-fractional", "csv-mesh-no-path"])
+        "k-max-nan", "k-max-fractional", "csv-mesh-no-path", "nan-mesh-point", "infinite-log-weight"])
 def test_bad_scalar_input_exit_2(tmp_path, capsys, subcommand, config, flags, message):
     cfg = write_config(tmp_path, "bad.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
                                               "output_dir": str(tmp_path / "out"), **config})

@@ -89,6 +89,20 @@ def test_all_zero_weights_rejected():
                     "weight": {"kind": "table", "log_weights": [-math.inf, -math.inf]}})
 
 
+@pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0),
+                                 complex(0, -math.inf)], ids=["nan-re", "nan-im", "inf-re", "inf-im"])
+def test_non_finite_point_rejected(bad):
+    with pytest.raises(ValidationError, match="mesh point 2 is not finite"):
+        Mesh(1, [[0], [1], [bad], [3]], np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nan_or_infinite_log_weight_rejected(bad):
+    # a +inf log weight used to drop its point from the support silently
+    with pytest.raises(ValidationError, match="NaN or \\+inf"):
+        Mesh(1, [[0], [1], [2], [3]], [0, 0, bad, 0])
+
+
 def test_empty_specs_rejected():
     with pytest.raises(EmptySpec):
         build_mesh({"kind": "circle", "center": 0, "radius": 1, "count": 0})
