@@ -293,12 +293,35 @@ def cells_in_interior(body: ConvexBody, alphas, k: int) -> np.ndarray:
 # tests its samples only against the halfspaces that exactly cut it:
 # every sample lies at least resolution/(2*sub) inside its cell, so a
 # halfspace that holds on the whole closed cell holds at every sample.
-# A cutting halfspace is first estimated on the cell's sample grid from
-# its per-axis values; samples whose estimate clears a rounding-error
-# margin are decided as the product test would decide them, and a cell
-# with any sample inside the margin (an exact tie, say) takes that test.
-# Every float accumulated is the one a test of every halfspace gives.
+#
+# Boundary cells fall into classes of translates.  Cells with the same
+# cutting halfspaces and the same exact `highest` excess on each have
+# the same a.(c*resolution) - b, so each sample lies at the same exact
+# distance D from each cutting plane in every member of the class.
+# Against D, in any member X:
+#   - the float samples (corner, offset and their sum rounded) are within
+#     gamma_4 of the exact ones and the float a_k within u, so the float
+#     halfspace at the float samples is within gamma_5 * S of D, where
+#     S = sum_k |a_k| x_k + |b| with x_k < corner_k + resolution;
+#   - the per-axis estimate ((a_0 x - b) + a_1 y) + a_2 z adds at most
+#     gamma_{N+1} * S and the product test gamma_N * S (Higham 2002, 3.1),
+#     whatever the BLAS kernel or summation order.
+# So both lie within gamma_{N+6} * S of D, a quarter of X's margin; its
+# absolute term covers underflow, where a coefficient or a product loses
+# up to 2**-1075 instead of a relative u.  One member estimates
+# each cutting halfspace; if every estimate clears M, the class's
+# largest margin, then |D| > M - margin/4 >= 3 margin_X / 4 for every
+# member X, and X's own estimate and product test both decide sign(D).
+# The one mask is then the mask a test of every halfspace gives each
+# member.  A class with any sample within M (an exact tie, say) takes
+# the product test cell by cell.  Either way every float accumulated is
+# the one a test of every halfspace gives.
 # ---------------------------------------------------------------------------
+
+# A grid with more cells than this, or a cell with more samples, is refused
+# before anything is allocated.
+_MAX_GRID = 2**22
+
 
 def _classify_cells(body: ConvexBody, resolution: Fraction):
     """(cells, status) for every grid cell [c, c + 1] * resolution meeting the bounding box.
@@ -308,6 +331,9 @@ def _classify_cells(body: ConvexBody, resolution: Fraction):
     its min corner; both tests are exact for boxes.
     """
     counts = [math.ceil(body.coordinate_max(j) / resolution) for j in range(body.dim)]
+    if math.prod(counts) > _MAX_GRID:
+        raise ValidationError(f"resolution {resolution} makes {math.prod(counts)} quadrature cells, "
+                              f"more than {_MAX_GRID}")
     cells = np.stack([g.ravel() for g in np.meshgrid(*map(np.arange, counts), indexing="ij")], axis=1)
     highest, lowest = _box_excess(body, cells, 1, resolution.numerator, resolution.denominator)
     status = np.where(np.all(highest <= 0, axis=1), 1, np.where(np.any(lowest > 0, axis=1), -1, 0))
@@ -358,20 +384,24 @@ def _product_keep(cols, a_mat, b_vec, cutting):
     return functools.reduce(np.logical_and, (vals[:, i] <= b_vec[i] for i in np.flatnonzero(cutting)))
 
 
-def _sampled_cell(corner, offs, offsets, a_mat, b_vec, cutting, margins):
-    """(fraction, mean coordinate sum) of the cell's samples inside the `cutting` halfspaces.
+def _class_cells(corners, offs, offsets, a_mat, b_vec, cutting, margin):
+    """(fraction, mean coordinate sum) of the samples inside the `cutting` halfspaces, per cell.
 
-    The samples are `corner + offsets`, the tensor product of the per-axis
-    values `corner[d] + offs` in row-major order.  The sums add the
-    coordinates in the order of a row sum, (x + y) + z.
+    `corners` holds one class of translates and `margin` its largest
+    margin per cutting halfspace.  The samples of a cell are `corner +
+    offsets`, the tensor product of the per-axis values `corner[d] + offs`
+    in row-major order.  The sums add the coordinates in the order of a
+    row sum, (x + y) + z, and their mean is `sums[keep].mean()`'s.
     """
-    axes = offs + corner[:, None]
-    keep = _certified_keep(axes, a_mat[cutting], b_vec[cutting], margins[cutting])
-    if keep is None:
-        keep = _product_keep(offsets + corner[:, None], a_mat, b_vec, cutting)
-    sums = functools.reduce(_outer_sum, axes)
-    count = np.count_nonzero(keep)
-    return count / keep.size, (float(sums[keep].mean()) if count else 0.0)
+    keep = _certified_keep(offs + corners[0][:, None], a_mat[cutting], b_vec[cutting], margin)
+    idx = None if keep is None else np.flatnonzero(keep)
+    out = []
+    for corner in corners:
+        if keep is None:
+            idx = np.flatnonzero(_product_keep(offsets + corner[:, None], a_mat, b_vec, cutting))
+        sums = functools.reduce(_outer_sum, offs + corner[:, None])
+        out.append((idx.size / sums.size, float(np.add.reduce(sums.take(idx)) / idx.size) if idx.size else 0.0))
+    return out
 
 
 def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: int = 32):
@@ -385,6 +415,9 @@ def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: in
         raise ValidationError("resolution must be positive")
     if subsamples < 1:
         raise ValidationError(f"subsamples must be >= 1, got {subsamples}")
+    if subsamples ** body.dim > _MAX_GRID:
+        raise ValidationError(f"subsamples {subsamples} makes {subsamples}**{body.dim} samples per cell, "
+                              f"more than {_MAX_GRID}")
     cells, status = _classify_cells(body, resolution)
     res_f = float(resolution)
     cell_vol = res_f ** body.dim
@@ -404,16 +437,23 @@ def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: in
     # float(c * resolution) for every cell index c, one Fraction product each
     edges = np.array([float(c * resolution) for c in range(int(cells.max(initial=0)) + 1)])
     corners = edges[boundary]
-    # The estimate and the product test each lie within
-    # gamma_{N+1} * (sum_k |a_k x_k| + |b|) of a.x - b, with
-    # gamma_n = n u / (1 - n u) (Higham 2002, 3.1) and x_k < corner_k + resolution.
-    # The margin is twice their sum, which also covers its own rounding;
-    # the last term covers products that underflow.
-    gamma = (body.dim + 1) * 2.0**-53 / (1 - (body.dim + 1) * 2.0**-53)
-    margins = 4 * gamma * ((corners + res_f) @ np.abs(a_mat).T + np.abs(b_vec)) + 2.0**-1000
-    for corner, cutting, margin in zip(corners, highest > 0, margins):
-        # the call frees each cell's sample arrays before the next cell's are built
-        frac, mean_sum = _sampled_cell(corner, offs, offsets, a_mat, b_vec, cutting, margin)
+    reach = corners + res_f
+    # four times gamma_{N+6} * S, as the section comment derives
+    gamma = (body.dim + 6) * 2.0**-53 / (1 - (body.dim + 6) * 2.0**-53)
+    margins = (4 * gamma * (reach @ np.abs(a_mat).T + np.abs(b_vec))
+               + 2.0**-1000 * (1 + reach.sum(axis=1, keepdims=True)))
+    cutting = highest > 0
+    # the key holds the cutting set and its exact excesses as Python ints
+    classes = {}
+    for i, key in enumerate(np.where(cutting, highest, 0).tolist()):
+        classes.setdefault(tuple(key), []).append(i)
+    sampled = [None] * len(boundary)
+    for members in classes.values():
+        cut = cutting[members[0]]
+        margin = margins[members][:, cut].max(axis=0)
+        for i, cell in zip(members, _class_cells(corners[members], offs, offsets, a_mat, b_vec, cut, margin)):
+            sampled[i] = cell
+    for frac, mean_sum in sampled:
         volume += cell_vol * frac
         integral += cell_vol * frac * mean_sum
     return volume, integral

@@ -74,23 +74,23 @@ def d_estimate_transform(mesh: Mesh, body: ConvexBody, k: int, ordering: str = C
     the 1/k-cell grid, dropping boundary cells; useful as a cross-check
     once k is large enough for interior cells to exist.
     """
+    if method not in ("lattice-average", "cell-quadrature"):
+        raise ValidationError(f"unknown transform method {method!r}")
     if table is None:
         table = transform_grid(mesh, body, k, orderings=(ordering,), m_phases=m_phases,
                                workers=workers)
     if method == "lattice-average":
         return math.exp(transform_mean_log(table, ordering))
-    if method == "cell-quadrature":
-        volume, _ = body_quadrature(body, resolution, subsamples)
-        interior = cells_in_interior(body, [row.alpha for row in table.rows], k)
-        total = 0.0
-        cell_vol = (1.0 / k) ** body.dim
-        for row, inner in zip(table.rows, interior):
-            if ordering not in row.records:
-                raise ValidationError(f"transform row failed for {row.alpha}")
-            if inner:
-                total += row.records[ordering].log_T * cell_vol
-        return math.exp(total / volume)
-    raise ValidationError(f"unknown transform method {method!r}")
+    volume, _ = body_quadrature(body, resolution, subsamples)
+    interior = cells_in_interior(body, [row.alpha for row in table.rows], k)
+    total = 0.0
+    cell_vol = (1.0 / k) ** body.dim
+    for row, inner in zip(table.rows, interior):
+        if ordering not in row.records:
+            raise ValidationError(f"transform row failed for {row.alpha}")
+        if inner:
+            total += row.records[ordering].log_T * cell_vol
+    return math.exp(total / volume)
 
 
 def final_delta(mesh: Mesh, body: ConvexBody, k: int, strategy=None, route: str = "vdm",

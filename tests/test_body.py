@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ctdiam import average_total_degree, check_dagger, validate_body
 from ctdiam.body import (
+    _certified_keep,
     _classify_cells,
     _product_keep,
     body_quadrature,
@@ -172,6 +173,16 @@ def test_quadrature_rejects_subsamples_below_one(skew_body, subsamples):
         body_quadrature(skew_body, Fraction(1, 8), subsamples)
 
 
+@pytest.mark.parametrize("resolution, subsamples, message", [
+    (Fraction(1, 32), 3000, "subsamples 3000"),
+    (Fraction(1, 5000), 32, "resolution 1/5000"),
+], ids=["samples-per-cell", "cells"])
+def test_quadrature_rejects_oversized_grid(cube3, resolution, subsamples, message):
+    # 3000**3 samples per cell and 5000**3 cells would take hundreds of GiB
+    with pytest.raises(ValidationError, match=message):
+        body_quadrature(cube3, resolution, subsamples)
+
+
 # Fraction oracles for the integer-row geometry: the corner loops the
 # float prefilter fell back to, and the gauge itself.
 
@@ -260,8 +271,12 @@ def _reference_quadrature(body, resolution, subsamples):
 
 
 PENTAGON = [(("1", "0"), "1"), (("0", "1"), "1"), (("1", "1"), "3/2")]
+CUBE3 = [(("1", "0", "0"), "1"), (("0", "1", "0"), "1"), (("0", "0", "1"), "1"), (("1", "1", "1"), "2")]
 # y/4 + z = 1 passes exactly through sample points at resolution 2/3 with 3 subsamples
 TIE_3D = [(("0", "1/4", "1"), "1"), (("1", "0", "0"), "1")]
+# 3x + 2y + 5z <= 6 has integer translations (1, 1, -1) along its plane, so
+# the boundary cells form classes of up to 43 translates at resolution 1/12
+SKEW_3D = [(("1/2", "1/3", "5/6"), "1"), (("2/3", "-1/3", "1"), "5/4"), (("0", "3/4", "1/4"), "7/8")]
 # bodies whose exact ties send some boundary cells, and not others, to the product test
 TIE_CASES = [
     (validate_body(PENTAGON, 2), Fraction(1, 32), 32),
@@ -286,6 +301,11 @@ TIE_CASES = [
 @example(case=(validate_body([(tuple(Fraction(x) / 10**310 for x in a), Fraction(b) / 10**310) for a, b in
                               [(("1/2", "1/2", "1"), "3/2"), (("-1/2", "3/4", "2/3"), "4"),
                                (("1/2", "-1/2", "-2/3"), "3")]], 3), Fraction(1, 3)), subsamples=2)
+# classes of many translates at non-dyadic resolutions: 64 cube3 cells in 3
+# classes at 1/7, 61 in 21 at 2/9, and 589 skew cells in 98 at 1/12
+@example(case=(validate_body(CUBE3, 3), Fraction(1, 7)), subsamples=5)
+@example(case=(validate_body(CUBE3, 3), Fraction(2, 9)), subsamples=8)
+@example(case=(validate_body(SKEW_3D, 3), Fraction(1, 12)), subsamples=3)
 def test_quadrature_matches_all_halfspace_reference(case, subsamples):
     body, resolution = case
     got = body_quadrature(body, resolution, subsamples)
@@ -301,6 +321,14 @@ def test_quadrature_ties_take_both_paths(body, resolution, subsamples):
         body_quadrature(body, resolution, subsamples)
     boundary = int(np.count_nonzero(_classify_cells(body, resolution)[1] == 0))
     assert 0 < product_test.call_count < boundary
+
+
+def test_quadrature_certifies_each_class_once(cube3):
+    # cube3's 1489 boundary cells at resolution 1/32 are translates of 3 cells
+    with mock.patch("ctdiam.body._certified_keep", wraps=_certified_keep) as certify, \
+            mock.patch("ctdiam.body._product_keep", wraps=_product_keep) as product_test:
+        body_quadrature(cube3, Fraction(1, 32), 32)
+    assert (certify.call_count, product_test.call_count) == (3, 0)
 
 
 @pytest.mark.parametrize("k", [1, 3])

@@ -160,7 +160,10 @@ BOX3 = {"kind": "box2d", "x": [0, 1], "y": [0, 1], "counts": [3, 3]}
     ({"body": PENTAGON}, ["--resolution", "abc"], "'abc'"),
     ({"body": {"dim": 1, "halfspaces": [{"a": ["1/0"], "b": "1"}]}}, [], "'1/0'"),
     ({}, [], "body spec"),
-], ids=["zero-subsamples", "resolution-not-rational", "zero-denominator", "no-body"])
+    ({"body": PENTAGON, "run": {"subsamples": 3000}}, [], "subsamples 3000"),
+    ({"body": PENTAGON}, ["--resolution", "1/5000"], "resolution 1/5000"),
+], ids=["zero-subsamples", "resolution-not-rational", "zero-denominator", "no-body",
+        "oversized-subsamples", "oversized-grid"])
 def test_tdiam_invalid_input_exit_2(tmp_path, capsys, config, flags, message):
     cfg = write_config(tmp_path, "bad.json", {"mesh": BOX3, "output_dir": str(tmp_path / "out"),
                                               **config})

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -78,6 +79,14 @@ def test_d_transform_cell_quadrature_cross_validation(cheb401, simplex1):
     lattice = d_estimate_transform(cheb401, simplex1, 12)
     cells = d_estimate_transform(cheb401, simplex1, 12, method="cell-quadrature")
     assert abs(math.log(cells) - math.log(lattice)) < 0.05
+
+
+def test_d_transform_unknown_method_rejected_before_solving(simplex2):
+    mesh = build_mesh({"kind": "torus", "counts": [8, 8]})
+    with mock.patch("ctdiam.cheb.chebyshev_constant") as solves:
+        with pytest.raises(ValidationError, match="bogus"):
+            d_estimate_transform(mesh, simplex2, 3, method="bogus")
+    assert solves.call_count == 0
 
 
 def test_route_agreement_bounded_by_factorial(mesh7, simplex1):
