@@ -54,6 +54,20 @@ def as_fraction(value) -> Fraction:
     raise ValidationError(f"expected an exact rational (int, Fraction, or 'p/q' string), got {value!r}")
 
 
+def as_int(value, field: str) -> int:
+    """Coerce a config value to int, or raise ValidationError naming `field`.
+
+    Integral floats such as 4.0 are accepted; int() alone would truncate
+    2.9 and overflow on JSON's Infinity.
+    """
+    if isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"{field} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{field} must be an integer, got {value!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # Exact rational LP:  maximize c.x  over  {x >= 0, A x <= b},  b >= 0.
 # Used for boundedness checks, per-coordinate maxima (lattice bounding
@@ -162,14 +176,11 @@ def validate_body(halfspaces, dim: int) -> ConvexBody:
     """
     if not isinstance(dim, int) or dim < 1:
         raise ValidationError(f"dim must be a positive integer, got {dim!r}")
+    if not isinstance(halfspaces, (list, tuple)):
+        raise ValidationError(f"body.halfspaces must be a list, got {halfspaces!r}")
     rows = []
-    for entry in halfspaces:
-        if isinstance(entry, dict):
-            a, b = entry["a"], entry["b"]
-        else:
-            a, b = entry
-        a = tuple(as_fraction(x) for x in a)
-        b = as_fraction(b)
+    for i, entry in enumerate(halfspaces):
+        a, b = _halfspace_entry(entry, f"body.halfspaces[{i}]")
         if len(a) != dim:
             raise DimensionMismatch(f"halfspace normal {a} does not have dimension {dim}")
         if b <= 0:
@@ -184,6 +195,22 @@ def validate_body(halfspaces, dim: int) -> ConvexBody:
     body = ConvexBody(dim=dim, halfspaces=tuple(rows))
     _check_bounded(body)
     return body
+
+
+def _halfspace_entry(entry, field: str) -> tuple[tuple[Fraction, ...], Fraction]:
+    """(a, b) from a {'a': [...], 'b': ...} mapping or a pair, exact; errors name `field`."""
+    if isinstance(entry, dict) and "a" in entry and "b" in entry:
+        a, b = entry["a"], entry["b"]
+    elif isinstance(entry, (list, tuple)) and len(entry) == 2:
+        a, b = entry
+    else:
+        raise ValidationError(f"{field} must be {{'a': [...], 'b': ...}}, got {entry!r}")
+    if not isinstance(a, (list, tuple)):
+        raise ValidationError(f"{field}.a must be a list of rationals, got {a!r}")
+    try:
+        return tuple(as_fraction(x) for x in a), as_fraction(b)
+    except ValidationError as exc:
+        raise ValidationError(f"{field}: {exc}") from None
 
 
 def parse_body_spec(spec: dict) -> ConvexBody:

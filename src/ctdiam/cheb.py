@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .body import ConvexBody, Exponent, as_fraction, check_dagger
-from .errors import CtdiamError, DegenerateWeight, ThetaNotInterior, ValidationError
+from .errors import CELL_ERRORS, DegenerateWeight, ThetaNotInterior, ValidationError
 from .lp import solve_minimax
 from .mesh import Mesh, Polynomial, monomial_values
 from .order import CGREVLEX, GREVLEX, order_key
@@ -170,7 +170,7 @@ def transform_grid(mesh: Mesh, body: ConvexBody, k: int,
         alpha, ordering = task
         try:
             return chebyshev_constant(mesh, body, k, alpha, ordering, m_phases)
-        except (CtdiamError, np.linalg.LinAlgError) as exc:  # row-level isolation
+        except CELL_ERRORS as exc:  # row-level isolation
             return exc
 
     if workers > 1:
@@ -272,8 +272,7 @@ def select_direction_exponent(body: ConvexBody, theta, k: int) -> Exponent:
 
 
 def directional_constant(mesh: Mesh, body: ConvexBody, theta, schedule,
-                         orderings=(GREVLEX, CGREVLEX), m_phases: int = 32,
-                         dagger_cap: int | None = None) -> DirectionalResult:
+                         orderings=(GREVLEX, CGREVLEX), m_phases: int = 32) -> DirectionalResult:
     """Estimate the directional constant T(theta) along increasing degree levels."""
     theta = tuple(as_fraction(t) for t in theta)
     if len(theta) != body.dim:
@@ -284,7 +283,7 @@ def directional_constant(mesh: Mesh, body: ConvexBody, theta, schedule,
     if not schedule or any(k < 1 for k in schedule) or list(schedule) != sorted(set(schedule)):
         raise ValidationError("schedule must be a strictly increasing list of positive levels")
 
-    dagger = check_dagger(body, dagger_cap if dagger_cap is not None else max(schedule))
+    dagger = check_dagger(body, max(schedule))
     steps: dict[str, list[DirectionalStep]] = {o: [] for o in orderings}
     for k in schedule:
         alpha = select_direction_exponent(body, theta, k)

@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .body import as_fraction, check_dagger, parse_body_spec
+from .body import as_fraction, as_int, check_dagger, parse_body_spec
 from .cheb import chebyshev_constant, directional_constant, transform_grid, transform_to_csv
 from .errors import SolverFailure, ValidationError
 from .leja import leja_diameter, leja_to_csv
@@ -60,30 +60,20 @@ class _Artifacts:
         self.add(name)
 
 
-def _as_int(value, field: str) -> int:
-    # int() would truncate 2.9 and overflow on JSON's Infinity
-    if isinstance(value, float) and not value.is_integer():
-        raise ValidationError(f"{field} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{field} must be an integer, got {value!r}") from None
-
-
 def _as_ints(values, field: str) -> list[int]:
     """Integers from a JSON list or a comma-separated flag value."""
     if isinstance(values, str):
         values = values.split(",")
     if not isinstance(values, list):
         raise ValidationError(f"{field} must be a list of integers, got {values!r}")
-    return [_as_int(v, field) for v in values]
+    return [as_int(v, field) for v in values]
 
 
 def _run_int(run: dict, *names: str, default: int) -> int:
     """run[name] as an integer for the first of `names` present, else `default`."""
     for name in names:
         if name in run:
-            return _as_int(run[name], f"run.{name}")
+            return as_int(run[name], f"run.{name}")
     return default
 
 
@@ -154,15 +144,15 @@ def _mesh_from_config(config: dict):
     if isinstance(spec, dict) and spec.get("kind") == "csv":
         if "path" not in spec:
             raise ValidationError("csv mesh needs a 'path'")
-        return mesh_from_csv(spec["path"], _as_int(spec.get("dim"), "mesh.dim"))
+        return mesh_from_csv(spec["path"], as_int(spec.get("dim"), "mesh.dim"))
     return build_mesh(spec)
 
 
 def _workers(run: dict) -> int:
     if "workers" in run:
-        return max(1, _as_int(run["workers"], "run.workers"))
+        return max(1, as_int(run["workers"], "run.workers"))
     env = os.environ.get("CTDIAM_WORKERS")
-    return max(1, _as_int(env, "CTDIAM_WORKERS")) if env else 1
+    return max(1, as_int(env, "CTDIAM_WORKERS")) if env else 1
 
 
 def _run_body_check(config, artifacts: _Artifacts) -> int:
@@ -209,7 +199,7 @@ def _run_cheb(config, artifacts: _Artifacts) -> int:
     run = config.get("run", {})
     if "k" not in run or "alpha" not in run:
         raise ValidationError("cheb needs run.k and run.alpha")
-    k = _as_int(run["k"], "run.k")
+    k = as_int(run["k"], "run.k")
     alpha = tuple(_as_ints(run["alpha"], "run.alpha"))
     m_phases = _run_int(run, "polygon_m", default=32)
     records = {}

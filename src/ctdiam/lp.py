@@ -14,9 +14,9 @@ return the coefficients u and the optimum t* of the min-max itself.
 
 Pricing is by most-negative reduced cost with the classical
 lexicographic ratio test on the [rhs | B^-1] block, which is
-deterministic and cannot cycle.  (Lowest-index pricing alone also
-terminates but was measured to need two orders of magnitude more
-iterations on production-size instances; it is kept as a fallback.)
+deterministic and cannot cycle (Dantzig, Orden & Wolfe 1955).  This is
+the only pivot rule: a phase that reaches _MAX_ITER iterations raises
+SolverFailure at once, which a report records as a cell error.
 A pivot updates the tableau in place, row by row and only on the rows
 its column reaches, so no tableau-sized temporary is allocated per
 iteration; each entry still receives the one product c_i * r_j an
@@ -35,10 +35,7 @@ from .errors import SolverFailure
 
 _RC_TOL = 1e-9  # reduced-cost threshold
 _PIV_TOL = 1e-9  # smallest acceptable pivot
-
-
-class _IterationCap(Exception):
-    pass
+_MAX_ITER = 50000  # per simplex phase; the largest solve seen takes a few hundred
 
 
 def _pivot(tab, rhs, basis, row, col):
@@ -58,32 +55,25 @@ def _pivot(tab, rhs, basis, row, col):
     basis[row] = col
 
 
-def _run_simplex(tab, rhs, basis, cost, allowed, n_struct, max_iter, bland):
+def _run_simplex(tab, rhs, basis, cost, allowed, n_struct):
     """Iterate to optimality; returns iteration count."""
-    m = tab.shape[0]
     iters = 0
     while True:
         iters += 1
-        if iters > max_iter:
-            raise _IterationCap
+        if iters > _MAX_ITER:
+            raise SolverFailure("simplex iteration cap exceeded")
         reduced = cost[:allowed] - cost[basis] @ tab[:, :allowed]
-        if bland:
-            negative = np.flatnonzero(reduced < -_RC_TOL)
-            if negative.size == 0:
-                return iters
-            col = int(negative[0])
-        else:
-            col = int(np.argmin(reduced))
-            if not reduced[col] < -_RC_TOL:
-                return iters
+        col = int(np.argmin(reduced))
+        if not reduced[col] < -_RC_TOL:
+            return iters
         column = tab[:, col]
         rows = np.flatnonzero(column > _PIV_TOL)
         if rows.size == 0:
             raise SolverFailure("standard-form LP unbounded; the min-max construction is broken")
         ratios = rhs[rows] / column[rows]
         tie = rows[ratios <= ratios.min() + 1e-12]
-        if bland or tie.size == 1:
-            row = int(tie[np.argmin(basis[tie])])
+        if tie.size == 1:
+            row = int(tie[0])
         else:
             # lexicographic comparison of [rhs | B^-1] rows scaled by the pivot
             block = np.column_stack([rhs[tie], tab[tie, n_struct:]]) / column[tie, None]
@@ -91,7 +81,7 @@ def _run_simplex(tab, rhs, basis, cost, allowed, n_struct, max_iter, bland):
         _pivot(tab, rhs, basis, row, col)
 
 
-def solve_standard_form(B, h, c, max_iter=50000):
+def solve_standard_form(B, h, c):
     """min c.lam s.t. B lam = h, lam >= 0.
 
     Returns (value, lam, pi, iterations) where pi are the optimal basis
@@ -107,30 +97,20 @@ def solve_standard_form(B, h, c, max_iter=50000):
     Bw[flip] *= -1.0
     hw[flip] *= -1.0
 
-    def attempt(bland, cap):
-        tab = np.hstack([Bw, np.eye(m)])
-        rhs = hw.copy()
-        basis = np.arange(n, n + m)
-        phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
-        iters = _run_simplex(tab, rhs, basis, phase1_cost, n + m, n, cap, bland)
-        if float(rhs[basis >= n].sum()) > 1e-7 * max(1.0, float(np.abs(hw).max())):
-            raise SolverFailure("phase 1 ended infeasible")
-        for row in range(m):  # drive artificial columns out of the basis when possible
-            if basis[row] >= n:
-                nz = np.flatnonzero(np.abs(tab[row, :n]) > 1e-7)
-                if nz.size:
-                    _pivot(tab, rhs, basis, row, int(nz[0]))
-        phase2_cost = np.concatenate([c, np.zeros(m)])
-        iters += _run_simplex(tab, rhs, basis, phase2_cost, n, n, cap, bland)
-        return tab, rhs, basis, iters
-
-    try:
-        tab, rhs, basis, iters = attempt(bland=False, cap=max_iter)
-    except _IterationCap:
-        try:
-            tab, rhs, basis, iters = attempt(bland=True, cap=8 * max_iter)
-        except _IterationCap:
-            raise SolverFailure("simplex iteration cap exceeded") from None
+    tab = np.hstack([Bw, np.eye(m)])
+    rhs = hw.copy()
+    basis = np.arange(n, n + m)
+    phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
+    iters = _run_simplex(tab, rhs, basis, phase1_cost, n + m, n)
+    if float(rhs[basis >= n].sum()) > 1e-7 * max(1.0, float(np.abs(hw).max())):
+        raise SolverFailure("phase 1 ended infeasible")
+    for row in range(m):  # drive artificial columns out of the basis when possible
+        if basis[row] >= n:
+            nz = np.flatnonzero(np.abs(tab[row, :n]) > 1e-7)
+            if nz.size:
+                _pivot(tab, rhs, basis, row, int(nz[0]))
+    phase2_cost = np.concatenate([c, np.zeros(m)])
+    iters += _run_simplex(tab, rhs, basis, phase2_cost, n, n)
 
     lam = np.zeros(n)
     in_struct = basis < n

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .body import as_int
 from .errors import (
     DegenerateWeight,
     DimensionMismatch,
@@ -172,32 +173,52 @@ def weighted_sup_norm(mesh: Mesh, poly: Polynomial, k: int) -> float:
 # lexicographic in the factor indices.
 # ---------------------------------------------------------------------------
 
-def _weight_for(points: np.ndarray, spec) -> np.ndarray:
+def _as_real(value, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{field} must be a real number, got {value!r}") from None
+
+
+def _as_list(value, field: str, length: int | None = None) -> list:
+    if not isinstance(value, (list, tuple)) or (length is not None and len(value) != length):
+        size = "a list" if length is None else f"a list of {length}"
+        raise ValidationError(f"{field} must be {size}, got {value!r}")
+    return list(value)
+
+
+def _as_complex(value, field: str) -> complex:
+    if isinstance(value, (list, tuple)):
+        re, im = _as_list(value, field, 2)
+        return complex(_as_real(re, field), _as_real(im, field))
+    try:
+        return complex(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{field} must be a number or [re, im], got {value!r}") from None
+
+
+def _weight_for(points: np.ndarray, spec, field: str) -> np.ndarray:
     n = points.shape[0]
     if spec is None:
         return np.zeros(n)
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{field} must be a mapping with a 'kind', got {spec!r}")
     kind = spec.get("kind")
     if kind == "one":
         return np.zeros(n)
     if kind == "radial-gaussian":
-        sigma = float(spec.get("sigma", 1.0))
+        sigma = _as_real(spec.get("sigma", 1.0), f"{field}.sigma")
         if sigma <= 0:
             raise ValidationError("radial-gaussian weight needs sigma > 0")
         sq = np.sum(np.abs(points) ** 2, axis=1)
         return -sq / (2.0 * sigma**2)
     if kind == "table":
-        table = [float(v) for v in spec["log_weights"]]
+        table = [_as_real(v, f"{field}.log_weights")
+                 for v in _as_list(spec.get("log_weights"), f"{field}.log_weights")]
         if len(table) != n:
             raise WeightLengthMismatch(f"{len(table)} weights for {n} points")
         return np.array(table)
     raise ValidationError(f"unknown weight kind {kind!r}")
-
-
-def _as_complex(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        re, im = value
-        return complex(float(re), float(im))
-    return complex(value)
 
 
 def _circle_points(center: complex, radius: float, count: int) -> np.ndarray:
@@ -243,53 +264,68 @@ def build_mesh(spec: dict) -> Mesh:
     box2d{x, y, counts}, torus{radii, counts[, centers]},
     product{factors}, explicit{points[, dim]}.  An optional weight block
     {'kind': 'one' | 'radial-gaussian' | 'table', ...} applies to the
-    final point list.
+    final point list; on a product it adds to the factors' log weights.
+    A malformed field raises ValidationError naming it, e.g.
+    `mesh.factors[1].count`.
     """
+    return _build(spec, "mesh")
+
+
+def _build(spec, path: str) -> Mesh:
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValidationError("mesh spec must be a mapping with a 'kind'")
+        raise ValidationError(f"{path} spec must be a mapping with a 'kind'")
     kind = spec["kind"]
     weight_spec = spec.get("weight")
     if kind == "circle":
-        pts = _circle_points(_as_complex(spec.get("center", 0)), float(spec.get("radius", 1)), int(spec["count"]))
+        pts = _circle_points(_as_complex(spec.get("center", 0), f"{path}.center"),
+                             _as_real(spec.get("radius", 1), f"{path}.radius"),
+                             as_int(spec.get("count"), f"{path}.count"))
         prov = f"circle(center={spec.get('center', 0)}, radius={spec.get('radius', 1)}, count={spec['count']})"
     elif kind == "interval":
-        pts = _interval_points(float(spec["a"]), float(spec["b"]), int(spec["count"]),
+        pts = _interval_points(_as_real(spec.get("a"), f"{path}.a"), _as_real(spec.get("b"), f"{path}.b"),
+                               as_int(spec.get("count"), f"{path}.count"),
                                spec.get("spacing", "uniform"))
         prov = f"interval([{spec['a']}, {spec['b']}], count={spec['count']}, {spec.get('spacing', 'uniform')})"
     elif kind == "box2d":
-        (xa, xb), (ya, yb) = spec["x"], spec["y"]
-        nx, ny = (int(c) for c in spec["counts"])
-        mx = Mesh(1, _interval_points(float(xa), float(xb), nx, "uniform"), np.zeros(nx))
-        my = Mesh(1, _interval_points(float(ya), float(yb), ny, "uniform"), np.zeros(ny))
+        xa, xb = (_as_real(v, f"{path}.x") for v in _as_list(spec.get("x"), f"{path}.x", 2))
+        ya, yb = (_as_real(v, f"{path}.y") for v in _as_list(spec.get("y"), f"{path}.y", 2))
+        nx, ny = (as_int(c, f"{path}.counts") for c in _as_list(spec.get("counts"), f"{path}.counts", 2))
+        mx = Mesh(1, _interval_points(xa, xb, nx, "uniform"), np.zeros(nx))
+        my = Mesh(1, _interval_points(ya, yb, ny, "uniform"), np.zeros(ny))
         out = _cartesian([mx, my], f"box2d({nx}x{ny})")
         pts, prov = out.points, out.provenance
     elif kind == "torus":
-        counts = [int(c) for c in spec["counts"]]
-        radii = [float(r) for r in spec.get("radii", [1.0] * len(counts))]
-        centers = [_as_complex(c) for c in spec.get("centers", [0.0] * len(counts))]
+        counts = [as_int(c, f"{path}.counts") for c in _as_list(spec.get("counts"), f"{path}.counts")]
+        radii = [_as_real(r, f"{path}.radii")
+                 for r in _as_list(spec.get("radii", [1.0] * len(counts)), f"{path}.radii")]
+        centers = [_as_complex(c, f"{path}.centers")
+                   for c in _as_list(spec.get("centers", [0.0] * len(counts)), f"{path}.centers")]
         if not (len(counts) == len(radii) == len(centers)):
             raise ValidationError("torus radii/counts/centers lengths differ")
         factors = [Mesh(1, _circle_points(c, r, n), np.zeros(n)) for c, r, n in zip(centers, radii, counts)]
         out = _cartesian(factors, f"torus({'x'.join(map(str, counts))})")
         pts, prov = out.points, out.provenance
     elif kind == "product":
-        factors = [build_mesh(f) for f in spec["factors"]]
+        factors = [_build(f, f"{path}.factors[{i}]")
+                   for i, f in enumerate(_as_list(spec.get("factors"), f"{path}.factors"))]
         if not factors:
             raise EmptySpec("product needs at least one factor")
         out = _cartesian(factors, " x ".join(m.provenance for m in factors))
         if weight_spec is None:
             return out
-        pts, prov = out.points, out.provenance
+        with np.errstate(invalid="ignore"):  # -inf + inf is NaN, which Mesh rejects
+            lw = out.log_weights + _weight_for(out.points, weight_spec, f"{path}.weight")
+        return Mesh(out.dim, out.points, lw, provenance=out.provenance)
     elif kind == "explicit":
-        raw = spec["points"]
+        raw = _as_list(spec.get("points"), f"{path}.points")
         if not raw:
             raise EmptySpec("explicit mesh has no points")
-        first = raw[0]
-        flat = [list(map(float, p)) for p in raw]
-        width = len(first)
+        width = len(_as_list(raw[0], f"{path}.points[0]"))
+        flat = [[_as_real(x, f"{path}.points[{i}]") for x in _as_list(p, f"{path}.points[{i}]", width)]
+                for i, p in enumerate(raw)]
         if width % 2 != 0:
             raise ValidationError("explicit points need 2N real columns (re, im pairs)")
-        dim = int(spec.get("dim", width // 2))
+        dim = as_int(spec.get("dim", width // 2), f"{path}.dim")
         if dim * 2 != width:
             raise ValidationError(f"{width} columns inconsistent with dim={dim}")
         arr = np.array(flat)
@@ -297,7 +333,7 @@ def build_mesh(spec: dict) -> Mesh:
         prov = f"explicit({len(raw)} points)"
     else:
         raise ValidationError(f"unknown mesh kind {kind!r}")
-    return Mesh(pts.shape[1], pts, _weight_for(pts, weight_spec), provenance=prov)
+    return Mesh(pts.shape[1], pts, _weight_for(pts, weight_spec, f"{path}.weight"), provenance=prov)
 
 
 def mesh_from_csv(path, dim: int) -> Mesh:

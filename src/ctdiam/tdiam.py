@@ -25,14 +25,11 @@ import numpy as np
 from .body import (ConvexBody, as_fraction, average_total_degree, body_quadrature,
                    cells_in_interior, check_dagger)
 from .cheb import TransformTable, transform_grid
-from .errors import CtdiamError, InsufficientSupport, ValidationError
+from .errors import CELL_ERRORS, InsufficientSupport, ValidationError
 from .leja import leja_diameter
 from .mesh import Mesh
 from .order import CGREVLEX, GREVLEX
 from .vdm import Greedy, MaxVdmResult, max_vdm, strategy_from_config
-
-# failures a report records in a cell's `errors` entry; anything else is a bug
-_CELL_ERRORS = (CtdiamError, np.linalg.LinAlgError)
 
 
 def delta_k(mesh: Mesh, body: ConvexBody, k: int, strategy=None) -> float:
@@ -64,8 +61,7 @@ def transform_mean_log(table: TransformTable, ordering: str) -> float:
 def d_estimate_transform(mesh: Mesh, body: ConvexBody, k: int, ordering: str = CGREVLEX,
                          m_phases: int = 32, workers: int = 1,
                          method: str = "lattice-average",
-                         resolution=Fraction(1, 32), subsamples: int = 32,
-                         table: TransformTable | None = None) -> float:
+                         resolution=Fraction(1, 32), subsamples: int = 32) -> float:
     """Size estimate from the Chebyshev route.
 
     'lattice-average' exponentiates the mean of log T_k over the level-k
@@ -76,9 +72,8 @@ def d_estimate_transform(mesh: Mesh, body: ConvexBody, k: int, ordering: str = C
     """
     if method not in ("lattice-average", "cell-quadrature"):
         raise ValidationError(f"unknown transform method {method!r}")
-    if table is None:
-        table = transform_grid(mesh, body, k, orderings=(ordering,), m_phases=m_phases,
-                               workers=workers)
+    table = transform_grid(mesh, body, k, orderings=(ordering,), m_phases=m_phases,
+                           workers=workers)
     if method == "lattice-average":
         return math.exp(transform_mean_log(table, ordering))
     volume, _ = body_quadrature(body, resolution, subsamples)
@@ -172,7 +167,7 @@ def _level_row(mesh: Mesh, body: ConvexBody, k: int, strategy, options: ReportOp
         exact = result.exact
         delta = math.exp(log_vdm / l_k)
         d_vdm = math.exp(log_vdm / (k * m_k))
-    except _CELL_ERRORS as exc:
+    except CELL_ERRORS as exc:
         errors["vdm"] = f"{type(exc).__name__}: {exc}"
     d_transform: dict[str, float] = {}
     sum_log_nu: dict[str, float] = {}
@@ -187,7 +182,7 @@ def _level_row(mesh: Mesh, body: ConvexBody, k: int, strategy, options: ReportOp
                 sum_log_nu[ordering] = mean_log * k * m_k
             except ValidationError as exc:
                 errors[f"transform:{ordering}"] = str(exc)
-    except _CELL_ERRORS as exc:
+    except CELL_ERRORS as exc:
         errors["transform"] = f"{type(exc).__name__}: {exc}"
     sandwich = None
     if exact and CGREVLEX in sum_log_nu and math.isfinite(log_vdm):
@@ -213,7 +208,7 @@ def build_report(mesh: Mesh, body: ConvexBody, k_max: int, options: ReportOption
         try:
             leja_report = leja_diameter(mesh, body, k_max)
             leja_rows = {r.k: r.value for r in leja_report.rows}
-        except _CELL_ERRORS as exc:
+        except CELL_ERRORS as exc:
             leja_error = f"{type(exc).__name__}: {exc}"
 
     transform_cache: dict = {}  # one solve per distinct min-max problem of the report

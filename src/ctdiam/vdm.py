@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import ConvexBody, Exponent
+from .body import ConvexBody, as_int
 from .errors import (
     BruteForceCapExceeded,
     InsufficientSupport,
@@ -85,15 +85,10 @@ class MaxVdmResult:
     exact: bool
 
 
-def basis_exponents(body: ConvexBody, k: int) -> list[Exponent]:
-    """The level-k monomial basis in graded order."""
-    return body.lattice_points(k)
-
-
 def vandermonde_det(mesh: Mesh, body: ConvexBody, k: int, point_indices) -> VdmValue:
     """log |det [w(zeta_l)^k z^(alpha_j)(zeta_l)]| for the first s basis monomials."""
     indices = tuple(int(i) for i in point_indices)
-    basis = basis_exponents(body, k)
+    basis = body.lattice_points(k)
     s = len(indices)
     if s > len(basis):
         raise TooManyPoints(f"{s} points exceed the level-{k} dimension {len(basis)}")
@@ -109,7 +104,7 @@ def vandermonde_det(mesh: Mesh, body: ConvexBody, k: int, point_indices) -> VdmV
 
 
 def _support_data(mesh: Mesh, body: ConvexBody, k: int):
-    basis = basis_exponents(body, k)
+    basis = body.lattice_points(k)
     m_k = len(basis)
     support = mesh.support
     if support.size < m_k:
@@ -287,17 +282,6 @@ def fekete_points(mesh: Mesh, body: ConvexBody, k: int, strategy=None) -> list[i
     return list(max_vdm(mesh, body, k, strategy).value.point_indices)
 
 
-def _strategy_int(raw: dict, name: str, default: int) -> int:
-    value = raw.get(name, default)
-    # int() would truncate 2.5 and overflow on JSON's Infinity
-    if isinstance(value, float) and not value.is_integer():
-        raise ValidationError(f"run.strategy.{name} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"run.strategy.{name} must be an integer, got {value!r}") from None
-
-
 def strategy_from_config(raw) -> BruteForce | Greedy:
     """Strategy object from its config form run.strategy = {'kind': 'brute-force' | 'greedy', ...}."""
     if raw is None:
@@ -308,10 +292,10 @@ def strategy_from_config(raw) -> BruteForce | Greedy:
         raise ValidationError(f"run.strategy must be a JSON object with a 'kind', got {raw!r}")
     kind = raw.get("kind")
     if kind == "brute-force":
-        return BruteForce(cap=_strategy_int(raw, "cap", BruteForce.cap))
+        return BruteForce(cap=as_int(raw.get("cap", BruteForce.cap), "run.strategy.cap"))
     if kind == "greedy":
-        return Greedy(restarts=_strategy_int(raw, "restarts", Greedy.restarts),
-                      seed=_strategy_int(raw, "seed", Greedy.seed))
+        return Greedy(restarts=as_int(raw.get("restarts", Greedy.restarts), "run.strategy.restarts"),
+                      seed=as_int(raw.get("seed", Greedy.seed), "run.strategy.seed"))
     raise ValidationError(f"unknown run.strategy kind {kind!r}")
 
 

@@ -58,6 +58,23 @@ def test_validate_rejects_floats():
         validate_body([((0.5, 1), 1)], 2)
 
 
+@pytest.mark.parametrize("halfspaces, field", [
+    ([{"b": "1"}], "body.halfspaces[0] "),
+    ([{"a": ["1", "1"], "b": "1"}, {"a": ["1", "0"]}], "body.halfspaces[1] "),
+    (5, "body.halfspaces "),
+    ([{"a": "12", "b": "2"}], "body.halfspaces[0].a "),
+    ([("1", "1")], "body.halfspaces[0].a "),
+    ([(("1", "1"), "1", "2")], "body.halfspaces[0] "),
+    ([{"a": ["1", "x"], "b": "1"}], "body.halfspaces[0]: "),
+    ([{"a": ["1", "1"], "b": 1.5}], "body.halfspaces[0]: "),
+], ids=["no-a", "no-b", "not-a-list", "normal-string", "normal-not-a-list", "triple",
+        "normal-entry", "float-offset"])
+def test_malformed_halfspace_is_named(halfspaces, field):
+    with pytest.raises(ValidationError) as exc:
+        parse_body_spec({"dim": 2, "halfspaces": halfspaces})
+    assert str(exc.value).startswith(field)
+
+
 def test_parse_body_spec_roundtrip():
     body = parse_body_spec({"dim": 2, "halfspaces": [{"a": ["1", "2"], "b": "2"}, {"a": [2, 1], "b": 2}]})
     assert body.gauge((1, 1)) == Fraction(3, 2)

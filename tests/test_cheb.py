@@ -235,6 +235,21 @@ def test_transform_grid_isolates_row_failures(cheb401, simplex1, monkeypatch):
     assert len(ok) == 2
 
 
+def test_transform_grid_records_iteration_cap_as_row_error(cheb401, simplex1, monkeypatch):
+    from ctdiam import lp
+
+    full = transform_grid(cheb401, simplex1, 3)
+    # phases of alpha = 1, 2, 3 end after (3, 2), (4, 2) and (5, 3) iterations
+    monkeypatch.setattr(lp, "_MAX_ITER", 4)
+    capped = transform_grid(cheb401, simplex1, 3)
+    assert [row.alpha for row in capped.rows if row.errors] == [(3,)]
+    assert capped.rows[3].errors == {o: "SolverFailure: simplex iteration cap exceeded"
+                                     for o in (GREVLEX, CGREVLEX)}
+    for row, ref in zip(capped.rows[:3], full.rows):
+        assert {o: r.log_nu for o, r in row.records.items()} == \
+            {o: r.log_nu for o, r in ref.records.items()}
+
+
 def test_transform_grid_propagates_programming_errors(mesh7, simplex1, monkeypatch):
     import ctdiam.cheb as cheb_mod
 

@@ -162,8 +162,13 @@ BOX3 = {"kind": "box2d", "x": [0, 1], "y": [0, 1], "counts": [3, 3]}
     ({}, [], "body spec"),
     ({"body": PENTAGON, "run": {"subsamples": 3000}}, [], "subsamples 3000"),
     ({"body": PENTAGON}, ["--resolution", "1/5000"], "resolution 1/5000"),
+    ({"body": {"dim": 2, "halfspaces": [{"b": "1"}]}}, [], "body.halfspaces[0]"),
+    ({"body": {"dim": 2, "halfspaces": 5}}, [], "body.halfspaces"),
+    ({"body": {"dim": 2, "halfspaces": [{"a": "12", "b": "2"}]}}, [], "body.halfspaces[0].a"),
+    ({"body": {"dim": 1, "halfspaces": [{"a": ["1"], "b": "x"}]}}, [], "body.halfspaces[0]: "),
 ], ids=["zero-subsamples", "resolution-not-rational", "zero-denominator", "no-body",
-        "oversized-subsamples", "oversized-grid"])
+        "oversized-subsamples", "oversized-grid", "halfspace-without-a", "halfspaces-not-a-list",
+        "normal-is-a-string", "offset-not-rational"])
 def test_tdiam_invalid_input_exit_2(tmp_path, capsys, config, flags, message):
     cfg = write_config(tmp_path, "bad.json", {"mesh": BOX3, "output_dir": str(tmp_path / "out"),
                                               **config})
@@ -188,8 +193,18 @@ INTERVAL9 = {"kind": "interval", "a": -1, "b": 1, "count": 9}
      "mesh point 1 is not finite"),
     ("vdm", {"mesh": {**INTERVAL9, "weight": {"kind": "table", "log_weights": [0] * 8 + [math.inf]}}},
      [], "+inf"),
+    ("tdiam", {"mesh": {**INTERVAL9, "count": 9.7}}, [], "mesh.count"),
+    ("tdiam", {"mesh": {**INTERVAL9, "count": "abc"}}, [], "mesh.count"),
+    ("tdiam", {"mesh": {"kind": "interval", "a": -1, "b": 1}}, [], "mesh.count"),
+    ("tdiam", {"mesh": {"kind": "torus", "counts": [3, 3], "radii": ["x", 1]}}, [], "mesh.radii"),
+    ("tdiam", {"mesh": {**INTERVAL9, "weight": {"kind": "radial-gaussian", "sigma": "abc"}}}, [],
+     "mesh.weight.sigma"),
+    ("tdiam", {"mesh": {"kind": "product", "factors": [INTERVAL9, {**INTERVAL9, "count": 2.5}]}}, [],
+     "mesh.factors[1].count"),
 ], ids=["alpha-flag", "schedule-flag", "alpha-not-a-list", "k-max-not-int", "k-max-infinity",
-        "k-max-nan", "k-max-fractional", "csv-mesh-no-path", "nan-mesh-point", "infinite-log-weight"])
+        "k-max-nan", "k-max-fractional", "csv-mesh-no-path", "nan-mesh-point", "infinite-log-weight",
+        "count-fractional", "count-not-int", "count-missing", "radius-not-real", "sigma-not-real",
+        "factor-count-fractional"])
 def test_bad_scalar_input_exit_2(tmp_path, capsys, subcommand, config, flags, message):
     cfg = write_config(tmp_path, "bad.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
                                               "output_dir": str(tmp_path / "out"), **config})

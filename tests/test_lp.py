@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 from ctdiam import lp
+from ctdiam.errors import SolverFailure
 from ctdiam.lp import solve_minimax, solve_standard_form
 
 
@@ -177,3 +178,22 @@ def test_pivot_allocates_no_tableau_sized_temporary():
         tracemalloc.stop()
     assert peak < tab.nbytes / 4
     assert basis[7] == 100 and tab[7, 100] == 1.0 and np.count_nonzero(tab[:, 100]) == 1
+
+
+def test_iteration_cap_fails_after_one_attempt(monkeypatch):
+    # the cubic on 401 Chebyshev nodes needs 5 phase-1 iterations; a cap of 2
+    # must raise at once, with no second simplex run under another pivot rule
+    x = -np.cos(np.pi * np.arange(401) / 400)
+    lower = np.vstack([x**0, x**1, x**2]).astype(complex)
+    calls = []
+    original = lp._run_simplex
+
+    def spy(*args):
+        calls.append(args[4])
+        return original(*args)
+
+    monkeypatch.setattr(lp, "_MAX_ITER", 2)
+    monkeypatch.setattr(lp, "_run_simplex", spy)
+    with pytest.raises(SolverFailure, match="^simplex iteration cap exceeded$"):
+        solve_minimax(lower, (x**3).astype(complex), np.zeros(401))
+    assert len(calls) == 1

@@ -77,6 +77,74 @@ def test_radial_gaussian_weight():
     np.testing.assert_allclose(mesh.log_weights, -2.0, atol=1e-12)
 
 
+WEIGHTED3 = {"kind": "interval", "a": -1, "b": 1, "count": 3,
+             "weight": {"kind": "table", "log_weights": [-1, -2, -3]}}
+
+
+def test_product_weight_adds_to_factor_weights():
+    factor_sums = [-2, -3, -4, -3, -4, -5, -4, -5, -6]
+    alone = build_mesh({"kind": "product", "factors": [WEIGHTED3, WEIGHTED3]})
+    assert alone.log_weights.tolist() == factor_sums
+    one = build_mesh({"kind": "product", "factors": [WEIGHTED3, WEIGHTED3], "weight": {"kind": "one"}})
+    assert one.log_weights.tolist() == factor_sums
+    table = build_mesh({"kind": "product", "factors": [WEIGHTED3, WEIGHTED3],
+                        "weight": {"kind": "table", "log_weights": [0.5] * 8 + [-math.inf]}})
+    assert table.log_weights.tolist() == [w + 0.5 for w in factor_sums[:8]] + [-math.inf]
+    assert table.provenance == one.provenance == alone.provenance
+
+
+def test_product_weight_on_unweighted_factors_is_the_weight():
+    spec = {"kind": "circle", "center": 0, "radius": 2, "count": 4}
+    weight = {"kind": "radial-gaussian", "sigma": 1.0}
+    prod = build_mesh({"kind": "product", "factors": [spec, spec], "weight": weight})
+    torus = build_mesh({"kind": "torus", "counts": [4, 4], "radii": [2, 2], "weight": weight})
+    assert prod.log_weights.tobytes() == torus.log_weights.tobytes()
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "circle", "count": 9.7}, "mesh.count"),
+    ({"kind": "circle", "count": "abc"}, "mesh.count"),
+    ({"kind": "circle"}, "mesh.count"),
+    ({"kind": "circle", "count": 4, "radius": "r"}, "mesh.radius"),
+    ({"kind": "circle", "count": 4, "center": [1]}, "mesh.center"),
+    ({"kind": "interval", "b": 1, "count": 3}, "mesh.a"),
+    ({"kind": "box2d", "x": [0, 1], "y": [0], "counts": [2, 2]}, "mesh.y"),
+    ({"kind": "box2d", "x": [0, 1], "y": [0, 1], "counts": [2, 2.5]}, "mesh.counts"),
+    ({"kind": "torus", "counts": 16}, "mesh.counts"),
+    ({"kind": "torus", "counts": [4, 4], "radii": ["x", 1]}, "mesh.radii"),
+    ({"kind": "torus", "counts": [4, 4], "centers": [0, "c"]}, "mesh.centers"),
+    ({"kind": "product"}, "mesh.factors"),
+    ({"kind": "product", "factors": [{"kind": "circle", "count": 4}, {"kind": "circle"}]},
+     "mesh.factors[1].count"),
+    ({"kind": "explicit", "points": [[0, 0], [1]]}, "mesh.points[1]"),
+    ({"kind": "explicit", "points": [[0, "x"]]}, "mesh.points[0]"),
+    ({"kind": "explicit", "points": [[0, 0]], "dim": 0.5}, "mesh.dim"),
+    ({"kind": "circle", "count": 4, "weight": "one"}, "mesh.weight"),
+    ({"kind": "circle", "count": 4, "weight": {"kind": "radial-gaussian", "sigma": "abc"}},
+     "mesh.weight.sigma"),
+    ({"kind": "circle", "count": 2, "weight": {"kind": "table", "log_weights": [0, "w"]}},
+     "mesh.weight.log_weights"),
+    ({"kind": "circle", "count": 2, "weight": {"kind": "table"}}, "mesh.weight.log_weights"),
+], ids=["count-fractional", "count-not-int", "count-missing", "radius-not-real", "center-not-a-pair",
+        "a-missing", "y-not-a-pair", "counts-fractional", "counts-not-a-list", "radii-not-real",
+        "centers-not-complex", "factors-missing", "factor-count-missing", "ragged-points",
+        "point-not-real", "dim-fractional", "weight-not-a-mapping", "sigma-not-real",
+        "log-weight-not-real", "log-weights-missing"])
+def test_malformed_field_is_named(spec, field):
+    with pytest.raises(ValidationError) as exc:
+        build_mesh(spec)
+    assert str(exc.value).startswith(field + " ")
+
+
+def test_valid_provenance_unchanged():
+    # provenance strings appear in report.json, so they echo the spec as given
+    mesh = build_mesh({"kind": "circle", "center": [0, 0], "radius": 1, "count": 8.0})
+    assert len(mesh) == 8
+    assert mesh.provenance == "circle(center=[0, 0], radius=1, count=8.0)"
+    mesh = build_mesh({"kind": "interval", "a": -1, "b": "1", "count": 5, "spacing": "chebyshev-nodes"})
+    assert mesh.provenance == "interval([-1, 1], count=5, chebyshev-nodes)"
+
+
 def test_weight_length_mismatch():
     with pytest.raises(WeightLengthMismatch):
         build_mesh({"kind": "interval", "a": 0, "b": 1, "count": 3,
