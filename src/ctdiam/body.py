@@ -140,12 +140,6 @@ class ConvexBody:
         """Graded degree of the monomial z^alpha: ceil of the gauge (0 for alpha = 0)."""
         return math.ceil(self.gauge(alpha))
 
-    def contains(self, point, scale: Fraction = Fraction(1)) -> bool:
-        """Exact membership of `point` in scale*C."""
-        if any(as_fraction(x) < 0 for x in point):
-            return False
-        return self.gauge(point) <= scale
-
     def coordinate_max(self, j: int) -> Fraction:
         """Exact maximum of x_j over the body."""
         return _coordinate_max(self, j)
@@ -299,16 +293,6 @@ def _lattice_points(body: ConvexBody, k: int) -> tuple[Exponent, ...]:
     pts = list(itertools.compress(candidates, np.all(excess <= 0, axis=1)))
     pts.sort(key=lambda a: cgrevlex_key(body, a))
     return tuple(pts)
-
-
-def cells_in_interior(body: ConvexBody, alphas, k: int) -> np.ndarray:
-    """Whether each lattice cell [alpha - 1/2, alpha + 1/2] / k lies in the interior of C.
-
-    Exact; a cell that touches a coordinate plane is not interior.
-    """
-    corners = 2 * np.asarray(alphas) - 1  # the cell is [corner, corner + 2] / (2k)
-    highest, _ = _box_excess(body, corners, 2, 1, 2 * k)
-    return np.all(corners > 0, axis=1) & np.all(highest < 0, axis=1)
 
 
 # ---------------------------------------------------------------------------

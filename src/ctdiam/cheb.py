@@ -67,13 +67,13 @@ def lower_monomials(body: ConvexBody, k: int, alpha: Exponent, ordering: str) ->
     share, so under that order the answer is the prefix before alpha.
     """
     alpha = tuple(int(a) for a in alpha)
-    # a negative level has no lattice, so the gauge check rejects every alpha
+    # a negative level has no lattice points, so every alpha is rejected
     pos = _lattice_positions(body, k).get(alpha) if k >= 0 else None
-    if pos is None and body.gauge(alpha) > k:
-        raise ValidationError(f"alpha={alpha} lies outside level {k} (gauge {body.gauge(alpha)})")
-    key = order_key(body, ordering)
-    if ordering == CGREVLEX and pos is not None:
+    if pos is None:
+        raise ValidationError(f"alpha={alpha} is not a lattice point of level {k}")
+    if ordering == CGREVLEX:
         return body.lattice_points(k)[:pos]
+    key = order_key(body, ordering)
     cut = key(alpha)
     return [beta for beta in body.lattice_points(k) if key(beta) < cut]
 

@@ -22,8 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .body import (ConvexBody, as_fraction, average_total_degree, body_quadrature,
-                   cells_in_interior, check_dagger)
+from .body import ConvexBody, as_fraction, average_total_degree, check_dagger
 from .cheb import TransformTable, transform_grid
 from .errors import CELL_ERRORS, InsufficientSupport, ValidationError
 from .leja import leja_diameter
@@ -59,33 +58,11 @@ def transform_mean_log(table: TransformTable, ordering: str) -> float:
 
 
 def d_estimate_transform(mesh: Mesh, body: ConvexBody, k: int, ordering: str = CGREVLEX,
-                         m_phases: int = 32, workers: int = 1,
-                         method: str = "lattice-average",
-                         resolution=Fraction(1, 32), subsamples: int = 32) -> float:
-    """Size estimate from the Chebyshev route.
-
-    'lattice-average' exponentiates the mean of log T_k over the level-k
-    lattice (the quantity the factorial sandwich controls directly).
-    'cell-quadrature' integrates the piecewise-constant transform over
-    the 1/k-cell grid, dropping boundary cells; useful as a cross-check
-    once k is large enough for interior cells to exist.
-    """
-    if method not in ("lattice-average", "cell-quadrature"):
-        raise ValidationError(f"unknown transform method {method!r}")
+                         m_phases: int = 32, workers: int = 1) -> float:
+    """Size estimate from the Chebyshev route: exp of the level-k lattice mean of log T_k."""
     table = transform_grid(mesh, body, k, orderings=(ordering,), m_phases=m_phases,
                            workers=workers)
-    if method == "lattice-average":
-        return math.exp(transform_mean_log(table, ordering))
-    volume, _ = body_quadrature(body, resolution, subsamples)
-    interior = cells_in_interior(body, [row.alpha for row in table.rows], k)
-    total = 0.0
-    cell_vol = (1.0 / k) ** body.dim
-    for row, inner in zip(table.rows, interior):
-        if ordering not in row.records:
-            raise ValidationError(f"transform row failed for {row.alpha}")
-        if inner:
-            total += row.records[ordering].log_T * cell_vol
-    return math.exp(total / volume)
+    return math.exp(transform_mean_log(table, ordering))
 
 
 def final_delta(mesh: Mesh, body: ConvexBody, k: int, strategy=None, route: str = "vdm",

@@ -45,11 +45,12 @@ def test_lower_monomials_match_key_filter(request, name, ordering):
 
 
 def test_lower_monomials_outside_lattice(pentagon):
-    # a negative entry keeps the gauge check and the filter
-    assert lower_monomials(pentagon, 2, (-1, 1), CGREVLEX) == [(0, 0)]
-    with pytest.raises(ValidationError, match=r"alpha=\(2, 2\) lies outside level 2 \(gauge 8/3\)"):
+    # (-1, 1) has gauge 1 <= 2 but, with a negative entry, is no lattice point
+    with pytest.raises(ValidationError, match=r"alpha=\(-1, 1\) is not a lattice point of level 2"):
+        lower_monomials(pentagon, 2, (-1, 1), CGREVLEX)
+    with pytest.raises(ValidationError, match=r"alpha=\(2, 2\) is not a lattice point of level 2"):
         lower_monomials(pentagon, 2, (2, 2), CGREVLEX)
-    with pytest.raises(ValidationError, match="outside level -1"):
+    with pytest.raises(ValidationError, match="not a lattice point of level -1"):
         lower_monomials(pentagon, -1, (0, 0), GREVLEX)
 
 

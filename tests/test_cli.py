@@ -177,6 +177,8 @@ def test_tdiam_invalid_input_exit_2(tmp_path, capsys, config, flags, message):
 
 
 INTERVAL9 = {"kind": "interval", "a": -1, "b": 1, "count": 9}
+SIMPLEX2 = {"dim": 2, "halfspaces": [{"a": ["1", "1"], "b": "1"}]}
+TORUS4 = {"kind": "torus", "counts": [4, 4]}
 
 
 @pytest.mark.parametrize("subcommand, config, flags, message", [
@@ -201,10 +203,14 @@ INTERVAL9 = {"kind": "interval", "a": -1, "b": 1, "count": 9}
      "mesh.weight.sigma"),
     ("tdiam", {"mesh": {"kind": "product", "factors": [INTERVAL9, {**INTERVAL9, "count": 2.5}]}}, [],
      "mesh.factors[1].count"),
+    ("cheb", {"body": SIMPLEX2, "mesh": TORUS4, "run": {"k": 2}}, ["--alpha=-1,0"],
+     "alpha=(-1, 0) is not a lattice point of level 2"),
+    ("cheb", {"body": SIMPLEX2, "mesh": TORUS4, "run": {"k": 2}}, ["--alpha=-1,1"],
+     "alpha=(-1, 1) is not a lattice point of level 2"),
 ], ids=["alpha-flag", "schedule-flag", "alpha-not-a-list", "k-max-not-int", "k-max-infinity",
         "k-max-nan", "k-max-fractional", "csv-mesh-no-path", "nan-mesh-point", "infinite-log-weight",
         "count-fractional", "count-not-int", "count-missing", "radius-not-real", "sigma-not-real",
-        "factor-count-fractional"])
+        "factor-count-fractional", "alpha-minus-1-0", "alpha-minus-1-1"])
 def test_bad_scalar_input_exit_2(tmp_path, capsys, subcommand, config, flags, message):
     cfg = write_config(tmp_path, "bad.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
                                               "output_dir": str(tmp_path / "out"), **config})

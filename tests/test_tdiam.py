@@ -1,6 +1,5 @@
 import json
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -73,20 +72,6 @@ def test_d_transform_circle(circle256, simplex1):
 def test_d_transform_zero_when_interpolation_kills_class(simplex1):
     mesh = build_mesh({"kind": "explicit", "points": [[0.0, 0.0]], "dim": 1})
     assert d_estimate_transform(mesh, simplex1, 1) == 0.0
-
-
-def test_d_transform_cell_quadrature_cross_validation(cheb401, simplex1):
-    lattice = d_estimate_transform(cheb401, simplex1, 12)
-    cells = d_estimate_transform(cheb401, simplex1, 12, method="cell-quadrature")
-    assert abs(math.log(cells) - math.log(lattice)) < 0.05
-
-
-def test_d_transform_unknown_method_rejected_before_solving(simplex2):
-    mesh = build_mesh({"kind": "torus", "counts": [8, 8]})
-    with mock.patch("ctdiam.cheb.chebyshev_constant") as solves:
-        with pytest.raises(ValidationError, match="bogus"):
-            d_estimate_transform(mesh, simplex2, 3, method="bogus")
-    assert solves.call_count == 0
 
 
 def test_route_agreement_bounded_by_factorial(mesh7, simplex1):
@@ -378,3 +363,6 @@ def test_final_delta_is_the_last_report_row_of_one_level(case, route):
             assert value.hex() == (d_value ** (1.0 / report.a_n)).hex()
             assert _row_bits(row) == _row_bits(last)
     assert sorted(calls) == ["max_vdm", "transform_grid"]
+    for ordering, d_transform in last.d_transform.items():
+        assert d_estimate_transform(mesh, body, k, ordering=ordering,
+                                    workers=workers).hex() == d_transform.hex()
