@@ -78,14 +78,19 @@ def lower_monomials(body: ConvexBody, k: int, alpha: Exponent, ordering: str) ->
     return [beta for beta in body.lattice_points(k) if key(beta) < cut]
 
 
+def check_m_phases(m_phases: int) -> None:
+    """Reject a polygon relaxation with fewer than 3 phases."""
+    if m_phases < 3:
+        raise ValidationError(f"the polygon relaxation needs m_phases >= 3, got {m_phases}")
+
+
 def chebyshev_constant(mesh: Mesh, body: ConvexBody, k: int, alpha: Exponent,
                        ordering: str = CGREVLEX, m_phases: int = 32) -> ChebyshevRecord:
     """Solve the monic min-max for (k, alpha) on the mesh."""
     alpha = tuple(int(a) for a in alpha)
     if mesh.dim != body.dim:
         raise ValidationError(f"mesh dimension {mesh.dim} != body dimension {body.dim}")
-    if m_phases < 3:
-        raise ValidationError(f"the polygon relaxation needs m_phases >= 3, got {m_phases}")
+    check_m_phases(m_phases)
     support = mesh.support
     if support.size == 0:
         raise DegenerateWeight("no positively weighted mesh points")
@@ -154,6 +159,7 @@ def transform_grid(mesh: Mesh, body: ConvexBody, k: int,
     """
     if k < 1:
         raise ValidationError("transform grid needs k >= 1")
+    check_m_phases(m_phases)  # before the rows, whose handler records it per cell
     cache = {} if cache is None else cache
     alphas = body.lattice_points(k)
     orderings = tuple(orderings)

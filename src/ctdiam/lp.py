@@ -22,6 +22,12 @@ its column reaches, so no tableau-sized temporary is allocated per
 iteration; each entry still receives the one product c_i * r_j an
 outer-product update would subtract.  Every solve is verified against
 its optimality certificate before the result is returned.
+
+Memory: a solve holds F and one preallocated tableau [F^T; 1 | I],
+filled straight from F, and makes no other tableau-sized array; the
+basis columns for the multipliers are read back from F.
+`solve_standard_form` shares the two-phase core and writes B into its
+one [Bw | I] tableau, negating the rows with h < 0 in place.
 """
 
 from __future__ import annotations
@@ -81,28 +87,27 @@ def _run_simplex(tab, rhs, basis, cost, allowed, n_struct):
         _pivot(tab, rhs, basis, row, col)
 
 
-def solve_standard_form(B, h, c):
-    """min c.lam s.t. B lam = h, lam >= 0.
+def _tableau(m, n):
+    """A zero (m, n + m) tableau [. | I]; the caller writes its first n columns."""
+    tab = np.zeros((m, n + m))
+    tab[:, n:] = np.eye(m)
+    return tab
 
-    Returns (value, lam, pi, iterations) where pi are the optimal basis
-    multipliers.  Raises SolverFailure on infeasibility or breakdown.
+
+def _two_phase(tab, rhs, c, columns):
+    """Two-phase simplex on the filled tableau [Bw | I] with right-hand side rhs >= 0.
+
+    `columns(cols)` returns the (m, len(cols)) columns `cols` of Bw; only
+    the optimal basis columns are read, to solve for the multipliers pi.
+    Returns (value, lam, pi, iterations); tab and rhs are overwritten.
     """
-    B = np.asarray(B, dtype=float)
-    h = np.asarray(h, dtype=float)
-    c = np.asarray(c, dtype=float)
-    m, n = B.shape
-    flip = h < 0
-    Bw = B.copy()
-    hw = h.copy()
-    Bw[flip] *= -1.0
-    hw[flip] *= -1.0
-
-    tab = np.hstack([Bw, np.eye(m)])
-    rhs = hw.copy()
+    m = tab.shape[0]
+    n = tab.shape[1] - m
+    feasible_tol = 1e-7 * max(1.0, float(np.abs(rhs).max()))
     basis = np.arange(n, n + m)
     phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
     iters = _run_simplex(tab, rhs, basis, phase1_cost, n + m, n)
-    if float(rhs[basis >= n].sum()) > 1e-7 * max(1.0, float(np.abs(hw).max())):
+    if float(rhs[basis >= n].sum()) > feasible_tol:
         raise SolverFailure("phase 1 ended infeasible")
     for row in range(m):  # drive artificial columns out of the basis when possible
         if basis[row] >= n:
@@ -119,13 +124,35 @@ def solve_standard_form(B, h, c):
     # the basis columns of [Bw | I] and their costs
     basis_matrix = np.zeros((m, m))
     basis_cost = np.zeros(m)
-    basis_matrix[:, in_struct] = Bw[:, basis[in_struct]]
+    basis_matrix[:, in_struct] = columns(basis[in_struct])
     basis_matrix[basis[~in_struct] - n, np.flatnonzero(~in_struct)] = 1.0
     basis_cost[in_struct] = c[basis[in_struct]]
     try:
         pi = np.linalg.solve(basis_matrix.T, basis_cost)
     except np.linalg.LinAlgError:
         pi = np.linalg.lstsq(basis_matrix.T, basis_cost, rcond=None)[0]
+    return value, lam, pi, iters
+
+
+def solve_standard_form(B, h, c):
+    """min c.lam s.t. B lam = h, lam >= 0.
+
+    Returns (value, lam, pi, iterations) where pi are the optimal basis
+    multipliers.  Raises SolverFailure on infeasibility or breakdown.
+    """
+    B = np.asarray(B, dtype=float)
+    h = np.asarray(h, dtype=float)
+    c = np.asarray(c, dtype=float)
+    m, n = B.shape
+    flip = h < 0
+    sign = np.where(flip, -1.0, 1.0)[:, None]  # x * -1.0 is exactly -x
+    tab = _tableau(m, n)
+    tab[:, :n] = B
+    rhs = h.copy()
+    for row in np.flatnonzero(flip):
+        tab[row, :n] *= -1.0
+        rhs[row] *= -1.0
+    value, lam, pi, iters = _two_phase(tab, rhs, c, lambda cols: B[:, cols] * sign)
     pi[flip] *= -1.0
     return value, lam, pi, iters
 
@@ -186,9 +213,14 @@ def solve_minimax(lower_vals, target_vals, log_weight_pow, m_phases: int = 32) -
     low_scaled = lower_vals / col_scale[:, None]
     tgt_scaled = target_vals / target_scale
 
+    # F (one row per constraint, one column per real coefficient) is the
+    # only copy of the constraint data; the tableau is filled from F.T.
+    # Its layout fixes the gemv of the certificate F @ u: column-major on
+    # the real path, row-major on the complex path.
     if real_path:
-        base = (low_scaled.real * W).T  # (npts, d)
-        F = np.vstack([base, -base])
+        F = np.empty((2 * npts, d), order="F")
+        np.multiply(low_scaled.real, W, out=F[:npts].T)
+        np.negative(F[:npts], out=F[npts:])
         g = np.concatenate([W * tgt_scaled.real, -(W * tgt_scaled.real)])
         bracket = 1.0
         n_x = d
@@ -196,18 +228,25 @@ def solve_minimax(lower_vals, target_vals, log_weight_pow, m_phases: int = 32) -
         phases = np.exp(2j * np.pi * np.arange(m_phases) / m_phases)
         rot_low = phases[:, None, None] * low_scaled[None, :, :]  # (m, d, npts)
         rot_tgt = phases[:, None] * tgt_scaled[None, :]  # (m, npts)
-        Fx = (rot_low.real * W[None, None, :]).transpose(0, 2, 1).reshape(-1, d)
-        Fy = (-rot_low.imag * W[None, None, :]).transpose(0, 2, 1).reshape(-1, d)
-        F = np.hstack([Fx, Fy])
+        # row p * npts + j is (Re, -Im) of phase p times the point-j values, times W_j
+        F = np.empty((m_phases * npts, 2 * d))
+        blocks = F.reshape(m_phases, npts, 2 * d).transpose(0, 2, 1)  # (m, 2d, npts) view
+        np.multiply(rot_low.real, W, out=blocks[:, :d])
+        np.multiply(rot_low.imag, -W, out=blocks[:, d:])  # (-a) * b and a * (-b) round alike
+        del rot_low
         g = (rot_tgt.real * W[None, :]).reshape(-1)
         bracket = 1.0 / math.cos(math.pi / m_phases)
         n_x = 2 * d
 
+    # the standard form [F^T; 1] lam = e_last has h >= 0: no row is flipped
     n_rows = F.shape[0]
-    B = np.vstack([F.T, np.ones((1, n_rows))])
-    h = np.zeros(n_x + 1)
-    h[-1] = 1.0
-    value, lam, pi, iters = solve_standard_form(B, h, -g)
+    tab = _tableau(n_x + 1, n_rows)
+    tab[:n_x, :n_rows] = F.T
+    tab[n_x, :n_rows] = 1.0
+    rhs = np.zeros(n_x + 1)
+    rhs[-1] = 1.0
+    value, lam, pi, iters = _two_phase(
+        tab, rhs, -g, lambda cols: np.vstack([F[cols].T, np.ones((1, cols.size))]))
 
     u = pi[:n_x]
     t_star = -pi[-1]

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .body import ConvexBody, as_fraction, average_total_degree, check_dagger
-from .cheb import TransformTable, transform_grid
+from .cheb import TransformTable, check_m_phases, transform_grid
 from .errors import CELL_ERRORS, InsufficientSupport, ValidationError
 from .leja import leja_diameter
 from .mesh import Mesh
@@ -71,6 +71,7 @@ def final_delta(mesh: Mesh, body: ConvexBody, k: int, strategy=None, route: str 
     """Length-scaled diameter estimate D ** (1/A) plus its level-k report row."""
     if route not in ("vdm", "transform"):
         raise ValidationError(f"unknown route {route!r}")
+    check_m_phases(m_phases)
     _check_support(mesh, body, k)
     a_n = average_total_degree(body, as_fraction(resolution), subsamples)
     row = _level_row(mesh, body, k, strategy_from_config(strategy),
@@ -175,6 +176,7 @@ def build_report(mesh: Mesh, body: ConvexBody, k_max: int, options: ReportOption
     """Assemble per-level rows for k = 1..k_max; row-level failures never abort."""
     _check_support(mesh, body, k_max)
     options = options or ReportOptions()
+    check_m_phases(options.m_phases)  # _level_row would record it as a row error
     strategy = strategy_from_config(options.strategy)
     dagger = check_dagger(body, k_max)
     a_n = average_total_degree(body, options.resolution, options.subsamples)

@@ -102,6 +102,20 @@ def test_cheb_polygon_below_three_phases_exit_2(tmp_path, capsys):
     assert "m_phases >= 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["tdiam", "transform"])
+@pytest.mark.parametrize("polygon_m", ["2", "-1"])
+def test_report_polygon_below_three_phases_exit_2(tmp_path, capsys, subcommand, polygon_m):
+    # every transform cell would fail the same way, so the run fails as a whole
+    cfg = write_config(tmp_path, "torus.json", {
+        "body": {"dim": 2, "halfspaces": [{"a": ["1", "1"], "b": "1"}]},
+        "mesh": {"kind": "torus", "counts": [4, 4]},
+        "run": {"k_max": 2},
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main([subcommand, "--config", cfg, f"--polygon-m={polygon_m}"]) == 2
+    assert f"m_phases >= 3, got {polygon_m}" in capsys.readouterr().err
+
+
 def test_enumerate_and_vdm_and_leja(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "cfg.json", {

@@ -6,8 +6,12 @@ import pytest
 from scipy.optimize import linprog
 
 from ctdiam import lp
+from ctdiam.body import simplex_body
+from ctdiam.cheb import lower_monomials
 from ctdiam.errors import SolverFailure
-from ctdiam.lp import solve_minimax, solve_standard_form
+from ctdiam.lp import MinimaxResult, solve_minimax, solve_standard_form
+from ctdiam.mesh import build_mesh, monomial_values
+from ctdiam.order import CGREVLEX
 
 
 def test_standard_form_small():
@@ -178,6 +182,166 @@ def test_pivot_allocates_no_tableau_sized_temporary():
         tracemalloc.stop()
     assert peak < tab.nbytes / 4
     assert basis[7] == 100 and tab[7, 100] == 1.0 and np.count_nonzero(tab[:, 100]) == 1
+
+
+def _reference_standard_form(B, h, c):
+    """Reference solver: [Bw | I] built from a flipped copy of B, as by one hstack."""
+    B = np.asarray(B, dtype=float)
+    h = np.asarray(h, dtype=float)
+    c = np.asarray(c, dtype=float)
+    m, n = B.shape
+    flip = h < 0
+    Bw = B.copy()
+    hw = h.copy()
+    Bw[flip] *= -1.0
+    hw[flip] *= -1.0
+
+    tab = np.hstack([Bw, np.eye(m)])
+    rhs = hw.copy()
+    basis = np.arange(n, n + m)
+    phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
+    iters = lp._run_simplex(tab, rhs, basis, phase1_cost, n + m, n)
+    if float(rhs[basis >= n].sum()) > 1e-7 * max(1.0, float(np.abs(hw).max())):
+        raise SolverFailure("phase 1 ended infeasible")
+    for row in range(m):
+        if basis[row] >= n:
+            nz = np.flatnonzero(np.abs(tab[row, :n]) > 1e-7)
+            if nz.size:
+                lp._pivot(tab, rhs, basis, row, int(nz[0]))
+    phase2_cost = np.concatenate([c, np.zeros(m)])
+    iters += lp._run_simplex(tab, rhs, basis, phase2_cost, n, n)
+
+    lam = np.zeros(n)
+    in_struct = basis < n
+    lam[basis[in_struct]] = rhs[in_struct]
+    value = float(c @ lam)
+    basis_matrix = np.zeros((m, m))
+    basis_cost = np.zeros(m)
+    basis_matrix[:, in_struct] = Bw[:, basis[in_struct]]
+    basis_matrix[basis[~in_struct] - n, np.flatnonzero(~in_struct)] = 1.0
+    basis_cost[in_struct] = c[basis[in_struct]]
+    try:
+        pi = np.linalg.solve(basis_matrix.T, basis_cost)
+    except np.linalg.LinAlgError:
+        pi = np.linalg.lstsq(basis_matrix.T, basis_cost, rcond=None)[0]
+    pi[flip] *= -1.0
+    return value, lam, pi, iters
+
+
+def _reference_minimax(lower_vals, target_vals, log_weight_pow, m_phases=32):
+    """Reference solver: F from Fx/Fy copies, then B = [F^T; 1] for the copying solver."""
+    lower_vals = np.asarray(lower_vals, dtype=complex)
+    target_vals = np.asarray(target_vals, dtype=complex)
+    log_weight_pow = np.asarray(log_weight_pow, dtype=float)
+    d, npts = lower_vals.shape if lower_vals.size else (0, target_vals.shape[0])
+    shift = float(log_weight_pow.max())
+    W = np.exp(log_weight_pow - shift)
+    real_path = bool(np.all(lower_vals.imag == 0) and np.all(target_vals.imag == 0))
+    target_scale = float(np.max(W * np.abs(target_vals)))
+    if d == 0 or target_scale == 0.0:
+        value = target_scale
+        log_value = math.log(value) + shift if value > 0 else -math.inf
+        return MinimaxResult(log_value, np.zeros(d, dtype=complex), 1.0, 0, real_path, 0.0, 0.0)
+
+    col_scale = np.maximum(np.max(W * np.abs(lower_vals), axis=1), 1e-300)
+    low_scaled = lower_vals / col_scale[:, None]
+    tgt_scaled = target_vals / target_scale
+    if real_path:
+        base = (low_scaled.real * W).T
+        F = np.vstack([base, -base])
+        g = np.concatenate([W * tgt_scaled.real, -(W * tgt_scaled.real)])
+        bracket = 1.0
+        n_x = d
+    else:
+        phases = np.exp(2j * np.pi * np.arange(m_phases) / m_phases)
+        rot_low = phases[:, None, None] * low_scaled[None, :, :]
+        rot_tgt = phases[:, None] * tgt_scaled[None, :]
+        Fx = (rot_low.real * W[None, None, :]).transpose(0, 2, 1).reshape(-1, d)
+        Fy = (-rot_low.imag * W[None, None, :]).transpose(0, 2, 1).reshape(-1, d)
+        F = np.hstack([Fx, Fy])
+        g = (rot_tgt.real * W[None, :]).reshape(-1)
+        bracket = 1.0 / math.cos(math.pi / m_phases)
+        n_x = 2 * d
+
+    B = np.vstack([F.T, np.ones((1, F.shape[0]))])
+    h = np.zeros(n_x + 1)
+    h[-1] = 1.0
+    value, lam, pi, iters = _reference_standard_form(B, h, -g)
+    u = pi[:n_x]
+    t_star = -pi[-1]
+    t_poly = float(np.max(F @ u + g))
+    if real_path:
+        coeffs = (u / col_scale).astype(complex) * target_scale
+    else:
+        coeffs = (u[:d] + 1j * u[d:]) / col_scale * target_scale
+    raw = max(t_poly, 0.0) * target_scale
+    log_value = math.log(raw) + shift if raw > 0 else -math.inf
+    return MinimaxResult(log_value, coeffs, bracket, iters, real_path,
+                         feasibility_residual=abs(t_poly - t_star),
+                         duality_gap=abs(t_star - -value))
+
+
+def _torus_instance(count, k, alpha):
+    """Lower and target values of (k, alpha) for the simplex N=2 on a count x count torus."""
+    mesh = build_mesh({"kind": "torus", "counts": [count, count]})
+    lower = lower_monomials(simplex_body(2), k, alpha, CGREVLEX)
+    return monomial_values(mesh.points, lower), monomial_values(mesh.points, [alpha])[0]
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "unweighted", "torus"])
+def test_minimax_bit_identical_to_copying_assembly(kind):
+    rng = np.random.default_rng(20)
+    if kind == "torus":
+        instances = [(*_torus_instance(8, 4, alpha), np.zeros(64))
+                     for alpha in simplex_body(2).lattice_points(4)]
+    else:
+        instances = [_random_minimax(rng, kind != "real") for _ in range(12)]
+    if kind == "unweighted":
+        instances = [(lower, target, np.zeros_like(logw)) for lower, target, logw in instances]
+    for inst in instances:
+        new, ref = solve_minimax(*inst, m_phases=16), _reference_minimax(*inst, m_phases=16)
+        assert new.real_path is ref.real_path
+        assert new.log_value == ref.log_value
+        assert new.iterations == ref.iterations
+        assert new.duality_gap == ref.duality_gap
+        assert new.feasibility_residual == ref.feasibility_residual
+        assert new.bracket_factor == ref.bracket_factor
+        assert new.coefficients.tobytes() == ref.coefficients.tobytes()
+
+
+def test_standard_form_flipped_rows_bit_identical_to_copying_solver():
+    rng = np.random.default_rng(21)
+    flipped = 0
+    for trial in range(25):
+        m, n = int(rng.integers(2, 6)), int(rng.integers(6, 14))
+        B = rng.normal(size=(m, n))
+        B[0] = 1.0  # bounds the feasible set
+        h = B @ rng.uniform(0.1, 1.0, size=n)
+        flipped += int(np.count_nonzero(h < 0))
+        c = rng.normal(size=n)
+        value, lam, pi, iters = solve_standard_form(B, h, c)
+        ref_value, ref_lam, ref_pi, ref_iters = _reference_standard_form(B, h, c)
+        assert value == ref_value and iters == ref_iters
+        assert lam.tobytes() == ref_lam.tobytes()
+        assert pi.tobytes() == ref_pi.tobytes()
+    assert flipped > 0
+
+
+def test_minimax_holds_only_f_and_one_tableau():
+    # a level-5 complex transform LP on a 16x16 torus: F has 32 phases * 256
+    # points rows and 2 * 20 columns, the tableau 41 rows and 8192 + 41 columns
+    lower, target = _torus_instance(16, 5, (5, 0))
+    d, npts = lower.shape
+    n_rows, n_x = 32 * npts, 2 * d
+    working_set = 8 * (n_rows * n_x + (n_x + 1) * (n_rows + n_x + 1))
+    tracemalloc.start()
+    try:
+        res = solve_minimax(lower, target, np.zeros(npts))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (d, npts) == (20, 256) and res.iterations > 0
+    assert peak < 1.25 * working_set
 
 
 def test_iteration_cap_fails_after_one_attempt(monkeypatch):

@@ -105,6 +105,22 @@ def test_final_delta_torus(torus16, square):
     assert d_tr - 1e-9 <= row.d_vdm <= d_tr * inflation + 1e-9
 
 
+@pytest.mark.parametrize("entry", ["build_report", "final_delta_vdm", "final_delta_transform",
+                                   "transform_grid"])
+def test_polygon_below_three_phases_rejected_before_any_cell(monkeypatch, circle64, simplex1, entry):
+    # a per-cell error in every transform cell would hide the bad input
+    monkeypatch.setattr("ctdiam.tdiam.max_vdm", lambda *args: pytest.fail("max_vdm ran"))
+    calls = {
+        "build_report": lambda: build_report(circle64, simplex1, 2, ReportOptions(m_phases=2)),
+        "final_delta_vdm": lambda: final_delta(circle64, simplex1, 2, route="vdm", m_phases=2),
+        "final_delta_transform": lambda: final_delta(circle64, simplex1, 2, route="transform",
+                                                     m_phases=-1),
+        "transform_grid": lambda: transform_grid(circle64, simplex1, 2, m_phases=2),
+    }
+    with pytest.raises(ValidationError, match=r"m_phases >= 3, got -?[12]$"):
+        calls[entry]()
+
+
 def test_leja_between_fekete_bounds_normalized(mesh7, simplex1):
     # (running determinant at M_k) ** (1/L_k) sits between the exact k-th
     # order diameter and its factorial deflation
