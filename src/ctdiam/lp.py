@@ -17,11 +17,13 @@ lexicographic ratio test on the [rhs | B^-1] block, which is
 deterministic and cannot cycle (Dantzig, Orden & Wolfe 1955).  This is
 the only pivot rule: a phase that reaches _MAX_ITER iterations raises
 SolverFailure at once, which a report records as a cell error.
-A pivot updates the tableau in place, row by row and only on the rows
-its column reaches, so no tableau-sized temporary is allocated per
-iteration; each entry still receives the one product c_i * r_j an
-outer-product update would subtract.  Every solve is verified against
-its optimality certificate before the result is returned.
+A pivot updates the tableau in place, in blocks of rows: each block's
+outer product c_i * r_j goes into one buffer of _BLOCK entries (256 KB,
+cache-resident; one row if a row is wider) and is subtracted from the
+block, so no tableau-sized temporary is allocated per iteration and
+each entry receives the one product an outer-product update would
+subtract.  Every solve is verified against its optimality certificate
+before the result is returned.
 
 Memory: a solve holds F and one preallocated tableau [F^T; 1 | I],
 filled straight from F, and makes no other tableau-sized array; the
@@ -42,10 +44,20 @@ from .errors import SolverFailure
 _RC_TOL = 1e-9  # reduced-cost threshold
 _PIV_TOL = 1e-9  # smallest acceptable pivot
 _MAX_ITER = 50000  # per simplex phase; the largest solve seen takes a few hundred
+_BLOCK = 2**15  # float64 entries of the pivot's block buffer: 256 KB, fits in L2
 
 
 def _pivot(tab, rhs, basis, row, col):
-    """Pivot on (row, col) in place, updating only the rows the column reaches."""
+    """Pivot on (row, col) in place, in blocks of max(1, _BLOCK // width) rows.
+
+    Every row but the pivot row subtracts c_i * r_j, computed into one
+    block buffer, so each entry gets the bits of a row-by-row update.  A
+    row the column does not reach (c_i == 0) subtracts +-0, which leaves
+    its values unchanged but may turn a -0.0 into +0.0; no decision reads
+    that sign (pricing, the ratio test, lexsort and the drive-out test
+    treat +-0 alike).  rhs changes only on the reached rows.
+    """
+    m, width = tab.shape
     pivot_row = tab[row]
     piv = pivot_row[col]
     pivot_row /= piv
@@ -53,9 +65,14 @@ def _pivot(tab, rhs, basis, row, col):
     colvals = tab[:, col].copy()
     colvals[row] = 0.0
     reached = np.flatnonzero(colvals)
-    for i in reached:
-        tab[i] -= colvals[i] * pivot_row
     rhs[reached] -= colvals[reached] * rhs[row]
+    step = max(1, _BLOCK // width)
+    buf = np.empty((min(step, m), width))
+    for first, stop in ((0, row), (row + 1, m)):
+        for a in range(first, stop, step):
+            b = min(a + step, stop)
+            np.multiply.outer(colvals[a:b], pivot_row, out=buf[:b - a])
+            np.subtract(tab[a:b], buf[:b - a], out=tab[a:b])
     tab[:, col] = 0.0
     tab[row, col] = 1.0
     basis[row] = col

@@ -247,7 +247,7 @@ def _exchange_passes(z, logw, k, sel: list[int], m_k: int):
 def _greedy(mesh, body, k, strategy: Greedy):
     basis, m_k, support, z, logw = _support_data(mesh, body, k)
     ns = support.size
-    seeds = sorted(range(ns), key=lambda i: (-logw[i], i))[: max(1, min(strategy.restarts, ns))]
+    seeds = sorted(range(ns), key=lambda i: (-logw[i], i))[: min(strategy.restarts, ns)]
     best_val = -math.inf
     best_sel = None
     for start in seeds:
@@ -269,7 +269,7 @@ def max_vdm(mesh: Mesh, body: ConvexBody, k: int, strategy=None) -> MaxVdmResult
     """
     if k < 1:
         raise ValidationError("max_vdm needs k >= 1")
-    strategy = strategy if strategy is not None else Greedy()
+    strategy = _checked(strategy if strategy is not None else Greedy())
     if isinstance(strategy, BruteForce):
         return _brute_force(mesh, body, k, strategy)
     if isinstance(strategy, Greedy):
@@ -282,21 +282,33 @@ def fekete_points(mesh: Mesh, body: ConvexBody, k: int, strategy=None) -> list[i
     return list(max_vdm(mesh, body, k, strategy).value.point_indices)
 
 
+def _checked(strategy):
+    """`strategy` itself, or ValidationError naming a restart count or cap below 1."""
+    if isinstance(strategy, Greedy) and strategy.restarts < 1:
+        raise ValidationError(f"run.strategy.restarts must be >= 1, got {strategy.restarts}")
+    if isinstance(strategy, BruteForce) and strategy.cap < 1:
+        raise ValidationError(f"run.strategy.cap must be >= 1, got {strategy.cap}")
+    return strategy
+
+
 def strategy_from_config(raw) -> BruteForce | Greedy:
     """Strategy object from its config form run.strategy = {'kind': 'brute-force' | 'greedy', ...}."""
     if raw is None:
         return Greedy()
     if isinstance(raw, (BruteForce, Greedy)):
-        return raw
+        return _checked(raw)
     if not isinstance(raw, dict):
         raise ValidationError(f"run.strategy must be a JSON object with a 'kind', got {raw!r}")
     kind = raw.get("kind")
     if kind == "brute-force":
-        return BruteForce(cap=as_int(raw.get("cap", BruteForce.cap), "run.strategy.cap"))
-    if kind == "greedy":
-        return Greedy(restarts=as_int(raw.get("restarts", Greedy.restarts), "run.strategy.restarts"),
-                      seed=as_int(raw.get("seed", Greedy.seed), "run.strategy.seed"))
-    raise ValidationError(f"unknown run.strategy kind {kind!r}")
+        strategy = BruteForce(cap=as_int(raw.get("cap", BruteForce.cap), "run.strategy.cap"))
+    elif kind == "greedy":
+        strategy = Greedy(
+            restarts=as_int(raw.get("restarts", Greedy.restarts), "run.strategy.restarts"),
+            seed=as_int(raw.get("seed", Greedy.seed), "run.strategy.seed"))
+    else:
+        raise ValidationError(f"unknown run.strategy kind {kind!r}")
+    return _checked(strategy)
 
 
 def fekete_to_dict(mesh: Mesh, result: MaxVdmResult) -> dict:

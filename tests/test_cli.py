@@ -238,7 +238,12 @@ def test_bad_scalar_input_exit_2(tmp_path, capsys, subcommand, config, flags, me
     ({"kind": "greedy", "restarts": 2.5}, "run.strategy.restarts"),
     ({"kind": "brute-force", "cap": "many"}, "run.strategy.cap"),
     ("greedy", "run.strategy must be a JSON object"),
-], ids=["restarts-not-int", "restarts-fractional", "cap-not-int", "not-an-object"])
+    ({"kind": "greedy", "restarts": -3}, "run.strategy.restarts must be >= 1, got -3"),
+    ({"kind": "greedy", "restarts": 0}, "run.strategy.restarts must be >= 1, got 0"),
+    ({"kind": "brute-force", "cap": -1}, "run.strategy.cap must be >= 1, got -1"),
+    ({"kind": "brute-force", "cap": 0}, "run.strategy.cap must be >= 1, got 0"),
+], ids=["restarts-not-int", "restarts-fractional", "cap-not-int", "not-an-object",
+        "restarts-negative", "restarts-zero", "cap-negative", "cap-zero"])
 def test_bad_strategy_exit_2(tmp_path, capsys, subcommand, strategy, message):
     cfg = write_config(tmp_path, "bad.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
                                               "run": {"k_max": 2, "strategy": strategy},

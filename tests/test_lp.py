@@ -184,6 +184,73 @@ def test_pivot_allocates_no_tableau_sized_temporary():
     assert basis[7] == 100 and tab[7, 100] == 1.0 and np.count_nonzero(tab[:, 100]) == 1
 
 
+def _row_pivot(tab, rhs, basis, row, col):
+    """Reference pivot: one reached row at a time, as before the block update."""
+    pivot_row = tab[row]
+    piv = pivot_row[col]
+    pivot_row /= piv
+    rhs[row] /= piv
+    colvals = tab[:, col].copy()
+    colvals[row] = 0.0
+    reached = np.flatnonzero(colvals)
+    for i in reached:
+        tab[i] -= colvals[i] * pivot_row
+    rhs[reached] -= colvals[reached] * rhs[row]
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+    basis[row] = col
+
+
+@pytest.mark.parametrize("shape", [(41, 8233), (35, 4643), (23, 455)])
+def test_block_pivot_matches_row_pivot(shape):
+    # the largest torus-complex and pentagon tableaux (blocks of 3 and 7 rows)
+    # and a small one (one block); pivot rows 0 and m - 1 leave the rows before
+    # or after the pivot row empty, and the first pivot column does not reach
+    # the even rows
+    m, width = shape
+    rng = np.random.default_rng(m)
+    tab = rng.normal(size=shape)
+    tab[::2, 5] = 0.0
+    rhs = rng.uniform(size=m)
+    basis = np.arange(width - m, width)
+    ref_tab, ref_rhs, ref_basis = tab.copy(), rhs.copy(), basis.copy()
+    for row, col in [(1, 5), (0, 17), (m - 1, 40), (m // 2, 3), (m - 1, 9), (0, 2)]:
+        lp._pivot(tab, rhs, basis, row, col)
+        _row_pivot(ref_tab, ref_rhs, ref_basis, row, col)
+    # array_equal: an unreached row may turn -0.0 into +0.0, which compares equal
+    assert np.array_equal(tab, ref_tab)
+    assert np.array_equal(rhs, ref_rhs)
+    assert np.array_equal(basis, ref_basis)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_block_pivot_solves_torus_like_row_pivot(monkeypatch, weighted):
+    # a complex torus 8x8 instance at level 4: 25 tableau rows in blocks of 15
+    lower, target = _torus_instance(8, 4, (2, 2))
+    logw = np.random.default_rng(4).uniform(-1.0, 1.0, 64) if weighted else np.zeros(64)
+    new = solve_minimax(lower, target, logw)
+    monkeypatch.setattr(lp, "_pivot", _row_pivot)
+    ref = solve_minimax(lower, target, logw)
+    assert not new.real_path
+    assert new.log_value == ref.log_value
+    assert new.iterations == ref.iterations > 0
+    assert new.coefficients.tobytes() == ref.coefficients.tobytes()
+
+
+def test_block_pivot_peak_is_one_block_buffer():
+    rng = np.random.default_rng(5)
+    tab = rng.normal(size=(41, 8233))
+    rhs = rng.uniform(size=41)
+    basis = np.arange(8192, 8233)
+    tracemalloc.start()
+    try:
+        lp._pivot(tab, rhs, basis, 20, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * lp._BLOCK + tab[0].nbytes
+
+
 def _reference_standard_form(B, h, c):
     """Reference solver: [Bw | I] built from a flipped copy of B, as by one hstack."""
     B = np.asarray(B, dtype=float)

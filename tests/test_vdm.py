@@ -231,6 +231,16 @@ def test_strategy_from_config():
         strategy_from_config({"kind": "annealing"})
 
 
+@pytest.mark.parametrize("strategy, field", [(Greedy(restarts=0), "run.strategy.restarts"),
+                                             (BruteForce(cap=-1), "run.strategy.cap")],
+                         ids=["greedy", "brute-force"])
+def test_nonpositive_strategy_counts_are_rejected(mesh5, simplex1, strategy, field):
+    with pytest.raises(ValidationError, match=field):
+        strategy_from_config(strategy)
+    with pytest.raises(ValidationError, match=field):
+        max_vdm(mesh5, simplex1, 2, strategy)
+
+
 def test_fekete_to_dict(mesh5, simplex1):
     result = max_vdm(mesh5, simplex1, 2, BruteForce())
     payload = fekete_to_dict(mesh5, result)
