@@ -41,10 +41,11 @@ def as_fraction(value) -> Fraction:
 
     Floats are rejected: their binary expansion is almost never the
     rational the caller meant, and exactness is load-bearing here.
+    So are booleans, which Python counts as the ints 0 and 1.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -58,9 +59,9 @@ def as_int(value, field: str) -> int:
     """Coerce a config value to int, or raise ValidationError naming `field`.
 
     Integral floats such as 4.0 are accepted; int() alone would truncate
-    2.9 and overflow on JSON's Infinity.
+    2.9, overflow on JSON's Infinity and read true as 1.
     """
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValidationError(f"{field} must be an integer, got {value!r}")
     try:
         return int(value)
@@ -168,7 +169,7 @@ def validate_body(halfspaces, dim: int) -> ConvexBody:
     mappings) with rational entries.  Raises NonpositiveOffset,
     SimplexNotContained, or Unbounded when an invariant fails.
     """
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValidationError(f"dim must be a positive integer, got {dim!r}")
     if not isinstance(halfspaces, (list, tuple)):
         raise ValidationError(f"body.halfspaces must be a list, got {halfspaces!r}")

@@ -28,8 +28,6 @@ before the result is returned.
 Memory: a solve holds F and one preallocated tableau [F^T; 1 | I],
 filled straight from F, and makes no other tableau-sized array; the
 basis columns for the multipliers are read back from F.
-`solve_standard_form` shares the two-phase core and writes B into its
-one [Bw | I] tableau, negating the rows with h < 0 in place.
 """
 
 from __future__ import annotations
@@ -104,27 +102,19 @@ def _run_simplex(tab, rhs, basis, cost, allowed, n_struct):
         _pivot(tab, rhs, basis, row, col)
 
 
-def _tableau(m, n):
-    """A zero (m, n + m) tableau [. | I]; the caller writes its first n columns."""
-    tab = np.zeros((m, n + m))
-    tab[:, n:] = np.eye(m)
-    return tab
+def _two_phase(tab, rhs, c, F):
+    """Two-phase simplex on the filled tableau [F^T; 1 | I] with rhs = e_last.
 
-
-def _two_phase(tab, rhs, c, columns):
-    """Two-phase simplex on the filled tableau [Bw | I] with right-hand side rhs >= 0.
-
-    `columns(cols)` returns the (m, len(cols)) columns `cols` of Bw; only
-    the optimal basis columns are read, to solve for the multipliers pi.
-    Returns (value, lam, pi, iterations); tab and rhs are overwritten.
+    Only the optimal basis columns of [F^T; 1] are read back from F, to
+    solve for the multipliers pi.  Returns (value, lam, pi, iterations);
+    tab and rhs are overwritten.
     """
     m = tab.shape[0]
     n = tab.shape[1] - m
-    feasible_tol = 1e-7 * max(1.0, float(np.abs(rhs).max()))
     basis = np.arange(n, n + m)
     phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
     iters = _run_simplex(tab, rhs, basis, phase1_cost, n + m, n)
-    if float(rhs[basis >= n].sum()) > feasible_tol:
+    if float(rhs[basis >= n].sum()) > 1e-7:
         raise SolverFailure("phase 1 ended infeasible")
     for row in range(m):  # drive artificial columns out of the basis when possible
         if basis[row] >= n:
@@ -138,39 +128,17 @@ def _two_phase(tab, rhs, c, columns):
     in_struct = basis < n
     lam[basis[in_struct]] = rhs[in_struct]
     value = float(c @ lam)
-    # the basis columns of [Bw | I] and their costs
+    # the basis columns of [F^T; 1 | I] and their costs
     basis_matrix = np.zeros((m, m))
     basis_cost = np.zeros(m)
-    basis_matrix[:, in_struct] = columns(basis[in_struct])
+    basis_matrix[:m - 1, in_struct] = F[basis[in_struct]].T
+    basis_matrix[m - 1, in_struct] = 1.0
     basis_matrix[basis[~in_struct] - n, np.flatnonzero(~in_struct)] = 1.0
     basis_cost[in_struct] = c[basis[in_struct]]
     try:
         pi = np.linalg.solve(basis_matrix.T, basis_cost)
     except np.linalg.LinAlgError:
         pi = np.linalg.lstsq(basis_matrix.T, basis_cost, rcond=None)[0]
-    return value, lam, pi, iters
-
-
-def solve_standard_form(B, h, c):
-    """min c.lam s.t. B lam = h, lam >= 0.
-
-    Returns (value, lam, pi, iterations) where pi are the optimal basis
-    multipliers.  Raises SolverFailure on infeasibility or breakdown.
-    """
-    B = np.asarray(B, dtype=float)
-    h = np.asarray(h, dtype=float)
-    c = np.asarray(c, dtype=float)
-    m, n = B.shape
-    flip = h < 0
-    sign = np.where(flip, -1.0, 1.0)[:, None]  # x * -1.0 is exactly -x
-    tab = _tableau(m, n)
-    tab[:, :n] = B
-    rhs = h.copy()
-    for row in np.flatnonzero(flip):
-        tab[row, :n] *= -1.0
-        rhs[row] *= -1.0
-    value, lam, pi, iters = _two_phase(tab, rhs, c, lambda cols: B[:, cols] * sign)
-    pi[flip] *= -1.0
     return value, lam, pi, iters
 
 
@@ -255,15 +223,15 @@ def solve_minimax(lower_vals, target_vals, log_weight_pow, m_phases: int = 32) -
         bracket = 1.0 / math.cos(math.pi / m_phases)
         n_x = 2 * d
 
-    # the standard form [F^T; 1] lam = e_last has h >= 0: no row is flipped
+    # the standard form [F^T; 1] lam = e_last, lam >= 0, in one tableau [F^T; 1 | I]
     n_rows = F.shape[0]
-    tab = _tableau(n_x + 1, n_rows)
+    tab = np.zeros((n_x + 1, n_rows + n_x + 1))
     tab[:n_x, :n_rows] = F.T
     tab[n_x, :n_rows] = 1.0
+    tab[:, n_rows:] = np.eye(n_x + 1)
     rhs = np.zeros(n_x + 1)
     rhs[-1] = 1.0
-    value, lam, pi, iters = _two_phase(
-        tab, rhs, -g, lambda cols: np.vstack([F[cols].T, np.ones((1, cols.size))]))
+    value, lam, pi, iters = _two_phase(tab, rhs, -g, F)
 
     u = pi[:n_x]
     t_star = -pi[-1]

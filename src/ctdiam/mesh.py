@@ -174,6 +174,8 @@ def weighted_sup_norm(mesh: Mesh, poly: Polynomial, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _as_real(value, field: str) -> float:
+    if isinstance(value, bool):  # float(True) is 1.0
+        raise ValidationError(f"{field} must be a real number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -191,6 +193,8 @@ def _as_complex(value, field: str) -> complex:
     if isinstance(value, (list, tuple)):
         re, im = _as_list(value, field, 2)
         return complex(_as_real(re, field), _as_real(im, field))
+    if isinstance(value, bool):
+        raise ValidationError(f"{field} must be a number or [re, im], got {value!r}")
     try:
         return complex(value)
     except (TypeError, ValueError):

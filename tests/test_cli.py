@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import ctdiam
 from ctdiam.cli import main
 
 SIMPLEX1 = {"dim": 1, "halfspaces": [{"a": ["1"], "b": "1"}]}
@@ -180,9 +183,12 @@ BOX3 = {"kind": "box2d", "x": [0, 1], "y": [0, 1], "counts": [3, 3]}
     ({"body": {"dim": 2, "halfspaces": 5}}, [], "body.halfspaces"),
     ({"body": {"dim": 2, "halfspaces": [{"a": "12", "b": "2"}]}}, [], "body.halfspaces[0].a"),
     ({"body": {"dim": 1, "halfspaces": [{"a": ["1"], "b": "x"}]}}, [], "body.halfspaces[0]: "),
+    ({"body": PENTAGON, "run": {"k_max": True}}, [], "run.k_max"),
+    ({"body": {"dim": 2, "halfspaces": [{"a": ["1", "1"], "b": True}]}}, [], "body.halfspaces[0]: "),
+    ({"body": {"dim": True, "halfspaces": [{"a": ["1"], "b": "1"}]}}, [], "dim must be a positive"),
 ], ids=["zero-subsamples", "resolution-not-rational", "zero-denominator", "no-body",
         "oversized-subsamples", "oversized-grid", "halfspace-without-a", "halfspaces-not-a-list",
-        "normal-is-a-string", "offset-not-rational"])
+        "normal-is-a-string", "offset-not-rational", "k-max-true", "offset-true", "dim-true"])
 def test_tdiam_invalid_input_exit_2(tmp_path, capsys, config, flags, message):
     cfg = write_config(tmp_path, "bad.json", {"mesh": BOX3, "output_dir": str(tmp_path / "out"),
                                               **config})
@@ -242,8 +248,9 @@ def test_bad_scalar_input_exit_2(tmp_path, capsys, subcommand, config, flags, me
     ({"kind": "greedy", "restarts": 0}, "run.strategy.restarts must be >= 1, got 0"),
     ({"kind": "brute-force", "cap": -1}, "run.strategy.cap must be >= 1, got -1"),
     ({"kind": "brute-force", "cap": 0}, "run.strategy.cap must be >= 1, got 0"),
+    ({"kind": "greedy", "restarts": True}, "run.strategy.restarts"),
 ], ids=["restarts-not-int", "restarts-fractional", "cap-not-int", "not-an-object",
-        "restarts-negative", "restarts-zero", "cap-negative", "cap-zero"])
+        "restarts-negative", "restarts-zero", "cap-negative", "cap-zero", "restarts-true"])
 def test_bad_strategy_exit_2(tmp_path, capsys, subcommand, strategy, message):
     cfg = write_config(tmp_path, "bad.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
                                               "run": {"k_max": 2, "strategy": strategy},
@@ -293,3 +300,24 @@ def test_workers_env_override(tmp_path, monkeypatch):
     })
     monkeypatch.setenv("CTDIAM_WORKERS", "2")
     assert main(["transform", "--config", cfg]) == 0
+
+
+# scipy is None in sys.modules, so any import of it raises ImportError
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from ctdiam.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_tdiam_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy is an oracle of the tests
+    cfg = write_config(tmp_path, "torus.json", {
+        "body": SIMPLEX2, "mesh": {"kind": "torus", "counts": [6, 6]},
+        "run": {"k_max": 2, "include_leja": True}, "output_dir": str(tmp_path / "out")})
+    src = os.path.dirname(os.path.dirname(ctdiam.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, "tdiam", "--config", cfg],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

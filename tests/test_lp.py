@@ -9,36 +9,9 @@ from ctdiam import lp
 from ctdiam.body import simplex_body
 from ctdiam.cheb import lower_monomials
 from ctdiam.errors import SolverFailure
-from ctdiam.lp import MinimaxResult, solve_minimax, solve_standard_form
+from ctdiam.lp import MinimaxResult, solve_minimax
 from ctdiam.mesh import build_mesh, monomial_values
 from ctdiam.order import CGREVLEX
-
-
-def test_standard_form_small():
-    # min -x1 - x2 over the probability simplex in 3 variables
-    B = np.array([[1.0, 1.0, 1.0]])
-    h = np.array([1.0])
-    c = np.array([-1.0, -1.0, 0.0])
-    value, lam, pi, iters = solve_standard_form(B, h, c)
-    assert value == pytest.approx(-1.0, abs=1e-12)
-    assert lam.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_standard_form_against_scipy():
-    rng = np.random.default_rng(1234)
-    for trial in range(25):
-        m, n = int(rng.integers(2, 6)), int(rng.integers(6, 14))
-        B = rng.normal(size=(m, n))
-        x_feas = rng.uniform(0.1, 1.0, size=n)
-        h = B @ x_feas  # guarantees feasibility
-        c = rng.normal(size=n)
-        ref = linprog(c, A_eq=B, b_eq=h, bounds=(0, None), method="highs")
-        if not ref.success:
-            continue
-        value, lam, pi, iters = solve_standard_form(B, h, c)
-        assert value == pytest.approx(ref.fun, abs=1e-7 * max(1.0, abs(ref.fun)))
-        np.testing.assert_allclose(B @ lam, h, atol=1e-8)
-        assert np.all(lam >= -1e-9)
 
 
 def test_minimax_real_chebyshev_degree3():
@@ -73,25 +46,31 @@ def test_minimax_complex_circle_monomial():
     assert np.all(np.abs(res.coefficients) < 1e-6)
 
 
-def test_minimax_complex_against_scipy_epigraph():
-    # cross-check the polygonal optimum against an independent LP formulation
+@pytest.mark.parametrize("complex_mesh", [True, False], ids=["complex", "real"])
+def test_minimax_against_scipy_epigraph(complex_mesh):
+    # cross-check the optimum against an independent epigraph LP: minimize t
+    # subject to W Re(phase * (target + lower^T a)) <= t over every point and
+    # phase, for complex a and 8 phases on a complex mesh (the polygonal
+    # optimum) and for real a and the phases +-1 on a real mesh (the exact one)
     rng = np.random.default_rng(7)
-    for trial in range(5):
-        pts = rng.normal(size=12) + 1j * rng.normal(size=12)
-        lower = np.vstack([np.ones(12, dtype=complex), pts])
-        target = pts**2
-        res = solve_minimax(lower, target, np.zeros(12), m_phases=8)
-        m = 8
-        phases = np.exp(2j * np.pi * np.arange(m) / m)
-        rot_low = phases[:, None, None] * lower[None, :, :]
-        rot_tgt = phases[:, None] * target[None, :]
-        Fx = rot_low.real.transpose(0, 2, 1).reshape(-1, 2)
-        Fy = (-rot_low.imag).transpose(0, 2, 1).reshape(-1, 2)
-        A = np.hstack([Fx, Fy, -np.ones((Fx.shape[0], 1))])
+    m = 8 if complex_mesh else 2
+    phases = np.exp(2j * np.pi * np.arange(m) / m)
+    for trial in range(20):
+        lower, target, logw = _random_minimax(rng, complex_mesh)
+        res = solve_minimax(lower, target, logw, m_phases=8)
+        assert res.real_path is not complex_mesh
+        d = lower.shape[0]
+        W = np.exp(logw)
+        rot_low = phases[:, None, None] * lower[None, :, :] * W
+        rot_tgt = phases[:, None] * target[None, :] * W
+        Fx = rot_low.real.transpose(0, 2, 1).reshape(-1, d)
+        Fy = (-rot_low.imag).transpose(0, 2, 1).reshape(-1, d)
+        blocks = [Fx, Fy] if complex_mesh else [Fx]
+        A = np.hstack([*blocks, -np.ones((Fx.shape[0], 1))])
         b = -rot_tgt.real.reshape(-1)
-        cost = np.zeros(5)
+        cost = np.zeros(A.shape[1])
         cost[-1] = 1.0
-        ref = linprog(cost, A_ub=A, b_ub=b, bounds=[(None, None)] * 5, method="highs")
+        ref = linprog(cost, A_ub=A, b_ub=b, bounds=[(None, None)] * A.shape[1], method="highs")
         assert ref.success
         assert math.exp(res.log_value) == pytest.approx(ref.fun, abs=1e-7 * max(1.0, ref.fun))
 
@@ -374,24 +353,6 @@ def test_minimax_bit_identical_to_copying_assembly(kind):
         assert new.feasibility_residual == ref.feasibility_residual
         assert new.bracket_factor == ref.bracket_factor
         assert new.coefficients.tobytes() == ref.coefficients.tobytes()
-
-
-def test_standard_form_flipped_rows_bit_identical_to_copying_solver():
-    rng = np.random.default_rng(21)
-    flipped = 0
-    for trial in range(25):
-        m, n = int(rng.integers(2, 6)), int(rng.integers(6, 14))
-        B = rng.normal(size=(m, n))
-        B[0] = 1.0  # bounds the feasible set
-        h = B @ rng.uniform(0.1, 1.0, size=n)
-        flipped += int(np.count_nonzero(h < 0))
-        c = rng.normal(size=n)
-        value, lam, pi, iters = solve_standard_form(B, h, c)
-        ref_value, ref_lam, ref_pi, ref_iters = _reference_standard_form(B, h, c)
-        assert value == ref_value and iters == ref_iters
-        assert lam.tobytes() == ref_lam.tobytes()
-        assert pi.tobytes() == ref_pi.tobytes()
-    assert flipped > 0
 
 
 def test_minimax_holds_only_f_and_one_tableau():

@@ -125,11 +125,14 @@ def test_product_weight_on_unweighted_factors_is_the_weight():
     ({"kind": "circle", "count": 2, "weight": {"kind": "table", "log_weights": [0, "w"]}},
      "mesh.weight.log_weights"),
     ({"kind": "circle", "count": 2, "weight": {"kind": "table"}}, "mesh.weight.log_weights"),
+    ({"kind": "circle", "count": True}, "mesh.count"),
+    ({"kind": "circle", "count": 4, "radius": True}, "mesh.radius"),
+    ({"kind": "circle", "count": 4, "center": False}, "mesh.center"),
 ], ids=["count-fractional", "count-not-int", "count-missing", "radius-not-real", "center-not-a-pair",
         "a-missing", "y-not-a-pair", "counts-fractional", "counts-not-a-list", "radii-not-real",
         "centers-not-complex", "factors-missing", "factor-count-missing", "ragged-points",
         "point-not-real", "dim-fractional", "weight-not-a-mapping", "sigma-not-real",
-        "log-weight-not-real", "log-weights-missing"])
+        "log-weight-not-real", "log-weights-missing", "count-true", "radius-true", "center-false"])
 def test_malformed_field_is_named(spec, field):
     with pytest.raises(ValidationError) as exc:
         build_mesh(spec)
