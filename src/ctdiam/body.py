@@ -36,8 +36,10 @@ from .errors import (
 Exponent = tuple[int, ...]
 
 
-def as_fraction(value) -> Fraction:
+def as_fraction(value, field: str) -> Fraction:
     """Coerce int / Fraction / 'p/q' string to an exact Fraction.
+
+    A value that is none of these raises ValidationError naming `field`.
 
     Floats are rejected: their binary expansion is almost never the
     rational the caller meant, and exactness is load-bearing here.
@@ -51,8 +53,9 @@ def as_fraction(value) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"not an exact rational: {value!r} ({exc})") from exc
-    raise ValidationError(f"expected an exact rational (int, Fraction, or 'p/q' string), got {value!r}")
+            raise ValidationError(f"{field}: not an exact rational: {value!r} ({exc})") from exc
+    raise ValidationError(
+        f"{field}: expected an exact rational (int, Fraction, or 'p/q' string), got {value!r}")
 
 
 def as_int(value, field: str) -> int:
@@ -202,10 +205,7 @@ def _halfspace_entry(entry, field: str) -> tuple[tuple[Fraction, ...], Fraction]
         raise ValidationError(f"{field} must be {{'a': [...], 'b': ...}}, got {entry!r}")
     if not isinstance(a, (list, tuple)):
         raise ValidationError(f"{field}.a must be a list of rationals, got {a!r}")
-    try:
-        return tuple(as_fraction(x) for x in a), as_fraction(b)
-    except ValidationError as exc:
-        raise ValidationError(f"{field}: {exc}") from None
+    return tuple(as_fraction(x, field) for x in a), as_fraction(b, field)
 
 
 def parse_body_spec(spec: dict) -> ConvexBody:
@@ -422,7 +422,7 @@ def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: in
     Full cells are exact for the linear integrand; boundary cells use a
     sampled fraction with sub^N midpoints.
     """
-    resolution = as_fraction(resolution)
+    resolution = as_fraction(resolution, "resolution")
     if resolution <= 0:
         raise ValidationError("resolution must be positive")
     if subsamples < 1:
@@ -556,7 +556,7 @@ def simplex_body(dim: int) -> ConvexBody:
 
 def box_body(dim: int, sides=None) -> ConvexBody:
     """Axis-aligned box [0, s_1] x ... x [0, s_N] (unit cube by default)."""
-    sides = [Fraction(1)] * dim if sides is None else [as_fraction(s) for s in sides]
+    sides = [Fraction(1)] * dim if sides is None else [as_fraction(s, "sides") for s in sides]
     rows = []
     for j, s in enumerate(sides):
         a = tuple(Fraction(int(i == j)) for i in range(dim))

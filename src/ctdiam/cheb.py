@@ -21,9 +21,14 @@ import numpy as np
 
 from .body import ConvexBody, Exponent, as_fraction, check_dagger
 from .errors import CELL_ERRORS, DegenerateWeight, ThetaNotInterior, ValidationError
-from .lp import solve_minimax
+from .lp import is_real_instance, lp_entries, solve_minimax
 from .mesh import Mesh, Polynomial, monomial_values
 from .order import CGREVLEX, GREVLEX, order_key
+
+# float64 entries of F plus the tableau of one min-max LP (256 MB): about
+# 50 times the largest benchmark instance (torus 16x16 at level 5, 0.67 M),
+# below a torus 64x64 at level 12 (47 M entries, 380 MB per solve)
+_MAX_LP_ENTRIES = 2**25
 
 
 @dataclass
@@ -84,16 +89,25 @@ def check_m_phases(m_phases: int) -> None:
         raise ValidationError(f"the polygon relaxation needs m_phases >= 3, got {m_phases}")
 
 
-def chebyshev_constant(mesh: Mesh, body: ConvexBody, k: int, alpha: Exponent,
-                       ordering: str = CGREVLEX, m_phases: int = 32) -> ChebyshevRecord:
-    """Solve the monic min-max for (k, alpha) on the mesh."""
-    alpha = tuple(int(a) for a in alpha)
+def _check_instance(mesh: Mesh, body: ConvexBody, m_phases: int) -> None:
+    """The checks of a min-max instance that do not depend on k, alpha or the ordering."""
     if mesh.dim != body.dim:
         raise ValidationError(f"mesh dimension {mesh.dim} != body dimension {body.dim}")
     check_m_phases(m_phases)
-    support = mesh.support
-    if support.size == 0:
+    if mesh.support.size == 0:
         raise DegenerateWeight("no positively weighted mesh points")
+
+
+def chebyshev_constant(mesh: Mesh, body: ConvexBody, k: int, alpha: Exponent,
+                       ordering: str = CGREVLEX, m_phases: int = 32) -> ChebyshevRecord:
+    """Solve the monic min-max for (k, alpha) on the mesh.
+
+    An instance whose LP would hold more than _MAX_LP_ENTRIES floats
+    raises ValidationError before the LP allocates anything.
+    """
+    alpha = tuple(int(a) for a in alpha)
+    _check_instance(mesh, body, m_phases)
+    support = mesh.support
     lower = lower_monomials(body, k, alpha, ordering)
     # the origin exponent precedes every other one in both orders, so only
     # alpha = 0 may have an empty class tail
@@ -101,6 +115,11 @@ def chebyshev_constant(mesh: Mesh, body: ConvexBody, k: int, alpha: Exponent,
     pts = mesh.points[support]
     low_vals = monomial_values(pts, lower) if lower else np.zeros((0, pts.shape[0]), dtype=complex)
     tgt_vals = monomial_values(pts, [alpha])[0]
+    entries = lp_entries(len(lower), pts.shape[0], m_phases, is_real_instance(low_vals, tgt_vals))
+    if entries > _MAX_LP_ENTRIES:
+        raise ValidationError(
+            f"the min-max LP for k={k}, alpha={alpha} on {pts.shape[0]} mesh points with "
+            f"polygon_m={m_phases} needs {entries} float64 entries, more than {_MAX_LP_ENTRIES}")
     result = solve_minimax(low_vals, tgt_vals, k * mesh.log_weights[support], m_phases)
     terms = {alpha: 1.0 + 0.0j}
     for beta, c in zip(lower, result.coefficients):
@@ -116,6 +135,49 @@ def chebyshev_constant(mesh: Mesh, body: ConvexBody, k: int, alpha: Exponent,
         iterations=result.iterations,
         real_path=result.real_path,
     )
+
+
+def solve_distinct(mesh: Mesh, body: ConvexBody, k: int, tasks: list, m_phases: int = 32,
+                   workers: int = 1, cache: dict | None = None) -> list:
+    """One outcome per (alpha, ordering) task of level k, in task order.
+
+    An outcome is the task's ChebyshevRecord, or the CELL_ERRORS
+    exception its solve raised; callers decide whether to record or
+    raise it.  Each distinct min-max problem is solved once.  A problem
+    is fixed by alpha, its lower monomials and, on a weighted mesh, the
+    weight power k; the two orders coincide on a simplex, and on an
+    unweighted mesh one exponent's problem repeats at every level where
+    its lower set is the same.  `cache` carries the outcomes across
+    calls with the same mesh, body and m_phases.
+    """
+    try:
+        _check_instance(mesh, body, m_phases)
+    except CELL_ERRORS as exc:  # every task would raise it first
+        return [exc] * len(tasks)
+    cache = {} if cache is None else cache
+    weight_power = None if mesh.is_unweighted else k
+    keys = [(alpha, tuple(lower_monomials(body, k, alpha, ordering)), weight_power)
+            for alpha, ordering in tasks]
+    pending = {}  # unsolved key -> the first task that poses it
+    for key, task in zip(keys, tasks):
+        if key not in cache:
+            pending.setdefault(key, task)
+
+    def solve(task):
+        alpha, ordering = task
+        try:
+            return chebyshev_constant(mesh, body, k, alpha, ordering, m_phases)
+        except CELL_ERRORS as exc:  # row-level isolation
+            return exc
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            cache.update(zip(pending, pool.map(solve, pending.values())))
+    else:
+        cache.update((key, solve(task)) for key, task in pending.items())
+    outcomes = [cache[key] for key in keys]
+    return [replace(out, k=k, ordering=ordering) if isinstance(out, ChebyshevRecord) else out
+            for out, (_, ordering) in zip(outcomes, tasks)]
 
 
 # ---------------------------------------------------------------------------
@@ -148,51 +210,25 @@ def transform_grid(mesh: Mesh, body: ConvexBody, k: int,
     """One ChebyshevRecord per lattice exponent of level k per ordering.
 
     Rows whose solve fails are kept with the error message recorded, so
-    the table is always returned whole.
-
-    Each distinct min-max problem is solved once.  A problem is fixed by
-    alpha, its lower monomials and, on a weighted mesh, the weight power
-    k; the two orders coincide on a simplex, and on an unweighted mesh
-    one exponent's problem repeats at every level where its lower set is
-    the same.  `cache` carries the outcomes across calls with the
-    same mesh, body and m_phases (`build_report` passes one per report).
+    the table is always returned whole.  The rows come from
+    `solve_distinct`, which solves each distinct problem once and fills
+    `cache` (`build_report` passes one per report).
     """
     if k < 1:
         raise ValidationError("transform grid needs k >= 1")
     check_m_phases(m_phases)  # before the rows, whose handler records it per cell
-    cache = {} if cache is None else cache
     alphas = body.lattice_points(k)
     orderings = tuple(orderings)
-    weight_power = None if mesh.is_unweighted else k
     tasks = [(alpha, ordering) for alpha in alphas for ordering in orderings]
-    keys = [(alpha, tuple(lower_monomials(body, k, alpha, ordering)), weight_power)
-            for alpha, ordering in tasks]
-    pending = {}  # unsolved key -> the first task that poses it
-    for key, task in zip(keys, tasks):
-        if key not in cache:
-            pending.setdefault(key, task)
-
-    def solve(task):
-        alpha, ordering = task
-        try:
-            return chebyshev_constant(mesh, body, k, alpha, ordering, m_phases)
-        except CELL_ERRORS as exc:  # row-level isolation
-            return exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cache.update(zip(pending, pool.map(solve, pending.values())))
-    else:
-        cache.update((key, solve(task)) for key, task in pending.items())
-
+    outcomes = iter(solve_distinct(mesh, body, k, tasks, m_phases, workers, cache))
     rows = []
-    for i, alpha in enumerate(alphas):
+    for alpha in alphas:
         records: dict[str, ChebyshevRecord] = {}
         errors: dict[str, str] = {}
-        for j, ordering in enumerate(orderings):
-            out = cache[keys[i * len(orderings) + j]]
+        for ordering in orderings:
+            out = next(outcomes)
             if isinstance(out, ChebyshevRecord):
-                records[ordering] = replace(out, k=k, ordering=ordering)
+                records[ordering] = out
             else:
                 errors[ordering] = f"{type(out).__name__}: {out}"
         rows.append(TransformRow(
@@ -264,7 +300,7 @@ def select_direction_exponent(body: ConvexBody, theta, k: int) -> Exponent:
     (lowest index on ties) until the gauge is at most k; any selection
     with alpha/k -> theta works, this one is deterministic.
     """
-    theta = tuple(as_fraction(t) for t in theta)
+    theta = tuple(as_fraction(t, "theta") for t in theta)
     scaled = [k * t for t in theta]
     alpha = [math.floor(s + Fraction(1, 2)) for s in scaled]
     fracs = [s - math.floor(s) for s in scaled]
@@ -279,8 +315,11 @@ def select_direction_exponent(body: ConvexBody, theta, k: int) -> Exponent:
 
 def directional_constant(mesh: Mesh, body: ConvexBody, theta, schedule,
                          orderings=(GREVLEX, CGREVLEX), m_phases: int = 32) -> DirectionalResult:
-    """Estimate the directional constant T(theta) along increasing degree levels."""
-    theta = tuple(as_fraction(t) for t in theta)
+    """Estimate the directional constant T(theta) along increasing degree levels.
+
+    The first failed solve is raised; each distinct problem is solved once.
+    """
+    theta = tuple(as_fraction(t, "theta") for t in theta)
     if len(theta) != body.dim:
         raise ValidationError(f"theta has dimension {len(theta)}, body has {body.dim}")
     if any(t <= 0 for t in theta) or body.gauge(theta) >= 1:
@@ -291,10 +330,14 @@ def directional_constant(mesh: Mesh, body: ConvexBody, theta, schedule,
 
     dagger = check_dagger(body, max(schedule))
     steps: dict[str, list[DirectionalStep]] = {o: [] for o in orderings}
+    cache: dict = {}
     for k in schedule:
         alpha = select_direction_exponent(body, theta, k)
-        for ordering in orderings:
-            rec = chebyshev_constant(mesh, body, k, alpha, ordering, m_phases)
+        outcomes = solve_distinct(mesh, body, k, [(alpha, o) for o in orderings], m_phases,
+                                  cache=cache)
+        for ordering, rec in zip(orderings, outcomes):
+            if not isinstance(rec, ChebyshevRecord):
+                raise rec
             steps[ordering].append(DirectionalStep(k=k, alpha=alpha, log_T=rec.log_T))
     final = {o: math.exp(s[-1].log_T) for o, s in steps.items()}
     proxy = {

@@ -18,7 +18,13 @@ import sys
 from pathlib import Path
 
 from .body import as_fraction, as_int, check_dagger, parse_body_spec
-from .cheb import chebyshev_constant, directional_constant, transform_grid, transform_to_csv
+from .cheb import (
+    ChebyshevRecord,
+    directional_constant,
+    solve_distinct,
+    transform_grid,
+    transform_to_csv,
+)
 from .errors import SolverFailure, ValidationError
 from .leja import leja_diameter, leja_to_csv
 from .mesh import build_mesh, mesh_from_csv
@@ -203,8 +209,11 @@ def _run_cheb(config, artifacts: _Artifacts) -> int:
     alpha = tuple(_as_ints(run["alpha"], "run.alpha"))
     m_phases = _run_int(run, "polygon_m", default=32)
     records = {}
-    for ordering in _orderings(run):
-        rec = chebyshev_constant(mesh, body, k, alpha, ordering, m_phases)
+    orderings = _orderings(run)
+    outcomes = solve_distinct(mesh, body, k, [(alpha, o) for o in orderings], m_phases)
+    for ordering, rec in zip(orderings, outcomes):
+        if not isinstance(rec, ChebyshevRecord):
+            raise rec
         records[ordering] = {
             "k": k,
             "alpha": list(alpha),
@@ -301,7 +310,7 @@ def _run_tdiam(config, artifacts: _Artifacts) -> int:
         orderings=_orderings(run),
         m_phases=_run_int(run, "polygon_m", default=32),
         include_leja=_run_bool(run, "include_leja", default=True),
-        resolution=as_fraction(run.get("resolution", "1/32")),
+        resolution=as_fraction(run.get("resolution", "1/32"), "run.resolution"),
         subsamples=_run_int(run, "subsamples", default=32),
         workers=_workers(run),
     )

@@ -164,6 +164,17 @@ class MinimaxResult:
         return self.log_value + math.log(self.bracket_factor)
 
 
+def is_real_instance(lower_vals, target_vals) -> bool:
+    """True when every value is real; `solve_minimax` then takes the exact two-sided path."""
+    return bool(np.all(lower_vals.imag == 0) and np.all(target_vals.imag == 0))
+
+
+def lp_entries(d: int, npts: int, m_phases: int, real_path: bool) -> int:
+    """float64 entries of F plus the tableau of a `solve_minimax` instance, d lower monomials."""
+    n_rows, n_x = (2 * npts, d) if real_path else (m_phases * npts, 2 * d)
+    return n_rows * n_x + (n_x + 1) * (n_rows + n_x + 1)
+
+
 def solve_minimax(lower_vals, target_vals, log_weight_pow, m_phases: int = 32) -> MinimaxResult:
     """Minimize max_zeta w^k |target(zeta) + sum_b a_b lower_b(zeta)| over complex a.
 
@@ -184,7 +195,7 @@ def solve_minimax(lower_vals, target_vals, log_weight_pow, m_phases: int = 32) -
 
     shift = float(log_weight_pow.max())
     W = np.exp(log_weight_pow - shift)
-    real_path = bool(np.all(lower_vals.imag == 0) and np.all(target_vals.imag == 0))
+    real_path = is_real_instance(lower_vals, target_vals)
 
     target_scale = float(np.max(W * np.abs(target_vals)))
     if d == 0 or target_scale == 0.0:

@@ -73,7 +73,7 @@ def final_delta(mesh: Mesh, body: ConvexBody, k: int, strategy=None, route: str 
         raise ValidationError(f"unknown route {route!r}")
     check_m_phases(m_phases)
     _check_support(mesh, body, k)
-    a_n = average_total_degree(body, as_fraction(resolution), subsamples)
+    a_n = average_total_degree(body, as_fraction(resolution, "resolution"), subsamples)
     row = _level_row(mesh, body, k, strategy_from_config(strategy),
                      ReportOptions(m_phases=m_phases, workers=workers), {}, None, None)
     d_value = row.d_vdm if route == "vdm" else row.d_transform.get(CGREVLEX)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import ctdiam.cheb as cheb_mod
 from ctdiam import box_body, build_mesh, simplex_body, validate_body
+from ctdiam.errors import SolverFailure
 
 # every run draws the same examples, so a failure found once recurs locally
 # and in CI; a test's own @settings still sets its max_examples and deadline
@@ -96,3 +98,25 @@ def collinear9():
     # unisolvent for the level-1 simplex basis {1, z1, z2}
     return build_mesh({"kind": "explicit", "dim": 2,
                        "points": [[t, 0, t, 0] for t in np.linspace(-1, 1, 9)]})
+
+
+@pytest.fixture
+def count_solves(monkeypatch):
+    """Spy on `solve_minimax` as `cheb` calls it; returns each solve's lower-set size.
+
+    With fail_single_lower, a solve with exactly one lower monomial raises
+    SolverFailure.
+    """
+    def install(fail_single_lower=False):
+        original, calls = cheb_mod.solve_minimax, []
+
+        def counting(lower_vals, *args, **kwargs):
+            calls.append(lower_vals.shape[0])
+            if fail_single_lower and lower_vals.shape[0] == 1:
+                raise SolverFailure("injected")
+            return original(lower_vals, *args, **kwargs)
+
+        monkeypatch.setattr(cheb_mod, "solve_minimax", counting)
+        return calls
+
+    return install

@@ -329,3 +329,75 @@ def test_theta_not_interior(cheb401, circle256, simplex1, square, box_mesh):
         directional_constant(cheb401, simplex1, ("3/2",), [2, 4])
     with pytest.raises(ThetaNotInterior):
         directional_constant(box_mesh, square, ("0", "1/2"), [1, 2])
+
+
+def test_directional_solves_each_distinct_problem_once(torus16, simplex2, count_solves):
+    # on a simplex both orders pose the same problem at every level
+    theta, schedule = (Fraction(1, 3), Fraction(1, 3)), [3, 6, 9]
+    calls = count_solves()
+    res = directional_constant(torus16, simplex2, theta, schedule)
+    assert len(calls) == 3
+    for ordering in (GREVLEX, CGREVLEX):
+        for step in res.steps[ordering]:
+            rec = chebyshev_constant(torus16, simplex2, step.k, step.alpha, ordering)
+            assert step.log_T == rec.log_T
+
+
+def test_directional_solves_both_orders_on_a_box(torus16, square, count_solves):
+    # the orders differ on the box, so every (level, ordering) pair is its own problem
+    calls = count_solves()
+    directional_constant(torus16, square, (Fraction(1, 2), Fraction(1, 3)), [3, 6, 9])
+    assert len(calls) == 6
+
+
+def test_directional_raises_solver_failure(cheb401, simplex1, monkeypatch):
+    import ctdiam.cheb as cheb_mod
+
+    def failing(*args, **kwargs):
+        raise SolverFailure("injected")
+
+    monkeypatch.setattr(cheb_mod, "solve_minimax", failing)
+    with pytest.raises(SolverFailure, match="^injected$"):
+        directional_constant(cheb401, simplex1, ("1/2",), [4, 8])
+
+
+def test_directional_names_theta_in_rational_errors(cheb401, simplex1):
+    with pytest.raises(ValidationError, match="^theta: not an exact rational: 'abc'"):
+        directional_constant(cheb401, simplex1, ("abc",), [4, 8])
+
+
+def test_oversized_lp_is_refused_before_solving(torus16, simplex2, monkeypatch, count_solves):
+    import ctdiam.cheb as cheb_mod
+    from ctdiam.lp import lp_entries
+
+    # a complex LP of 32 * 256 rows
+    needed = lp_entries(len(lower_monomials(simplex2, 2, (2, 0), CGREVLEX)), 256, 32, False)
+    calls = count_solves()
+    monkeypatch.setattr(cheb_mod, "_MAX_LP_ENTRIES", needed - 1)
+    with pytest.raises(ValidationError) as exc:
+        chebyshev_constant(torus16, simplex2, 2, (2, 0), CGREVLEX)
+    assert calls == []
+    message = str(exc.value)
+    assert "k=2" in message and "256 mesh points" in message and "polygon_m=32" in message
+    monkeypatch.setattr(cheb_mod, "_MAX_LP_ENTRIES", needed)
+    chebyshev_constant(torus16, simplex2, 2, (2, 0), CGREVLEX)
+    assert len(calls) == 1
+
+
+def test_oversized_lp_is_a_row_error_in_the_grid(cheb401, simplex1, monkeypatch):
+    import ctdiam.cheb as cheb_mod
+
+    monkeypatch.setattr(cheb_mod, "_MAX_LP_ENTRIES", 0)
+    table = transform_grid(cheb401, simplex1, 2)
+    assert all(row.errors and not row.records for row in table.rows)
+    assert "polygon_m=32" in table.rows[1].errors[CGREVLEX]
+
+
+def test_lp_limit_sits_between_benchmark_and_oversized_instances():
+    import ctdiam.cheb as cheb_mod
+    from ctdiam.lp import lp_entries
+
+    # torus 16x16, simplex N=2, level 5: at most 20 lower monomials on 256 points
+    assert lp_entries(20, 256, 32, False) * 50 < cheb_mod._MAX_LP_ENTRIES
+    # torus 64x64, simplex N=2, level 12: 90 lower monomials on 4096 points
+    assert lp_entries(90, 4096, 32, False) > cheb_mod._MAX_LP_ENTRIES

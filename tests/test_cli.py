@@ -8,6 +8,7 @@ import pytest
 
 import ctdiam
 from ctdiam.cli import main
+from ctdiam.errors import SolverFailure
 
 SIMPLEX1 = {"dim": 1, "halfspaces": [{"a": ["1"], "b": "1"}]}
 CIRCLE32 = {"kind": "circle", "center": [0, 0], "radius": 1, "count": 32, "weight": {"kind": "one"}}
@@ -105,6 +106,53 @@ def test_cheb_polygon_below_three_phases_exit_2(tmp_path, capsys):
     assert "m_phases >= 3" in capsys.readouterr().err
 
 
+def test_cheb_solves_a_shared_problem_once(tmp_path, count_solves):
+    # on a simplex both orders pose one problem; the file matches per-ordering runs
+    def run(name, *flags):
+        cfg = write_config(tmp_path, f"{name}.json", {
+            "body": SIMPLEX2, "mesh": {"kind": "torus", "counts": [6, 6]},
+            "output_dir": str(tmp_path / name)})
+        assert main(["cheb", "--config", cfg, "--k", "3", "--alpha", "2,1", *flags]) == 0
+        return (tmp_path / name / "cheb.json").read_text()
+
+    calls = count_solves()
+    both = run("both")
+    assert len(calls) == 1
+    merged = {}
+    for ordering in ("grevlex", "cgrevlex"):
+        merged.update(json.loads(run(ordering, "--ordering", ordering)))
+    assert len(calls) == 3
+    assert list(json.loads(both)) == ["grevlex", "cgrevlex"]
+    assert both == json.dumps(merged, indent=2) + "\n"
+
+
+def test_cheb_solver_failure_exit_3(tmp_path, capsys, monkeypatch):
+    import ctdiam.cheb as cheb_mod
+
+    def failing(*args, **kwargs):
+        raise SolverFailure("injected")
+
+    monkeypatch.setattr(cheb_mod, "solve_minimax", failing)
+    cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
+                                              "output_dir": str(tmp_path / "out")})
+    assert main(["cheb", "--config", cfg, "--k", "2", "--alpha", "2"]) == 3
+    assert "solver failure: injected" in capsys.readouterr().err
+
+
+def test_cheb_oversized_lp_exit_2(tmp_path, capsys, monkeypatch, count_solves):
+    import ctdiam.cheb as cheb_mod
+
+    # the real LP of x^2 against 1, x on 9 points holds 99 entries
+    monkeypatch.setattr(cheb_mod, "_MAX_LP_ENTRIES", 98)
+    calls = count_solves()
+    cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
+                                              "output_dir": str(tmp_path / "out")})
+    assert main(["cheb", "--config", cfg, "--k", "2", "--alpha", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "k=2" in err and "9 mesh points" in err and "polygon_m=32" in err
+    assert calls == []
+
+
 @pytest.mark.parametrize("subcommand", ["tdiam", "transform"])
 @pytest.mark.parametrize("polygon_m", ["2", "-1"])
 def test_report_polygon_below_three_phases_exit_2(tmp_path, capsys, subcommand, polygon_m):
@@ -186,9 +234,13 @@ BOX3 = {"kind": "box2d", "x": [0, 1], "y": [0, 1], "counts": [3, 3]}
     ({"body": PENTAGON, "run": {"k_max": True}}, [], "run.k_max"),
     ({"body": {"dim": 2, "halfspaces": [{"a": ["1", "1"], "b": True}]}}, [], "body.halfspaces[0]: "),
     ({"body": {"dim": True, "halfspaces": [{"a": ["1"], "b": "1"}]}}, [], "dim must be a positive"),
+    ({"body": PENTAGON, "run": {"resolution": True}}, [],
+     "run.resolution: expected an exact rational"),
+    ({"body": PENTAGON, "run": {"resolution": "abc"}}, [], "run.resolution: not an exact rational"),
 ], ids=["zero-subsamples", "resolution-not-rational", "zero-denominator", "no-body",
         "oversized-subsamples", "oversized-grid", "halfspace-without-a", "halfspaces-not-a-list",
-        "normal-is-a-string", "offset-not-rational", "k-max-true", "offset-true", "dim-true"])
+        "normal-is-a-string", "offset-not-rational", "k-max-true", "offset-true", "dim-true",
+        "resolution-true", "resolution-config-not-rational"])
 def test_tdiam_invalid_input_exit_2(tmp_path, capsys, config, flags, message):
     cfg = write_config(tmp_path, "bad.json", {"mesh": BOX3, "output_dir": str(tmp_path / "out"),
                                               **config})
@@ -227,10 +279,15 @@ TORUS4 = {"kind": "torus", "counts": [4, 4]}
      "alpha=(-1, 0) is not a lattice point of level 2"),
     ("cheb", {"body": SIMPLEX2, "mesh": TORUS4, "run": {"k": 2}}, ["--alpha=-1,1"],
      "alpha=(-1, 1) is not a lattice point of level 2"),
+    ("cheb", {"run": {"k": 2, "alpha": [1], "theta": [["abc"]]}}, [],
+     "theta: not an exact rational: 'abc'"),
+    ("cheb", {"body": SIMPLEX2, "run": {"k": 2}}, ["--alpha", "1"],
+     "mesh dimension 1 != body dimension 2"),
 ], ids=["alpha-flag", "schedule-flag", "alpha-not-a-list", "k-max-not-int", "k-max-infinity",
         "k-max-nan", "k-max-fractional", "csv-mesh-no-path", "nan-mesh-point", "infinite-log-weight",
         "count-fractional", "count-not-int", "count-missing", "radius-not-real", "sigma-not-real",
-        "factor-count-fractional", "alpha-minus-1-0", "alpha-minus-1-1"])
+        "factor-count-fractional", "alpha-minus-1-0", "alpha-minus-1-1", "theta-not-rational",
+        "mesh-body-dimension-mismatch"])
 def test_bad_scalar_input_exit_2(tmp_path, capsys, subcommand, config, flags, message):
     cfg = write_config(tmp_path, "bad.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
                                               "output_dir": str(tmp_path / "out"), **config})
@@ -307,6 +364,7 @@ WITHOUT_SCIPY = """
 import sys
 sys.modules["scipy"] = None
 from ctdiam.cli import main
+from ctdiam.errors import SolverFailure
 sys.exit(main(sys.argv[1:]))
 """
 

@@ -389,3 +389,23 @@ def test_iteration_cap_fails_after_one_attempt(monkeypatch):
     with pytest.raises(SolverFailure, match="^simplex iteration cap exceeded$"):
         solve_minimax(lower, (x**3).astype(complex), np.zeros(401))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_lp_entries_counts_f_and_the_tableau(monkeypatch, kind):
+    if kind == "real":
+        x = -np.cos(np.pi * np.arange(41) / 40)
+        lower, target = np.vstack([x**0, x**1, x**2]).astype(complex), (x**3).astype(complex)
+    else:
+        lower, target = _torus_instance(6, 2, (1, 1))
+    seen = []
+    original = lp._two_phase
+
+    def spy(tab, rhs, cost, F):
+        seen.append(tab.size + F.size)
+        return original(tab, rhs, cost, F)
+
+    monkeypatch.setattr(lp, "_two_phase", spy)
+    res = solve_minimax(lower, target, np.zeros(target.shape[0]), m_phases=8)
+    assert res.real_path == (kind == "real") == lp.is_real_instance(lower, target)
+    assert seen == [lp.lp_entries(lower.shape[0], target.shape[0], 8, res.real_path)]

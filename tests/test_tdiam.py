@@ -296,35 +296,20 @@ def test_report_transform_cache_matches_direct_solves(case):
                 assert _record_bits(row.records[ordering]) == _record_bits(fresh)
 
 
-def _count_solves(monkeypatch, fail_single_lower=False):
-    import ctdiam.cheb as cheb_mod
-
-    original, calls = cheb_mod.solve_minimax, []
-
-    def counting(lower_vals, *args, **kwargs):
-        calls.append(lower_vals.shape[0])
-        if fail_single_lower and lower_vals.shape[0] == 1:
-            raise SolverFailure("injected")
-        return original(lower_vals, *args, **kwargs)
-
-    monkeypatch.setattr(cheb_mod, "solve_minimax", counting)
-    return calls
-
-
 @pytest.mark.parametrize("workers", [1, 2])
-def test_report_solves_each_distinct_problem_once(monkeypatch, simplex2, workers):
+def test_report_solves_each_distinct_problem_once(count_solves, simplex2, workers):
     # levels 1..3 pose 19 exponents in two orders; on the unweighted simplex
     # the 10 exponents of level 3 are the only distinct problems
-    calls = _count_solves(monkeypatch)
+    calls = count_solves()
     mesh = build_mesh({"kind": "torus", "counts": [8, 8]})
     report = build_report(mesh, simplex2, 3, ReportOptions(workers=workers))
     assert len(calls) == 10
     assert all(not row.errors for row in report.rows)
 
 
-def test_transform_cache_reuses_a_failed_problem(monkeypatch, mesh7, simplex1):
+def test_transform_cache_reuses_a_failed_problem(count_solves, mesh7, simplex1):
     # alpha = 1 has the lower set {0} at every level and in both orders
-    calls = _count_solves(monkeypatch, fail_single_lower=True)
+    calls = count_solves(fail_single_lower=True)
     cache = {}
     tables = [transform_grid(mesh7, simplex1, k, cache=cache) for k in (1, 2, 3)]
     assert calls.count(1) == 1
