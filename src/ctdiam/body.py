@@ -327,7 +327,26 @@ def _lattice_points(body: ConvexBody, k: int) -> tuple[Exponent, ...]:
 # The one mask is then the mask a test of every halfspace gives each
 # member.  A class with any sample within M (an exact tie, say) takes
 # the product test cell by cell.  Either way every float accumulated is
-# the one a test of every halfspace gives.
+# the one a test of every halfspace gives.  A class whose one mask keeps
+# no sample gives (0.0, 0.0) to every member, on any grid.
+#
+# Exact grids.  Every sample coordinate is an odd multiple of the
+# half-sample step h = resolution/(2*sub), and every corner a multiple
+# of 2*sub*h.  When h has a power-of-two denominator q and
+# sub^N * sum_j (coordinate_max_j + resolution) * q < 2**53, every
+# sample, every sum (x + y) + z and every partial sum of the kept sums
+# in a cell is a multiple of 1/q below 2**53/q: exact in float64, in any
+# order.  The default (1/32, 32) grid is exact.  The kept sums of a
+# member then total K * corner_sum + T, K kept samples and T the sum of
+# their offset sums, itself exact and reduced once per class, so the
+# quotient by K is the one `np.add.reduce(sums.take(idx)) / K` gives.
+# If, further, every a_k and b is a float and each sum_k |a_k| x_k + |b|
+# stays below 2**53 times the finest step 1/(q * den a) of the products
+# a_k x_k, the product test computes each a.x exactly in any kernel.  It
+# then decides sign(D), the same in every member, so an uncertified class
+# takes the product test on one member only.  Non-dyadic grids, grids
+# past the bound and uncertified classes without exact products keep the
+# per-cell product test and per-cell sums.
 # ---------------------------------------------------------------------------
 
 # A grid with more cells than this, or a cell with more samples, is refused
@@ -396,7 +415,35 @@ def _product_keep(cols, a_mat, b_vec, cutting):
     return functools.reduce(np.logical_and, (vals[:, i] <= b_vec[i] for i in np.flatnonzero(cutting)))
 
 
-def _class_cells(corners, offs, offsets, a_mat, b_vec, cutting, margin):
+def _exact_grid(body: ConvexBody, resolution: Fraction, subsamples: int) -> bool:
+    """True if every sample, sample sum and partial sum of kept sums is exact in float64.
+
+    They are all multiples of 1/q, q the denominator of the half-sample
+    step, and at most subsamples**N * sum_j (coordinate_max_j + resolution).
+    """
+    q = (resolution / (2 * subsamples)).denominator
+    reach = sum(body.coordinate_max(j) + resolution for j in range(body.dim))
+    return (q & (q - 1)) == 0 and subsamples ** body.dim * reach * q < 2**53
+
+
+def _exact_products(body: ConvexBody, resolution: Fraction, subsamples: int) -> bool:
+    """True if, on an exact grid, the product test computes every a.x exactly.
+
+    The coefficients must be floats, and each sum_k |a_k| x_k + |b| must
+    stay below 2**53 times the finest step of its products a_k * x_k.
+    """
+    q = (resolution / (2 * subsamples)).denominator
+    reach = [body.coordinate_max(j) + resolution for j in range(body.dim)]
+    for a, b in body.halfspaces:
+        if any(Fraction(float(x)) != x for x in (*a, b)):
+            return False
+        steps = q * max(aj.denominator for aj in a)
+        if steps > 2**1074 or (sum(abs(aj) * x for aj, x in zip(a, reach)) + abs(b)) * steps >= 2**53:
+            return False
+    return True
+
+
+def _class_cells(corners, offs, offsets, a_mat, b_vec, cutting, margin, offset_sums, shared_product):
     """(fraction, mean coordinate sum) of the samples inside the `cutting` halfspaces, per cell.
 
     `corners` holds one class of translates and `margin` its largest
@@ -404,9 +451,20 @@ def _class_cells(corners, offs, offsets, a_mat, b_vec, cutting, margin):
     offsets`, the tensor product of the per-axis values `corner[d] + offs`
     in row-major order.  The sums add the coordinates in the order of a
     row sum, (x + y) + z, and their mean is `sums[keep].mean()`'s.
+    `offset_sums` holds the sums of `offsets` on an exact grid, else None;
+    `shared_product` says one member's product test decides the class.
     """
     keep = _certified_keep(offs + corners[0][:, None], a_mat[cutting], b_vec[cutting], margin)
+    if keep is None and shared_product:
+        keep = _product_keep(offsets + corners[0][:, None], a_mat, b_vec, cutting)
     idx = None if keep is None else np.flatnonzero(keep)
+    if idx is not None and not idx.size:
+        return [(0.0, 0.0)] * len(corners)
+    if idx is not None and offset_sums is not None:
+        # every sum is exact, so the kept sums total K * corner_sum + T
+        k = idx.size
+        total = np.add.reduce(offset_sums.take(idx))
+        return [(k / offset_sums.size, float((k * row + total) / k)) for row in corners.sum(axis=1)]
     out = []
     for corner in corners:
         if keep is None:
@@ -459,11 +517,16 @@ def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: in
     classes = {}
     for i, key in enumerate(np.where(cutting, highest, 0).tolist()):
         classes.setdefault(tuple(key), []).append(i)
+    exact = _exact_grid(body, resolution, subsamples)
+    offset_sums = functools.reduce(_outer_sum, [offs] * body.dim) if exact else None
+    shared_product = exact and _exact_products(body, resolution, subsamples)
     sampled = [None] * len(boundary)
     for members in classes.values():
         cut = cutting[members[0]]
         margin = margins[members][:, cut].max(axis=0)
-        for i, cell in zip(members, _class_cells(corners[members], offs, offsets, a_mat, b_vec, cut, margin)):
+        cells = _class_cells(corners[members], offs, offsets, a_mat, b_vec, cut, margin,
+                             offset_sums, shared_product)
+        for i, cell in zip(members, cells):
             sampled[i] = cell
     for frac, mean_sum in sampled:
         volume += cell_vol * frac
@@ -530,23 +593,36 @@ def check_dagger(body: ConvexBody, k_max: int) -> DaggerReport:
     gauge is injective on the lattice points of k_max*C; every exact gauge
     tie is reported as a witness pair.
     """
+    verdict = _dagger_verdict(body, k_max)
+    witnesses = []
+    if verdict != "holds-injective-gauge":
+        by_gauge: dict[Fraction, list[Exponent]] = {}
+        for alpha in body.lattice_points(k_max):
+            by_gauge.setdefault(body.gauge(alpha), []).append(alpha)
+        for group in by_gauge.values():
+            if len(group) > 1:
+                witnesses.extend(itertools.combinations(group, 2))
+        witnesses.sort(key=lambda pair: (sum(pair[0]), pair[0], pair[1]))
+    return DaggerReport(verdict=verdict, witness_pairs=tuple(witnesses), k_max=k_max)
+
+
+def _dagger_verdict(body: ConvexBody, k_max: int) -> str:
+    """The verdict of `check_dagger(body, k_max)`, without building witness pairs.
+
+    A simplex is decided before any lattice point is enumerated; otherwise
+    the scan stops at the first exact gauge tie.
+    """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
-    by_gauge: dict[Fraction, list[Exponent]] = {}
-    for alpha in body.lattice_points(k_max):
-        by_gauge.setdefault(body.gauge(alpha), []).append(alpha)
-    witnesses = []
-    for group in by_gauge.values():
-        if len(group) > 1:
-            witnesses.extend(itertools.combinations(group, 2))
-    witnesses.sort(key=lambda pair: (sum(pair[0]), pair[0], pair[1]))
     if is_simplex(body):
-        verdict = "holds-simplex"
-    elif not witnesses:
-        verdict = "holds-injective-gauge"
-    else:
-        verdict = "violated"
-    return DaggerReport(verdict=verdict, witness_pairs=tuple(witnesses), k_max=k_max)
+        return "holds-simplex"
+    seen = set()
+    for alpha in body.lattice_points(k_max):
+        gauge = body.gauge(alpha)
+        if gauge in seen:
+            return "violated"
+        seen.add(gauge)
+    return "holds-injective-gauge"
 
 
 def simplex_body(dim: int) -> ConvexBody:

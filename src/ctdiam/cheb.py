@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .body import ConvexBody, Exponent, as_fraction, check_dagger
+from .body import ConvexBody, Exponent, _dagger_verdict, as_fraction
 from .errors import CELL_ERRORS, DegenerateWeight, ThetaNotInterior, ValidationError
 from .lp import is_real_instance, lp_entries, solve_minimax
 from .mesh import Mesh, Polynomial, monomial_values
@@ -328,7 +328,7 @@ def directional_constant(mesh: Mesh, body: ConvexBody, theta, schedule,
     if not schedule or any(k < 1 for k in schedule) or list(schedule) != sorted(set(schedule)):
         raise ValidationError("schedule must be a strictly increasing list of positive levels")
 
-    dagger = check_dagger(body, max(schedule))
+    verdict = _dagger_verdict(body, max(schedule))
     steps: dict[str, list[DirectionalStep]] = {o: [] for o in orderings}
     cache: dict = {}
     for k in schedule:
@@ -345,7 +345,7 @@ def directional_constant(mesh: Mesh, body: ConvexBody, theta, schedule,
         for o, s in steps.items()
     }
     guaranteed = {
-        o: (o == GREVLEX) or dagger.verdict != "violated" for o in orderings
+        o: (o == GREVLEX) or verdict != "violated" for o in orderings
     }
     return DirectionalResult(
         theta=theta,
@@ -354,5 +354,5 @@ def directional_constant(mesh: Mesh, body: ConvexBody, theta, schedule,
         final=final,
         error_proxy=proxy,
         limit_guaranteed=guaranteed,
-        dagger_verdict=dagger.verdict,
+        dagger_verdict=verdict,
     )

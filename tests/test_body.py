@@ -12,8 +12,12 @@ from ctdiam import average_total_degree, check_dagger, validate_body
 from ctdiam.body import (
     _certified_keep,
     _classify_cells,
+    _dagger_verdict,
+    _exact_grid,
+    _outer_sum,
     _product_keep,
     body_quadrature,
+    box_body,
     parse_body_spec,
     rational_lp_max,
 )
@@ -181,6 +185,8 @@ def test_average_degree_pins(skew_body):
     pentagon = validate_body([(("1", "0"), "1"), (("0", "1"), "1"), (("1", "1"), "3/2")], 2)
     assert average_total_degree(pentagon) == 0.9049280312935843
     assert average_total_degree(skew_body) == 0.7777780427389239
+    # the a_n of the cube3-real benchmark reference
+    assert average_total_degree(validate_body(CUBE3, 3)) == 1.3500001716613441
 
 
 @pytest.mark.parametrize("subsamples", [0, -1])
@@ -280,6 +286,8 @@ TIE_3D = [(("0", "1/4", "1"), "1"), (("1", "0", "0"), "1")]
 # 3x + 2y + 5z <= 6 has integer translations (1, 1, -1) along its plane, so
 # the boundary cells form classes of up to 43 translates at resolution 1/12
 SKEW_3D = [(("1/2", "1/3", "5/6"), "1"), (("2/3", "-1/3", "1"), "5/4"), (("0", "3/4", "1/4"), "7/8")]
+# x + y = 97/64 passes exactly through samples of every boundary cell at resolution 1/32
+TIE_9764 = [(("1", "0", "0"), "1"), (("0", "1", "0"), "1"), (("0", "0", "1"), "1"), (("1", "1", "0"), "97/64")]
 # bodies whose exact ties send some boundary cells, and not others, to the product test
 TIE_CASES = [
     (validate_body(PENTAGON, 2), Fraction(1, 32), 32),
@@ -309,6 +317,13 @@ TIE_CASES = [
 @example(case=(validate_body(CUBE3, 3), Fraction(1, 7)), subsamples=5)
 @example(case=(validate_body(CUBE3, 3), Fraction(2, 9)), subsamples=8)
 @example(case=(validate_body(SKEW_3D, 3), Fraction(1, 12)), subsamples=3)
+# exact (dyadic) grids, summed in closed form per class: cube3, several skew
+# classes with a negative coefficient, and ties decided by one product per class
+@example(case=(validate_body(CUBE3, 3), Fraction(1, 16)), subsamples=8)
+@example(case=(validate_body(SKEW_3D, 3), Fraction(1, 8)), subsamples=4)
+@example(case=(validate_body(TIE_9764, 3), Fraction(1, 16)), subsamples=4)
+# a dyadic grid past the 2**53 bound, which keeps the per-cell sums
+@example(case=(validate_body([(("1",), "8191/2")], 1), Fraction(1)), subsamples=2**20)
 def test_quadrature_matches_all_halfspace_reference(case, subsamples):
     body, resolution = case
     got = body_quadrature(body, resolution, subsamples)
@@ -326,12 +341,50 @@ def test_quadrature_ties_take_both_paths(body, resolution, subsamples):
     assert 0 < product_test.call_count < boundary
 
 
-def test_quadrature_certifies_each_class_once(cube3):
-    # cube3's 1489 boundary cells at resolution 1/32 are translates of 3 cells
+@pytest.mark.parametrize("halfspaces, resolution, subsamples, exact", [
+    (CUBE3, Fraction(1, 32), 32, True),
+    (CUBE3, Fraction(1, 7), 5, False),
+    (CUBE3, Fraction(1, 32), 3, False),
+    # 2**20 samples of sums up to b + 1 in steps of 2**-21: 4093 * 2**40 < 2**53 <= 8193 * 2**40
+    ([(("1",), "4091/2")], Fraction(1), 2**20, True),
+    ([(("1",), "8191/2")], Fraction(1), 2**20, False),
+])
+def test_exact_grid_needs_a_dyadic_step_and_the_bound(halfspaces, resolution, subsamples, exact):
+    body = validate_body(halfspaces, len(halfspaces[0][0]))
+    assert _exact_grid(body, resolution, subsamples) is exact
+
+
+def _count_quadrature_calls(body, resolution, subsamples):
     with mock.patch("ctdiam.body._certified_keep", wraps=_certified_keep) as certify, \
-            mock.patch("ctdiam.body._product_keep", wraps=_product_keep) as product_test:
-        body_quadrature(cube3, Fraction(1, 32), 32)
-    assert (certify.call_count, product_test.call_count) == (3, 0)
+            mock.patch("ctdiam.body._product_keep", wraps=_product_keep) as product_test, \
+            mock.patch("ctdiam.body._outer_sum", wraps=_outer_sum) as outer:
+        body_quadrature(body, resolution, subsamples)
+    return certify.call_count, product_test.call_count, outer.call_count
+
+
+def test_quadrature_certifies_each_class_once(cube3):
+    # cube3's 1489 boundary cells at resolution 1/32 are translates of 3 cells;
+    # on this exact grid each class makes one estimate (N - 1 outer sums) and
+    # one offset table serves every class, so no cell builds its own samples
+    certify, product_test, outer = _count_quadrature_calls(cube3, Fraction(1, 32), 32)
+    assert (certify, product_test) == (3, 0)
+    assert outer <= (cube3.dim - 1) * (certify + 1)
+
+
+def test_quadrature_exact_products_test_one_cell_per_class():
+    # all 992 boundary cells tie, in 2 classes: one product test each
+    body = validate_body(TIE_9764, 3)
+    certify, product_test, _ = _count_quadrature_calls(body, Fraction(1, 32), 32)
+    assert int(np.count_nonzero(_classify_cells(body, Fraction(1, 32))[1] == 0)) == 992
+    assert certify == product_test == 2
+
+
+def test_quadrature_non_dyadic_grid_sums_each_cell(cube3):
+    # h = 1/70: the 64 boundary cells in 3 classes still build one sample
+    # table per cell with a kept sample, N - 1 outer sums each
+    certify, _, outer = _count_quadrature_calls(cube3, Fraction(1, 7), 5)
+    assert certify == 3
+    assert outer > 64
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -366,8 +419,30 @@ def test_dagger_generic_body_injective():
     # collisions up to the cap
     body = validate_body([(("3/7", "3/5"), "1"), (("2/3", "1/11"), "1")], 2)
     report = check_dagger(body, 4)
-    assert report.verdict == "holds-injective-gauge"
+    assert report.verdict == _dagger_verdict(body, 4) == "holds-injective-gauge"
     assert report.witness_pairs == ()
+
+
+@pytest.mark.parametrize("name, k", [("simplex2", 3), ("square", 1), ("wide_simplex", 2), ("skew_body", 4)])
+def test_dagger_verdict_matches_check_dagger(request, name, k):
+    body = request.getfixturevalue(name)
+    assert _dagger_verdict(body, k) == check_dagger(body, k).verdict
+
+
+def test_dagger_verdict_decides_simplex_before_enumerating(wide_simplex):
+    with mock.patch.object(type(wide_simplex), "lattice_points") as lattice:
+        assert _dagger_verdict(wide_simplex, 20) == "holds-simplex"
+    lattice.assert_not_called()
+
+
+def test_dagger_verdict_stops_at_first_tie():
+    # check_dagger lists 1,272,960 witness pairs for the box at k = 16; past
+    # the enumeration, the verdict needs the gauges of (0,0,0), (0,0,1), (0,1,0)
+    box = box_body(3)
+    box.lattice_points(16)
+    with mock.patch.object(type(box), "gauge", autospec=True, side_effect=type(box).gauge) as gauge:
+        assert _dagger_verdict(box, 16) == "violated"
+    assert gauge.call_count == 3
 
 
 def test_rational_lp_detects_unbounded_ray():

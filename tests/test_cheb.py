@@ -350,6 +350,22 @@ def test_directional_solves_both_orders_on_a_box(torus16, square, count_solves):
     assert len(calls) == 6
 
 
+def test_directional_decides_the_verdict_without_witness_pairs(box_mesh, square, monkeypatch):
+    import ctdiam.body as body_mod
+    import ctdiam.cheb as cheb_mod
+
+    verdicts = []
+
+    def verdict(body, k_max):
+        verdicts.append(k_max)
+        return body_mod._dagger_verdict(body, k_max)
+
+    monkeypatch.setattr(cheb_mod, "_dagger_verdict", verdict)
+    monkeypatch.setattr(body_mod, "check_dagger", None)
+    res = directional_constant(box_mesh, square, ("1/2", "1/2"), [1, 2])
+    assert verdicts == [2] and res.dagger_verdict == "violated"
+
+
 def test_directional_raises_solver_failure(cheb401, simplex1, monkeypatch):
     import ctdiam.cheb as cheb_mod
 
