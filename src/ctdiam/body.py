@@ -9,9 +9,9 @@ r(alpha) = inf{r >= 0 : alpha in r*C} then has the closed form
 max(0, max_i (a_i . alpha) / b_i), which we evaluate exactly with
 `fractions.Fraction`.  Order comparisons downstream depend on exact
 gauge ties, so nothing in this module touches floating point except
-the sampled boundary cells of `body_quadrature`.  Lattice membership and
-cell classification use the halfspaces scaled once to integer rows
-A x <= B, which keeps them exact and vectorized.
+the sampled boundary cells of `body_quadrature`.  Lattice membership,
+the gauge order and its ties, and cell classification use the
+halfspaces scaled once to integer rows A x <= B, exact and vectorized.
 """
 
 from __future__ import annotations
@@ -74,10 +74,9 @@ def as_int(value, field: str) -> int:
 
 # ---------------------------------------------------------------------------
 # Exact rational LP:  maximize c.x  over  {x >= 0, A x <= b},  b >= 0.
-# Used for boundedness checks, per-coordinate maxima (lattice bounding
-# boxes), and halfspace redundancy tests.  Sizes are tiny, so a dense
-# tableau with Bland's rule (guaranteed termination in exact arithmetic)
-# is all we need.
+# Used for boundedness checks and per-coordinate maxima (lattice bounding
+# boxes).  Sizes are tiny, so a dense tableau with Bland's rule (guaranteed
+# termination in exact arithmetic) is all we need.
 # ---------------------------------------------------------------------------
 
 def rational_lp_max(rows: list[list[Fraction]], rhs: list[Fraction], cost: list[Fraction]):
@@ -266,8 +265,8 @@ def _integer_rows(body: ConvexBody):
     return np.array(a_rows, dtype=object), np.array(b_vals, dtype=object)
 
 
-def _box_excess(body: ConvexBody, corners, width: int, p: int, q: int):
-    """q * (max, min) of A.x - B over each box [corner, corner + width] * p/q, exact.
+def _box_excess(body: ConvexBody, corners, p: int, q: int):
+    """q * (max, min) of A.x - B over each box [corner, corner + 1] * p/q, exact.
 
     `corners` is an integer array with one box per row; the results have
     one column per halfspace and the signs of the true extremes.
@@ -275,25 +274,36 @@ def _box_excess(body: ConvexBody, corners, width: int, p: int, q: int):
     a_int, b_int = _integer_rows(body)
     corners = np.asarray(corners)
     # every intermediate is at most `reach` in size, so int64 is exact below 2**62
-    reach = (int(np.abs(corners).max(initial=0)) + width) * max(np.abs(a_int).sum(axis=1)) * p
+    reach = (int(np.abs(corners).max(initial=0)) + 1) * max(np.abs(a_int).sum(axis=1)) * p
     if reach + max(np.abs(b_int)) * q < 2**62:
         a_int, b_int = a_int.astype(np.int64), b_int.astype(np.int64)
     at_corner = (corners @ a_int.T) * p - b_int * q
     up = np.where(a_int > 0, a_int, 0).sum(axis=1)
     down = np.where(a_int < 0, a_int, 0).sum(axis=1)
-    return at_corner + width * p * up, at_corner + width * p * down
+    return at_corner + p * up, at_corner + p * down
+
+
+def _gauge_numerators(body: ConvexBody, points):
+    """(keys, D): D * gauge(alpha) for each point as a Python int, and D = lcm(B).
+
+    The rows G_i = A_i * (D // B_i) give G_i . alpha = D * (a_i . alpha) / b_i,
+    so the keys order and tie the points exactly as their gauges do.
+    """
+    a_int, b_int = _integer_rows(body)
+    scale = math.lcm(*b_int)
+    rows = a_int * (scale // b_int)[:, None]
+    pts = np.array(points, dtype=object).reshape(len(points), body.dim)
+    return np.maximum((pts @ rows.T).max(axis=1), 0).tolist(), scale
 
 
 @lru_cache(maxsize=None)
 def _lattice_points(body: ConvexBody, k: int) -> tuple[Exponent, ...]:
-    from .order import cgrevlex_key  # local import to avoid a cycle
-
     box = [int(k * body.coordinate_max(j)) for j in range(body.dim)]
     candidates = list(itertools.product(*(range(u + 1) for u in box)))
-    excess, _ = _box_excess(body, candidates, 0, 1, k)  # gauge(alpha) <= k iff A alpha <= k B
-    pts = list(itertools.compress(candidates, np.all(excess <= 0, axis=1)))
-    pts.sort(key=lambda a: cgrevlex_key(body, a))
-    return tuple(pts)
+    keys, scale = _gauge_numerators(body, candidates)
+    # gauge first, then the degree order: the body-graded order of `order.cgrevlex_key`
+    ranked = sorted((key, sum(a), a) for key, a in zip(keys, candidates) if key <= k * scale)
+    return tuple(a for _, _, a in ranked)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +376,7 @@ def _classify_cells(body: ConvexBody, resolution: Fraction):
         raise ValidationError(f"resolution {resolution} makes {math.prod(counts)} quadrature cells, "
                               f"more than {_MAX_GRID}")
     cells = np.stack([g.ravel() for g in np.meshgrid(*map(np.arange, counts), indexing="ij")], axis=1)
-    highest, lowest = _box_excess(body, cells, 1, resolution.numerator, resolution.denominator)
+    highest, lowest = _box_excess(body, cells, resolution.numerator, resolution.denominator)
     status = np.where(np.all(highest <= 0, axis=1), 1, np.where(np.any(lowest > 0, axis=1), -1, 0))
     return cells, status
 
@@ -503,7 +513,7 @@ def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: in
     a_mat = np.array([[float(aj) for aj in a] for a, _ in body.halfspaces])
     b_vec = np.array([float(b) for _, b in body.halfspaces])
     boundary = cells[status == 0]
-    highest, _ = _box_excess(body, boundary, 1, resolution.numerator, resolution.denominator)
+    highest, _ = _box_excess(body, boundary, resolution.numerator, resolution.denominator)
     # float(c * resolution) for every cell index c, one Fraction product each
     edges = np.array([float(c * resolution) for c in range(int(cells.max(initial=0)) + 1)])
     corners = edges[boundary]
@@ -555,74 +565,76 @@ def average_total_degree(body: ConvexBody, resolution=Fraction(1, 32), subsample
 class DaggerReport:
     """Outcome of the leading-term stability check.
 
-    verdict: 'holds-simplex' (single non-redundant facet besides the
-    orthant, so gauge level sets are parallel hyperplanes),
+    verdict: 'holds-simplex' (the body is {x >= 0 : a.x <= b} for one of
+    its halfspaces, so gauge level sets are parallel hyperplanes),
     'holds-injective-gauge' (all lattice gauges pairwise distinct up to
     the cap), or 'violated' (gauge ties found and neither sufficient
     criterion applies; a warning, not a hard error).
     witness_pairs: (alpha, beta) with alpha != beta and equal exact gauge,
-    alpha preceding beta in the graded order, up to the degree cap.
+    alpha preceding beta in the graded order, up to the degree cap; sorted
+    by (|alpha|, alpha, beta) and cut after the first `_MAX_WITNESS_PAIRS`.
+    pair_count: the number of such pairs, listed or not.
     """
 
     verdict: str
     witness_pairs: tuple[tuple[Exponent, Exponent], ...]
     k_max: int
+    pair_count: int
 
 
-def _nonredundant_halfspaces(body: ConvexBody) -> list[int]:
-    """Indices of halfspaces whose removal changes the body (exact LP test)."""
-    keep = []
-    for i, (a, b) in enumerate(body.halfspaces):
-        rows = [list(hs[0]) for j, hs in enumerate(body.halfspaces) if j != i]
-        rhs = [hs[1] for j, hs in enumerate(body.halfspaces) if j != i]
-        value, bounded, _ = rational_lp_max(rows, rhs, list(a))
-        if not bounded or value > b:
-            keep.append(i)
-    return keep
+# check_dagger lists at most this many witness pairs; their number grows
+# with the square of the lattice (1,272,960 for the box N=3 at k=16)
+_MAX_WITNESS_PAIRS = 10_000
 
 
 def is_simplex(body: ConvexBody) -> bool:
-    """True iff the body is {x >= 0 : c.x <= b} up to redundant halfspaces."""
-    return len(_nonredundant_halfspaces(body)) == 1
+    """True iff the body is {x >= 0 : a.x <= b} for one of its halfspaces.
+
+    That halfspace needs a > 0, and the body is its simplex iff every
+    halfspace holds at the simplex's vertices (b / a_j) e_j, tested
+    exactly on the integer rows as A_rj * B <= B_r * A_j.
+    """
+    a_int, b_int = _integer_rows(body)
+    return any(np.all(a_int * b <= np.multiply.outer(b_int, a))
+               for a, b in zip(a_int, b_int) if np.all(a > 0))
 
 
 def check_dagger(body: ConvexBody, k_max: int) -> DaggerReport:
     """Decide leading-term stability up to the degree cap `k_max`.
 
     Simplices qualify structurally.  Otherwise the body qualifies iff the
-    gauge is injective on the lattice points of k_max*C; every exact gauge
-    tie is reported as a witness pair.
+    gauge is injective on the lattice points of k_max*C.  Unless it is,
+    every exact gauge tie is counted, and the first `_MAX_WITNESS_PAIRS`
+    are listed as witness pairs.
     """
     verdict = _dagger_verdict(body, k_max)
-    witnesses = []
+    runs = []
     if verdict != "holds-injective-gauge":
-        by_gauge: dict[Fraction, list[Exponent]] = {}
-        for alpha in body.lattice_points(k_max):
-            by_gauge.setdefault(body.gauge(alpha), []).append(alpha)
-        for group in by_gauge.values():
-            if len(group) > 1:
-                witnesses.extend(itertools.combinations(group, 2))
-        witnesses.sort(key=lambda pair: (sum(pair[0]), pair[0], pair[1]))
-    return DaggerReport(verdict=verdict, witness_pairs=tuple(witnesses), k_max=k_max)
+        pts = body.lattice_points(k_max)
+        keys, _ = _gauge_numerators(body, pts)
+        # the lattice is sorted by gauge, so equal gauges form runs
+        runs = [run for _, group in itertools.groupby(pts, dict(zip(pts, keys)).get)
+                if len(run := list(group)) > 1]
+    # each tied alpha in (|alpha|, alpha) order, paired with the later members of its run
+    tied = sorted((sum(a), a, i) for i, run in enumerate(runs) for a in run)
+    members = [sorted(run) for run in runs]
+    pairs = ((a, b) for s, a, i in tied for b in members[i] if (sum(b), b) > (s, a))
+    return DaggerReport(verdict=verdict, witness_pairs=tuple(itertools.islice(pairs, _MAX_WITNESS_PAIRS)),
+                        k_max=k_max, pair_count=sum(math.comb(len(run), 2) for run in runs))
 
 
 def _dagger_verdict(body: ConvexBody, k_max: int) -> str:
     """The verdict of `check_dagger(body, k_max)`, without building witness pairs.
 
     A simplex is decided before any lattice point is enumerated; otherwise
-    the scan stops at the first exact gauge tie.
+    two lattice points with one integer gauge key are a tie.
     """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
     if is_simplex(body):
         return "holds-simplex"
-    seen = set()
-    for alpha in body.lattice_points(k_max):
-        gauge = body.gauge(alpha)
-        if gauge in seen:
-            return "violated"
-        seen.add(gauge)
-    return "holds-injective-gauge"
+    keys, _ = _gauge_numerators(body, body.lattice_points(k_max))
+    return "violated" if len(set(keys)) < len(keys) else "holds-injective-gauge"
 
 
 def simplex_body(dim: int) -> ConvexBody:

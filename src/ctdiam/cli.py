@@ -170,6 +170,7 @@ def _run_body_check(config, artifacts: _Artifacts) -> int:
         "halfspaces": [{"a": [str(x) for x in a], "b": str(b)} for a, b in body.halfspaces],
         "dagger_verdict": report.verdict,
         "witness_pairs": [[list(a), list(b)] for a, b in report.witness_pairs],
+        "witness_pair_count": report.pair_count,
         "k_max": k_max,
         "counts": {},
     }
@@ -177,7 +178,9 @@ def _run_body_check(config, artifacts: _Artifacts) -> int:
         m_k, h_k, l_k = body.counts(k)
         payload["counts"][str(k)] = {"M": m_k, "h": h_k, "L": l_k}
         print(f"k={k}: M_k={m_k} h_k={h_k} L_k={l_k}")
-    print(f"dagger: {report.verdict} ({len(report.witness_pairs)} witness pairs up to k={k_max})")
+    listed = len(report.witness_pairs)
+    cut = f", first {listed} listed" if listed < report.pair_count else ""
+    print(f"dagger: {report.verdict} ({report.pair_count} witness pairs up to k={k_max}{cut})")
     artifacts.write_json("body_check.json", payload)
     return 0
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ctdiam import average_total_degree, check_dagger, validate_body
@@ -14,10 +14,14 @@ from ctdiam.body import (
     _classify_cells,
     _dagger_verdict,
     _exact_grid,
+    _gauge_numerators,
+    _integer_rows,
+    _lattice_points,
     _outer_sum,
     _product_keep,
     body_quadrature,
     box_body,
+    is_simplex,
     parse_body_spec,
     rational_lp_max,
 )
@@ -252,6 +256,30 @@ def test_integer_rows_match_fraction_oracles(case, k):
     _check_against_oracles(*case, k)
 
 
+@st.composite
+def wide_denominator_bodies(draw):
+    # odd denominators from 2**40 + 1 up and negative coefficients: lcm(B) * G leaves int64
+    dim = draw(st.integers(1, 3))
+    dens = itertools.count(2**40 + 1, 2)
+    b0 = Fraction(draw(st.integers(1, 4)), next(dens))
+    rows = [(tuple(b0 * Fraction(draw(st.integers(2, 6)), 6) for _ in range(dim)), b0)]
+    for _ in range(draw(st.integers(1, 2))):
+        b = Fraction(draw(st.integers(1, 2**41)), next(dens))
+        rows.append((tuple(min(Fraction(draw(st.integers(-2**41, 2**41)), next(dens)), b)
+                           for _ in range(dim)), b))
+    return validate_body(rows, dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(body=wide_denominator_bodies(), k=st.integers(1, 3))
+def test_gauge_keys_beyond_int64_match_fraction_oracles(body, k):
+    box = [range(int(k * body.coordinate_max(j)) + 1) for j in range(body.dim)]
+    candidates = list(itertools.product(*box))
+    keys, scale = _gauge_numerators(body, candidates)
+    assert keys == [scale * body.gauge(alpha) for alpha in candidates]
+    _check_against_oracles(body, Fraction(1, 2), k)
+
+
 def _reference_quadrature(body, resolution, subsamples):
     # body_quadrature as it was before boundary cells tested only their
     # cutting halfspaces: every sample against every halfspace, row sums
@@ -436,13 +464,104 @@ def test_dagger_verdict_decides_simplex_before_enumerating(wide_simplex):
 
 
 def test_dagger_verdict_stops_at_first_tie():
-    # check_dagger lists 1,272,960 witness pairs for the box at k = 16; past
-    # the enumeration, the verdict needs the gauges of (0,0,0), (0,0,1), (0,1,0)
+    # check_dagger counts 1,272,960 witness pairs for the box at k = 16; past
+    # the enumeration, the verdict compares integer gauge keys, never a gauge
     box = box_body(3)
     box.lattice_points(16)
     with mock.patch.object(type(box), "gauge", autospec=True, side_effect=type(box).gauge) as gauge:
         assert _dagger_verdict(box, 16) == "violated"
-    assert gauge.call_count == 3
+    assert gauge.call_count == 0
+
+
+def test_lattice_and_dagger_make_no_gauge_call(cube3, pentagon):
+    with mock.patch.object(type(cube3), "gauge", autospec=True, side_effect=type(cube3).gauge) as gauge:
+        for body in (cube3, pentagon):
+            _lattice_points.__wrapped__(body, 3)  # cold, past the cache
+            assert _dagger_verdict(body, 3) == check_dagger(body, 3).verdict == "violated"
+    assert gauge.call_count == 0
+
+
+def _full_witness_pairs(body, k_max):
+    # every exact Fraction gauge tie, sorted as check_dagger lists them
+    by_gauge = {}
+    for alpha in body.lattice_points(k_max):
+        by_gauge.setdefault(body.gauge(alpha), []).append(alpha)
+    pairs = [pair for group in by_gauge.values() for pair in itertools.combinations(group, 2)]
+    return sorted(pairs, key=lambda pair: (sum(pair[0]), pair[0], pair[1]))
+
+
+@pytest.mark.parametrize("name, k", [("square", 5), ("cube3", 5), ("pentagon", 6), ("wide_simplex", 6)])
+@pytest.mark.parametrize("cap", [1, 7, 100, 10**9])
+def test_witness_pairs_are_the_prefix_of_every_tie(request, name, k, cap):
+    body = request.getfixturevalue(name)
+    full = _full_witness_pairs(body, k)
+    with mock.patch("ctdiam.body._MAX_WITNESS_PAIRS", cap):
+        report = check_dagger(body, k)
+    assert report.witness_pairs == tuple(full[:cap])
+    assert report.pair_count == len(full)
+
+
+def test_witness_pairs_stop_at_the_cap(cube3):
+    box = check_dagger(box_body(3), 16)
+    assert (box.verdict, box.pair_count, len(box.witness_pairs)) == ("violated", 1_272_960, 10_000)
+    assert box.witness_pairs[0] == ((0, 0, 1), (0, 1, 0))
+    # below the cap every pair is listed
+    for body, k, count in [(cube3, 5, 3696), (box_body(3), 4, 2688)]:
+        report = check_dagger(body, k)
+        assert report.pair_count == len(report.witness_pairs) == count
+
+
+# a quadrilateral whose first facet is listed twice, and the unit simplex listed twice
+QUAD_REPEATED = [(("4/3", "3"), "3"), (("1", "1/3"), "1"), (("8/3", "6"), "6")]
+SIMPLEX_REPEATED = [(("1", "1"), "1"), (("2", "2"), "2")]
+
+
+@pytest.mark.parametrize("halfspaces, verdict", [
+    (QUAD_REPEATED, "violated"),
+    (QUAD_REPEATED[:2], "violated"),
+    (SIMPLEX_REPEATED, "holds-simplex"),
+    (SIMPLEX_REPEATED[:1], "holds-simplex"),
+])
+def test_repeated_halfspace_keeps_the_verdict(halfspaces, verdict):
+    body = validate_body(halfspaces, 2)
+    assert check_dagger(body, 3).verdict == _dagger_verdict(body, 3) == verdict
+
+
+def _nonredundant_halfspaces(body):
+    # the exact LP test is_simplex replaced: halfspaces whose removal changes the body
+    keep = []
+    for i, (a, b) in enumerate(body.halfspaces):
+        rows = [list(hs[0]) for j, hs in enumerate(body.halfspaces) if j != i]
+        rhs = [hs[1] for j, hs in enumerate(body.halfspaces) if j != i]
+        value, bounded, _ = rational_lp_max(rows, rhs, list(a))
+        if not bounded or value > b:
+            keep.append(i)
+    return keep
+
+
+def _has_repeated_row(body):
+    a_int, b_int = _integer_rows(body)
+    rows = [tuple(x // math.gcd(b, *a) for x in (*a, b)) for a, b in zip(a_int.tolist(), b_int.tolist())]
+    return len(set(rows)) < len(rows)
+
+
+@st.composite
+def simplex_candidates(draw):
+    # a simplex row, maybe a looser parallel copy, and rows that may or may not be redundant
+    body, _ = draw(bodies_and_resolutions())
+    (a0, b0), *rest = body.halfspaces
+    looser = [(a0, b0 * Fraction(draw(st.integers(3, 5)), 2)) for _ in range(draw(st.integers(0, 1)))]
+    return validate_body([(a0, b0), *looser, *rest], body.dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=simplex_candidates())
+@example(body=validate_body([(("1", "0"), "2"), (("1", "2"), "2")], 2))
+@example(body=validate_body([(("1", "1"), "1"), (("1", "0"), "1")], 2))
+@example(body=validate_body(QUAD_REPEATED[:2], 2))
+def test_is_simplex_matches_the_redundancy_lp(body):
+    assume(not _has_repeated_row(body))
+    assert is_simplex(body) == (len(_nonredundant_halfspaces(body)) == 1)
 
 
 def test_rational_lp_detects_unbounded_ray():

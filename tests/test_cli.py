@@ -79,6 +79,39 @@ def test_body_check_happy(tmp_path):
     payload = json.loads((out / "body_check.json").read_text())
     assert payload["dagger_verdict"] == "violated"
     assert [[0, 1], [1, 0]] in payload["witness_pairs"]
+    assert payload["witness_pair_count"] == len(payload["witness_pairs"])
+
+
+@pytest.mark.parametrize("halfspaces, verdict", [
+    # a quadrilateral with its first facet listed twice
+    ([{"a": ["4/3", "3"], "b": "3"}, {"a": ["1", "1/3"], "b": "1"}, {"a": ["8/3", "6"], "b": "6"}],
+     "violated"),
+    # the unit simplex listed twice
+    ([{"a": ["1", "1"], "b": "1"}, {"a": ["2", "2"], "b": "2"}], "holds-simplex"),
+], ids=["quadrilateral", "simplex"])
+def test_body_check_repeated_halfspace(tmp_path, capsys, halfspaces, verdict):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "body.json", {
+        "body": {"dim": 2, "halfspaces": halfspaces}, "run": {"k_max": 3}, "output_dir": str(out),
+    })
+    assert main(["body-check", "--config", cfg]) == 0
+    payload = json.loads((out / "body_check.json").read_text())
+    assert payload["dagger_verdict"] == verdict
+    count = payload["witness_pair_count"]
+    assert f"dagger: {verdict} ({count} witness pairs up to k=3)" in capsys.readouterr().out
+
+
+def test_body_check_lists_the_first_pairs(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "box.json", {
+        "body": {"dim": 3, "halfspaces": [{"a": [int(i == j) for i in range(3)], "b": 1} for j in range(3)]},
+        "run": {"k_max": 16}, "output_dir": str(out),
+    })
+    assert main(["body-check", "--config", cfg]) == 0
+    payload = json.loads((out / "body_check.json").read_text())
+    assert payload["witness_pair_count"] == 1_272_960
+    assert len(payload["witness_pairs"]) == 10_000
+    assert "(1272960 witness pairs up to k=16, first 10000 listed)" in capsys.readouterr().out
 
 
 def test_cheb_subcommand_with_overrides(tmp_path, capsys):
