@@ -6,12 +6,13 @@ A body is stored in H-representation with exact rational data,
 
 and must contain the unit simplex and be bounded.  The gauge
 r(alpha) = inf{r >= 0 : alpha in r*C} then has the closed form
-max(0, max_i (a_i . alpha) / b_i), which we evaluate exactly with
-`fractions.Fraction`.  Order comparisons downstream depend on exact
-gauge ties, so nothing in this module touches floating point except
-the sampled boundary cells of `body_quadrature`.  Lattice membership,
-the gauge order and its ties, and cell classification use the
-halfspaces scaled once to integer rows A x <= B, exact and vectorized.
+max(0, max_i (a_i . alpha) / b_i).  The halfspaces are scaled once to
+integer rows A x <= B; with D = lcm(B) and G_i = A_i * (D // B_i), the
+gauge is the exact fraction max(0, max_i G_i . alpha) / D.  Order
+comparisons downstream depend on exact gauge ties, so nothing in this
+module touches floating point except the sampled boundary cells of
+`body_quadrature`.  Lattice membership, the gauge and its ties, and
+cell classification all read the integer rows, exact and vectorized.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -74,16 +76,18 @@ def as_int(value, field: str) -> int:
 
 # ---------------------------------------------------------------------------
 # Exact rational LP:  maximize c.x  over  {x >= 0, A x <= b},  b >= 0.
-# Used for boundedness checks and per-coordinate maxima (lattice bounding
-# boxes).  Sizes are tiny, so a dense tableau with Bland's rule (guaranteed
-# termination in exact arithmetic) is all we need.
+# Used for the per-coordinate maxima, which decide boundedness and give
+# the lattice bounding boxes.  Sizes are tiny, so a dense tableau with
+# Bland's rule (guaranteed termination in exact arithmetic) is all we need.
 # ---------------------------------------------------------------------------
 
 def rational_lp_max(rows: list[list[Fraction]], rhs: list[Fraction], cost: list[Fraction]):
-    """Return (value, bounded, maximizer). `bounded` False means unbounded.
+    """Return (value, bounded, x).
 
-    Requires rhs >= 0 so the origin is a basic feasible start; Bland's
-    rule guarantees termination in exact arithmetic.
+    Bounded: x is a maximizer.  Unbounded: value is None and x is a ray
+    r >= 0, r != 0 with A r <= 0 and c.r > 0.  Requires rhs >= 0 so the
+    origin is a basic feasible start; Bland's rule guarantees
+    termination in exact arithmetic.
     """
     m = len(rows)
     n = len(cost)
@@ -107,7 +111,12 @@ def rational_lp_max(rows: list[list[Fraction]], rhs: list[Fraction], cost: list[
             if tab[i][enter] > 0
         ]
         if not ratios:
-            return None, False, None
+            # raising the entering variable moves each basic one by -tab[i][enter]
+            ray = [Fraction(int(j == enter)) for j in range(n)]
+            for i, b in enumerate(basis):
+                if b < n:
+                    ray[b] -= tab[i][enter]
+            return None, False, ray
         _, _, leave = min(ratios)
         piv = tab[leave][enter]
         tab[leave] = [v / piv for v in tab[leave]]
@@ -129,15 +138,15 @@ class ConvexBody:
     halfspaces: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
 
     def gauge(self, alpha) -> Fraction:
-        """Minkowski gauge r(alpha) = max(0, max_i (a_i.alpha)/b_i), exact."""
+        """Minkowski gauge r(alpha) = max(0, max_i G_i.alpha) / D at an int or Fraction point."""
         if len(alpha) != self.dim:
             raise DimensionMismatch(f"point has dimension {len(alpha)}, body has {self.dim}")
-        best = Fraction(0)
-        for a, b in self.halfspaces:
-            v = sum((ai * xi for ai, xi in zip(a, alpha)), Fraction(0)) / b
-            if v > best:
-                best = v
-        return best
+        try:
+            x = [xi if isinstance(xi, Fraction) else operator.index(xi) for xi in alpha]
+        except TypeError:
+            raise ValidationError(f"gauge needs int or Fraction coordinates, got {tuple(alpha)!r}") from None
+        rows, scale = _gauge_rows(self)
+        return Fraction(max(0, *(sum(map(operator.mul, g, x)) for g in rows)), scale)
 
     def degree(self, alpha) -> int:
         """Graded degree of the monomial z^alpha: ceil of the gauge (0 for alpha = 0)."""
@@ -190,7 +199,9 @@ def validate_body(halfspaces, dim: int) -> ConvexBody:
                     f"unit vector e_{j + 1} violates a.x <= {b} (coefficient {aj})"
                 )
     body = ConvexBody(dim=dim, halfspaces=tuple(rows))
-    _check_bounded(body)
+    # a body in the orthant is bounded iff every coordinate is
+    for j in range(dim):
+        _coordinate_max(body, j)
     return body
 
 
@@ -217,36 +228,13 @@ def parse_body_spec(spec: dict) -> ConvexBody:
     return validate_body(halfspaces, dim)
 
 
-def _lp_data(body: ConvexBody):
-    rows = [list(a) for a, _ in body.halfspaces]
-    rhs = [b for _, b in body.halfspaces]
-    return rows, rhs
-
-
-def _check_bounded(body: ConvexBody):
-    # bounded iff the recession cone {x >= 0 : A x <= 0} is trivial; the
-    # box-capped LP both decides this and produces a witness direction
-    rows, rhs = _lp_data(body)
-    n = body.dim
-    rec_rows = [list(a) for a in rows]
-    rec_rhs = [Fraction(0)] * len(rows)
-    for j in range(n):
-        rec_rows.append([Fraction(int(i == j)) for i in range(n)])
-        rec_rhs.append(Fraction(1))
-    cost = [Fraction(1)] * n
-    value, _, direction = rational_lp_max(rec_rows, rec_rhs, cost)
-    if value > 0:
-        dir_txt = "(" + ", ".join(str(d) for d in direction) + ")"
-        raise Unbounded(f"the body is unbounded along the direction {dir_txt}")
-
-
 @lru_cache(maxsize=None)
 def _coordinate_max(body: ConvexBody, j: int) -> Fraction:
-    rows, rhs = _lp_data(body)
     cost = [Fraction(int(i == j)) for i in range(body.dim)]
-    value, bounded, _ = rational_lp_max(rows, rhs, cost)
-    if not bounded:  # cannot happen for a validated body
-        raise Unbounded(f"coordinate {j} is unbounded")
+    rows, rhs = zip(*body.halfspaces)
+    value, bounded, ray = rational_lp_max(rows, rhs, cost)
+    if not bounded:
+        raise Unbounded(f"the body is unbounded along the direction ({', '.join(map(str, ray))})")
     return value
 
 
@@ -283,22 +271,37 @@ def _box_excess(body: ConvexBody, corners, p: int, q: int):
     return at_corner + p * up, at_corner + p * down
 
 
-def _gauge_numerators(body: ConvexBody, points):
-    """(keys, D): D * gauge(alpha) for each point as a Python int, and D = lcm(B).
+@lru_cache(maxsize=None)
+def _gauge_rows(body: ConvexBody):
+    """(G, D): D = lcm(B) and the rows G_i = A_i * (D // B_i), tuples of Python ints.
 
-    The rows G_i = A_i * (D // B_i) give G_i . alpha = D * (a_i . alpha) / b_i,
-    so the keys order and tie the points exactly as their gauges do.
+    G_i . alpha = D * (a_i . alpha) / b_i, so D * gauge(alpha) = max(0, max_i G_i . alpha).
     """
     a_int, b_int = _integer_rows(body)
     scale = math.lcm(*b_int)
-    rows = a_int * (scale // b_int)[:, None]
+    return tuple(map(tuple, (a_int * (scale // b_int)[:, None]).tolist())), scale
+
+
+def _gauge_numerators(body: ConvexBody, points):
+    """(keys, D): D * gauge(alpha) for each point as a Python int, and D = lcm(B).
+
+    The keys order and tie the points exactly as their gauges do.
+    """
+    rows, scale = _gauge_rows(body)
     pts = np.array(points, dtype=object).reshape(len(points), body.dim)
-    return np.maximum((pts @ rows.T).max(axis=1), 0).tolist(), scale
+    return np.maximum((pts @ np.array(rows, dtype=object).T).max(axis=1), 0).tolist(), scale
+
+
+# A lattice box or quadrature grid with more cells than this, or a cell
+# with more samples, is refused before anything is allocated.
+_MAX_GRID = 2**22
 
 
 @lru_cache(maxsize=None)
 def _lattice_points(body: ConvexBody, k: int) -> tuple[Exponent, ...]:
     box = [int(k * body.coordinate_max(j)) for j in range(body.dim)]
+    if (count := math.prod(u + 1 for u in box)) > _MAX_GRID:
+        raise ValidationError(f"k={k} makes {count} lattice candidates, more than {_MAX_GRID}")
     candidates = list(itertools.product(*(range(u + 1) for u in box)))
     keys, scale = _gauge_numerators(body, candidates)
     # gauge first, then the degree order: the body-graded order of `order.cgrevlex_key`
@@ -358,11 +361,6 @@ def _lattice_points(body: ConvexBody, k: int) -> tuple[Exponent, ...]:
 # past the bound and uncertified classes without exact products keep the
 # per-cell product test and per-cell sums.
 # ---------------------------------------------------------------------------
-
-# A grid with more cells than this, or a cell with more samples, is refused
-# before anything is allocated.
-_MAX_GRID = 2**22
-
 
 def _classify_cells(body: ConvexBody, resolution: Fraction):
     """(cells, status) for every grid cell [c, c + 1] * resolution meeting the bounding box.

@@ -38,9 +38,6 @@ from .tdiam import (
 )
 from .vdm import fekete_to_dict, max_vdm, strategy_from_config
 
-SUBCOMMANDS = ("body-check", "enumerate", "cheb", "transform", "vdm", "fekete", "leja", "tdiam")
-
-
 class _Artifacts:
     """Tracks written files and keeps MANIFEST.json current after each one."""
 
@@ -155,10 +152,15 @@ def _mesh_from_config(config: dict):
 
 
 def _workers(run: dict) -> int:
+    """run.workers (which --workers sets), else CTDIAM_WORKERS, else 1; a count below 1 is rejected."""
     if "workers" in run:
-        return max(1, as_int(run["workers"], "run.workers"))
-    env = os.environ.get("CTDIAM_WORKERS")
-    return max(1, as_int(env, "CTDIAM_WORKERS")) if env else 1
+        field, value = "run.workers", run["workers"]
+    else:
+        field, value = "CTDIAM_WORKERS", os.environ.get("CTDIAM_WORKERS") or 1
+    workers = as_int(value, field)
+    if workers < 1:
+        raise ValidationError(f"{field} must be at least 1, got {workers}")
+    return workers
 
 
 def _run_body_check(config, artifacts: _Artifacts) -> int:
@@ -352,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ctdiam",
         description="Graded Chebyshev constants, Fekete/Leja points, and transfinite diameter estimates",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=tuple(_HANDLERS))
     parser.add_argument("--config", required=False, help="JSON config path")
     parser.add_argument("--output", help="output directory (overrides config)")
     parser.add_argument("--k", type=int)

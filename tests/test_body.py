@@ -212,6 +212,16 @@ def test_quadrature_rejects_oversized_grid(cube3, resolution, subsamples, messag
 # Fraction oracles for the integer-row geometry: the corner loops the
 # float prefilter fell back to, and the gauge itself.
 
+def _oracle_gauge(body, x):
+    # the per-halfspace Fraction sum ConvexBody.gauge used to evaluate
+    best = Fraction(0)
+    for a, b in body.halfspaces:
+        v = sum((ai * xi for ai, xi in zip(a, x)), Fraction(0)) / b
+        if v > best:
+            best = v
+    return best
+
+
 def _oracle_status(body, cell, resolution):
     lo = [c * resolution for c in cell]
     hi = [(c + 1) * resolution for c in cell]
@@ -245,9 +255,10 @@ def _check_against_oracles(body, resolution, k):
     cells, status = _classify_cells(body, resolution)
     assert [_oracle_status(body, cell, resolution) for cell in cells.tolist()] == status.tolist()
     box = [range(int(k * body.coordinate_max(j)) + 1) for j in range(body.dim)]
-    in_kc = [alpha for alpha in itertools.product(*box) if body.gauge(alpha) <= k]
+    in_kc = [alpha for alpha in itertools.product(*box) if _oracle_gauge(body, alpha) <= k]
     pts = body.lattice_points(k)
-    assert pts == sorted(in_kc, key=lambda a: cgrevlex_key(body, a))
+    assert pts == sorted(in_kc, key=lambda a: (_oracle_gauge(body, a), sum(a), a))
+    assert [cgrevlex_key(body, a) for a in pts] == [(_oracle_gauge(body, a), sum(a), a) for a in pts]
 
 
 @settings(max_examples=60, deadline=None)
@@ -276,8 +287,26 @@ def test_gauge_keys_beyond_int64_match_fraction_oracles(body, k):
     box = [range(int(k * body.coordinate_max(j)) + 1) for j in range(body.dim)]
     candidates = list(itertools.product(*box))
     keys, scale = _gauge_numerators(body, candidates)
-    assert keys == [scale * body.gauge(alpha) for alpha in candidates]
+    assert keys == [scale * _oracle_gauge(body, alpha) for alpha in candidates]
     _check_against_oracles(body, Fraction(1, 2), k)
+
+
+# negative coordinates too, where the gauge is clamped at 0
+fractions12 = st.builds(Fraction, st.integers(-12, 36), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.lists(fractions12, min_size=3, max_size=3))
+def test_gauge_at_rational_points_matches_fraction_oracle(skew_body, theta):
+    assume(any(t.denominator > 1 for t in theta[:2]))
+    skew_3d = validate_body(SKEW_3D, 3)
+    for body, x in [(skew_body, theta[:2]), (skew_3d, theta)]:
+        assert body.gauge(x) == _oracle_gauge(body, x)
+
+
+def test_gauge_rejects_float_coordinates(skew_body):
+    with pytest.raises(ValidationError, match="int or Fraction coordinates"):
+        skew_body.gauge((0.5, Fraction(1, 3)))
 
 
 def _reference_quadrature(body, resolution, subsamples):
@@ -485,7 +514,7 @@ def _full_witness_pairs(body, k_max):
     # every exact Fraction gauge tie, sorted as check_dagger lists them
     by_gauge = {}
     for alpha in body.lattice_points(k_max):
-        by_gauge.setdefault(body.gauge(alpha), []).append(alpha)
+        by_gauge.setdefault(_oracle_gauge(body, alpha), []).append(alpha)
     pairs = [pair for group in by_gauge.values() for pair in itertools.combinations(group, 2)]
     return sorted(pairs, key=lambda pair: (sum(pair[0]), pair[0], pair[1]))
 
@@ -564,11 +593,19 @@ def test_is_simplex_matches_the_redundancy_lp(body):
     assert is_simplex(body) == (len(_nonredundant_halfspaces(body)) == 1)
 
 
+def _is_ray(body_rows, r):
+    # r >= 0, r != 0 and A r <= 0: the body contains t * r for every t >= 0
+    return (all(x >= 0 for x in r) and any(x > 0 for x in r)
+            and all(sum(aj * x for aj, x in zip(a, r)) <= 0 for a in body_rows))
+
+
 def test_rational_lp_detects_unbounded_ray():
     rows = [[Fraction(1), Fraction(-1)]]
     rhs = [Fraction(0)]
-    value, bounded, x = rational_lp_max(rows, rhs, [Fraction(1), Fraction(1)])
-    assert not bounded and value is None and x is None
+    cost = [Fraction(1), Fraction(1)]
+    value, bounded, r = rational_lp_max(rows, rhs, cost)
+    assert not bounded and value is None
+    assert _is_ray(rows, r) and sum(c * x for c, x in zip(cost, r)) > 0
 
 
 def test_rational_lp_solves_exactly():
@@ -582,3 +619,44 @@ def test_unbounded_message_names_direction():
     with pytest.raises(Unbounded) as exc:
         validate_body([(("1", "-1"), "1")], 2)
     assert "(" in str(exc.value) and ")" in str(exc.value)
+
+
+@st.composite
+def orthant_bodies(draw):
+    # halfspaces with small rational entries, often negative: many bodies are unbounded
+    dim = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        b = draw(st.builds(Fraction, st.integers(1, 4), st.integers(1, 3)))
+        rows.append((tuple(min(draw(small_rationals), b) for _ in range(dim)), b))
+    return rows, dim
+
+
+def _recession_oracle(rows, dim):
+    # the deleted boundedness LP: max sum(x) over {x >= 0, A x <= 0, x <= 1} is 0 iff bounded
+    cone = [list(a) for a, _ in rows] + [[Fraction(int(i == j)) for i in range(dim)] for j in range(dim)]
+    value, _, _ = rational_lp_max(cone, [Fraction(0)] * len(rows) + [Fraction(1)] * dim, [Fraction(1)] * dim)
+    return value == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=orthant_bodies())
+@example(case=([(("1", "-1", "-1"), "1")], 3))
+def test_every_unbounded_body_names_a_recession_ray(case):
+    rows, dim = case
+    rows = [(tuple(Fraction(x) for x in a), Fraction(b)) for a, b in rows]
+    try:
+        validate_body(rows, dim)
+    except Unbounded as exc:
+        text = str(exc)
+        r = [Fraction(x) for x in text[text.rindex("(") + 1:text.rindex(")")].split(", ")]
+        assert len(r) == dim and _is_ray([a for a, _ in rows], r)
+        assert not _recession_oracle(rows, dim)
+    else:
+        assert _recession_oracle(rows, dim)
+
+
+def test_lattice_refuses_a_huge_box_at_once():
+    # (10**6 + 1)**3 candidates would never fit in memory
+    with pytest.raises(ValidationError, match=r"k=1000000 makes 1000003000003000001 lattice candidates"):
+        box_body(3).lattice_points(10**6)

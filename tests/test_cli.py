@@ -392,6 +392,31 @@ def test_workers_env_override(tmp_path, monkeypatch):
     assert main(["transform", "--config", cfg]) == 0
 
 
+@pytest.mark.parametrize("flag, env, message", [
+    (["--workers", "0"], None, "run.workers must be at least 1, got 0"),
+    (["--workers", "-2"], None, "run.workers must be at least 1, got -2"),
+    ([], "0", "CTDIAM_WORKERS must be at least 1, got 0"),
+    ([], "-1", "CTDIAM_WORKERS must be at least 1, got -1"),
+], ids=["flag-0", "flag-negative", "env-0", "env-negative"])
+@pytest.mark.parametrize("subcommand", ["transform", "tdiam"])
+def test_worker_count_below_one_is_rejected(tmp_path, monkeypatch, capsys, subcommand, flag, env, message):
+    cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1, "mesh": INTERVAL9, "run": {"k": 2, "k_max": 2},
+                                              "output_dir": str(tmp_path / "out")})
+    if env is not None:
+        monkeypatch.setenv("CTDIAM_WORKERS", env)
+    assert main([subcommand, "--config", cfg, *flag]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_body_check_refuses_a_huge_lattice(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cube.json", {
+        "body": {"dim": 3, "halfspaces": [{"a": [int(i == j) for i in range(3)], "b": 1} for j in range(3)]},
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["body-check", "--config", cfg, "--k-max", "1000000"]) == 2
+    assert "k=1000000 makes" in capsys.readouterr().err
+
+
 # scipy is None in sys.modules, so any import of it raises ImportError
 WITHOUT_SCIPY = """
 import sys
