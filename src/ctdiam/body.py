@@ -137,6 +137,14 @@ class ConvexBody:
     dim: int
     halfspaces: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
 
+    def __post_init__(self):
+        # every lru_cache lookup keyed on the body hashes it; hashing its
+        # Fractions each time dominated the lattice and gauge calls
+        object.__setattr__(self, "_hash", hash((self.dim, self.halfspaces)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def gauge(self, alpha) -> Fraction:
         """Minkowski gauge r(alpha) = max(0, max_i G_i.alpha) / D at an int or Fraction point."""
         if len(alpha) != self.dim:
@@ -363,11 +371,12 @@ def _lattice_points(body: ConvexBody, k: int) -> tuple[Exponent, ...]:
 # ---------------------------------------------------------------------------
 
 def _classify_cells(body: ConvexBody, resolution: Fraction):
-    """(cells, status) for every grid cell [c, c + 1] * resolution meeting the bounding box.
+    """(cells, status, highest) for each grid cell [c, c + 1] * resolution in the bounding box.
 
     status: 1 inside, 0 boundary, -1 outside.  A cell is inside iff every
     halfspace holds at its max corner, outside iff some halfspace fails at
-    its min corner; both tests are exact for boxes.
+    its min corner; both tests are exact for boxes.  highest is the exact
+    `_box_excess` at the max corner, one column per halfspace.
     """
     counts = [math.ceil(body.coordinate_max(j) / resolution) for j in range(body.dim)]
     if math.prod(counts) > _MAX_GRID:
@@ -376,7 +385,7 @@ def _classify_cells(body: ConvexBody, resolution: Fraction):
     cells = np.stack([g.ravel() for g in np.meshgrid(*map(np.arange, counts), indexing="ij")], axis=1)
     highest, lowest = _box_excess(body, cells, resolution.numerator, resolution.denominator)
     status = np.where(np.all(highest <= 0, axis=1), 1, np.where(np.any(lowest > 0, axis=1), -1, 0))
-    return cells, status
+    return cells, status, highest
 
 
 def _outer_sum(u, v):
@@ -496,7 +505,10 @@ def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: in
     if subsamples ** body.dim > _MAX_GRID:
         raise ValidationError(f"subsamples {subsamples} makes {subsamples}**{body.dim} samples per cell, "
                               f"more than {_MAX_GRID}")
-    cells, status = _classify_cells(body, resolution)
+    cells, status, highest = _classify_cells(body, resolution)
+    on_boundary = status == 0
+    # the boundary rows only, so the full excess table is freed at once
+    boundary, highest = cells[on_boundary], highest[on_boundary]
     res_f = float(resolution)
     cell_vol = res_f ** body.dim
     volume = 0.0
@@ -510,8 +522,6 @@ def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: in
     offsets = np.stack([g.ravel() for g in np.meshgrid(*([offs] * body.dim), indexing="ij")])
     a_mat = np.array([[float(aj) for aj in a] for a, _ in body.halfspaces])
     b_vec = np.array([float(b) for _, b in body.halfspaces])
-    boundary = cells[status == 0]
-    highest, _ = _box_excess(body, boundary, resolution.numerator, resolution.denominator)
     # float(c * resolution) for every cell index c, one Fraction product each
     edges = np.array([float(c * resolution) for c in range(int(cells.max(initial=0)) + 1)])
     corners = edges[boundary]

@@ -25,9 +25,11 @@ each entry receives the one product an outer-product update would
 subtract.  Every solve is verified against its optimality certificate
 before the result is returned.
 
-Memory: a solve holds F and one preallocated tableau [F^T; 1 | I],
-filled straight from F, and makes no other tableau-sized array; the
-basis columns for the multipliers are read back from F.
+Memory: a solve holds F and one preallocated tableau [F^T; 1 | I | e_last],
+filled straight from F, and makes no other tableau-sized array.  The
+right-hand side is the tableau's last column, so a pivot eliminates it
+with every other entry; the basis columns for the multipliers are read
+back from F.
 """
 
 from __future__ import annotations
@@ -45,25 +47,21 @@ _MAX_ITER = 50000  # per simplex phase; the largest solve seen takes a few hundr
 _BLOCK = 2**15  # float64 entries of the pivot's block buffer: 256 KB, fits in L2
 
 
-def _pivot(tab, rhs, basis, row, col):
+def _pivot(tab, basis, row, col):
     """Pivot on (row, col) in place, in blocks of max(1, _BLOCK // width) rows.
 
     Every row but the pivot row subtracts c_i * r_j, computed into one
-    block buffer, so each entry gets the bits of a row-by-row update.  A
-    row the column does not reach (c_i == 0) subtracts +-0, which leaves
-    its values unchanged but may turn a -0.0 into +0.0; no decision reads
-    that sign (pricing, the ratio test, lexsort and the drive-out test
-    treat +-0 alike).  rhs changes only on the reached rows.
+    block buffer, so each entry, the right-hand side column included,
+    gets the bits of a row-by-row update.  A row the column does not
+    reach (c_i == 0) subtracts +-0, which leaves its values unchanged but
+    may turn a -0.0 into +0.0; no decision reads that sign (pricing, the
+    ratio test, lexsort and the drive-out test treat +-0 alike).
     """
     m, width = tab.shape
     pivot_row = tab[row]
-    piv = pivot_row[col]
-    pivot_row /= piv
-    rhs[row] /= piv
+    pivot_row /= pivot_row[col]
     colvals = tab[:, col].copy()
     colvals[row] = 0.0
-    reached = np.flatnonzero(colvals)
-    rhs[reached] -= colvals[reached] * rhs[row]
     step = max(1, _BLOCK // width)
     buf = np.empty((min(step, m), width))
     for first, stop in ((0, row), (row + 1, m)):
@@ -76,8 +74,9 @@ def _pivot(tab, rhs, basis, row, col):
     basis[row] = col
 
 
-def _run_simplex(tab, rhs, basis, cost, allowed, n_struct):
-    """Iterate to optimality; returns iteration count."""
+def _run_simplex(tab, basis, cost, allowed):
+    """Iterate to optimality on a tableau [A | I | rhs]; returns iteration count."""
+    n_struct = tab.shape[1] - tab.shape[0] - 1
     iters = 0
     while True:
         iters += 1
@@ -91,42 +90,42 @@ def _run_simplex(tab, rhs, basis, cost, allowed, n_struct):
         rows = np.flatnonzero(column > _PIV_TOL)
         if rows.size == 0:
             raise SolverFailure("standard-form LP unbounded; the min-max construction is broken")
-        ratios = rhs[rows] / column[rows]
+        ratios = tab[rows, -1] / column[rows]
         tie = rows[ratios <= ratios.min() + 1e-12]
         if tie.size == 1:
             row = int(tie[0])
         else:
             # lexicographic comparison of [rhs | B^-1] rows scaled by the pivot
-            block = np.column_stack([rhs[tie], tab[tie, n_struct:]]) / column[tie, None]
+            block = np.column_stack([tab[tie, -1], tab[tie, n_struct:-1]]) / column[tie, None]
             row = int(tie[np.lexsort(block.T[::-1])[0]])
-        _pivot(tab, rhs, basis, row, col)
+        _pivot(tab, basis, row, col)
 
 
-def _two_phase(tab, rhs, c, F):
-    """Two-phase simplex on the filled tableau [F^T; 1 | I] with rhs = e_last.
+def _two_phase(tab, c, F):
+    """Two-phase simplex on the filled tableau [F^T; 1 | I | e_last].
 
     Only the optimal basis columns of [F^T; 1] are read back from F, to
     solve for the multipliers pi.  Returns (value, lam, pi, iterations);
-    tab and rhs are overwritten.
+    tab is overwritten.
     """
     m = tab.shape[0]
-    n = tab.shape[1] - m
+    n = tab.shape[1] - m - 1
     basis = np.arange(n, n + m)
     phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
-    iters = _run_simplex(tab, rhs, basis, phase1_cost, n + m, n)
-    if float(rhs[basis >= n].sum()) > 1e-7:
+    iters = _run_simplex(tab, basis, phase1_cost, n + m)
+    if float(tab[basis >= n, -1].sum()) > 1e-7:
         raise SolverFailure("phase 1 ended infeasible")
     for row in range(m):  # drive artificial columns out of the basis when possible
         if basis[row] >= n:
             nz = np.flatnonzero(np.abs(tab[row, :n]) > 1e-7)
             if nz.size:
-                _pivot(tab, rhs, basis, row, int(nz[0]))
+                _pivot(tab, basis, row, int(nz[0]))
     phase2_cost = np.concatenate([c, np.zeros(m)])
-    iters += _run_simplex(tab, rhs, basis, phase2_cost, n, n)
+    iters += _run_simplex(tab, basis, phase2_cost, n)
 
     lam = np.zeros(n)
     in_struct = basis < n
-    lam[basis[in_struct]] = rhs[in_struct]
+    lam[basis[in_struct]] = tab[in_struct, -1]
     value = float(c @ lam)
     # the basis columns of [F^T; 1 | I] and their costs
     basis_matrix = np.zeros((m, m))
@@ -172,7 +171,7 @@ def is_real_instance(lower_vals, target_vals) -> bool:
 def lp_entries(d: int, npts: int, m_phases: int, real_path: bool) -> int:
     """float64 entries of F plus the tableau of a `solve_minimax` instance, d lower monomials."""
     n_rows, n_x = (2 * npts, d) if real_path else (m_phases * npts, 2 * d)
-    return n_rows * n_x + (n_x + 1) * (n_rows + n_x + 1)
+    return n_rows * n_x + (n_x + 1) * (n_rows + n_x + 2)
 
 
 def solve_minimax(lower_vals, target_vals, log_weight_pow, m_phases: int = 32) -> MinimaxResult:
@@ -234,15 +233,14 @@ def solve_minimax(lower_vals, target_vals, log_weight_pow, m_phases: int = 32) -
         bracket = 1.0 / math.cos(math.pi / m_phases)
         n_x = 2 * d
 
-    # the standard form [F^T; 1] lam = e_last, lam >= 0, in one tableau [F^T; 1 | I]
+    # the standard form [F^T; 1] lam = e_last, lam >= 0, in one tableau [F^T; 1 | I | e_last]
     n_rows = F.shape[0]
-    tab = np.zeros((n_x + 1, n_rows + n_x + 1))
+    tab = np.zeros((n_x + 1, n_rows + n_x + 2))
     tab[:n_x, :n_rows] = F.T
     tab[n_x, :n_rows] = 1.0
-    tab[:, n_rows:] = np.eye(n_x + 1)
-    rhs = np.zeros(n_x + 1)
-    rhs[-1] = 1.0
-    value, lam, pi, iters = _two_phase(tab, rhs, -g, F)
+    tab[:, n_rows:-1] = np.eye(n_x + 1)
+    tab[-1, -1] = 1.0
+    value, lam, pi, iters = _two_phase(tab, -g, F)
 
     u = pi[:n_x]
     t_star = -pi[-1]

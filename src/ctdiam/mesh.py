@@ -9,11 +9,12 @@ for w = 0) because w^k under- and overflows for quite moderate k.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import as_int
+from .body import _MAX_GRID, as_int
 from .errors import (
     DegenerateWeight,
     DimensionMismatch,
@@ -225,6 +226,15 @@ def _weight_for(points: np.ndarray, spec, field: str) -> np.ndarray:
     raise ValidationError(f"unknown weight kind {kind!r}")
 
 
+def _check_size(counts, field: str) -> None:
+    """Refuse a grid of more than _MAX_GRID points, naming `field`, before it is built.
+
+    Counts below 1 are left to the generators, which raise EmptySpec.
+    """
+    if all(c >= 1 for c in counts) and (total := math.prod(counts)) > _MAX_GRID:
+        raise ValidationError(f"{field} makes {total} mesh points, more than {_MAX_GRID}")
+
+
 def _circle_points(center: complex, radius: float, count: int) -> np.ndarray:
     if count < 1:
         raise EmptySpec("circle needs count >= 1")
@@ -281,19 +291,22 @@ def _build(spec, path: str) -> Mesh:
     kind = spec["kind"]
     weight_spec = spec.get("weight")
     if kind == "circle":
+        count = as_int(spec.get("count"), f"{path}.count")
+        _check_size([count], f"{path}.count")
         pts = _circle_points(_as_complex(spec.get("center", 0), f"{path}.center"),
-                             _as_real(spec.get("radius", 1), f"{path}.radius"),
-                             as_int(spec.get("count"), f"{path}.count"))
+                             _as_real(spec.get("radius", 1), f"{path}.radius"), count)
         prov = f"circle(center={spec.get('center', 0)}, radius={spec.get('radius', 1)}, count={spec['count']})"
     elif kind == "interval":
+        count = as_int(spec.get("count"), f"{path}.count")
+        _check_size([count], f"{path}.count")
         pts = _interval_points(_as_real(spec.get("a"), f"{path}.a"), _as_real(spec.get("b"), f"{path}.b"),
-                               as_int(spec.get("count"), f"{path}.count"),
-                               spec.get("spacing", "uniform"))
+                               count, spec.get("spacing", "uniform"))
         prov = f"interval([{spec['a']}, {spec['b']}], count={spec['count']}, {spec.get('spacing', 'uniform')})"
     elif kind == "box2d":
         xa, xb = (_as_real(v, f"{path}.x") for v in _as_list(spec.get("x"), f"{path}.x", 2))
         ya, yb = (_as_real(v, f"{path}.y") for v in _as_list(spec.get("y"), f"{path}.y", 2))
         nx, ny = (as_int(c, f"{path}.counts") for c in _as_list(spec.get("counts"), f"{path}.counts", 2))
+        _check_size([nx, ny], f"{path}.counts")
         mx = Mesh(1, _interval_points(xa, xb, nx, "uniform"), np.zeros(nx))
         my = Mesh(1, _interval_points(ya, yb, ny, "uniform"), np.zeros(ny))
         out = _cartesian([mx, my], f"box2d({nx}x{ny})")
@@ -306,12 +319,16 @@ def _build(spec, path: str) -> Mesh:
                    for c in _as_list(spec.get("centers", [0.0] * len(counts)), f"{path}.centers")]
         if not (len(counts) == len(radii) == len(centers)):
             raise ValidationError("torus radii/counts/centers lengths differ")
+        _check_size(counts, f"{path}.counts")
         factors = [Mesh(1, _circle_points(c, r, n), np.zeros(n)) for c, r, n in zip(centers, radii, counts)]
         out = _cartesian(factors, f"torus({'x'.join(map(str, counts))})")
         pts, prov = out.points, out.provenance
     elif kind == "product":
-        factors = [_build(f, f"{path}.factors[{i}]")
-                   for i, f in enumerate(_as_list(spec.get("factors"), f"{path}.factors"))]
+        factors = []
+        for i, f in enumerate(_as_list(spec.get("factors"), f"{path}.factors")):
+            factors.append(_build(f, f"{path}.factors[{i}]"))
+            # refused as soon as the factors built so far are too many points
+            _check_size([len(m) for m in factors], f"{path}.factors")
         if not factors:
             raise EmptySpec("product needs at least one factor")
         out = _cartesian(factors, " x ".join(m.provenance for m in factors))
@@ -359,7 +376,8 @@ def mesh_from_csv(path, dim: int) -> Mesh:
                 lw = vals[-1]
                 vals = vals[:-1]
             else:
-                raise ValidationError(f"row has {len(vals)} columns, expected {2 * dim} or {2 * dim + 1}")
+                raise ValidationError(f"{path} row {line} has {len(vals)} columns, "
+                                      f"expected {2 * dim} or {2 * dim + 1}")
             points.append([complex(vals[2 * i], vals[2 * i + 1]) for i in range(dim)])
             weights.append(lw)
     if not points:

@@ -65,6 +65,23 @@ def test_validate_rejects_floats():
         validate_body([((0.5, 1), 1)], 2)
 
 
+def test_equal_bodies_hash_alike_and_share_cache_entries():
+    # two separately validated copies of one body are equal and hash alike,
+    # so the second hits the first's lru_cache entries; the hash is kept, so
+    # a lookup hashes no Fraction
+    first = validate_body([(("1", "1/2"), "3/2"), (("0", "1"), "1")], 2)
+    second = validate_body([((1, Fraction(1, 2)), Fraction(3, 2)), ((0, 1), 1)], 2)
+    assert first == second and first is not second
+    assert hash(first) == hash(second) == hash((2, first.halfspaces))
+    assert first != validate_body([(("1", "1/2"), "3/2"), (("0", "1"), "2")], 2)
+    points = first.lattice_points(5)
+    before = _lattice_points.cache_info()
+    with mock.patch.object(Fraction, "__hash__", side_effect=AssertionError("a Fraction was hashed")):
+        assert second.lattice_points(5) == points
+    after = _lattice_points.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 @pytest.mark.parametrize("halfspaces, field", [
     ([{"b": "1"}], "body.halfspaces[0] "),
     ([{"a": ["1", "1"], "b": "1"}, {"a": ["1", "0"]}], "body.halfspaces[1] "),
@@ -252,7 +269,7 @@ def bodies_and_resolutions(draw):
 
 
 def _check_against_oracles(body, resolution, k):
-    cells, status = _classify_cells(body, resolution)
+    cells, status, _ = _classify_cells(body, resolution)
     assert [_oracle_status(body, cell, resolution) for cell in cells.tolist()] == status.tolist()
     box = [range(int(k * body.coordinate_max(j)) + 1) for j in range(body.dim)]
     in_kc = [alpha for alpha in itertools.product(*box) if _oracle_gauge(body, alpha) <= k]
@@ -312,7 +329,7 @@ def test_gauge_rejects_float_coordinates(skew_body):
 def _reference_quadrature(body, resolution, subsamples):
     # body_quadrature as it was before boundary cells tested only their
     # cutting halfspaces: every sample against every halfspace, row sums
-    cells, status = _classify_cells(body, resolution)
+    cells, status, _ = _classify_cells(body, resolution)
     res_f = float(resolution)
     cell_vol = res_f ** body.dim
     volume = 0.0

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -415,6 +416,27 @@ def test_body_check_refuses_a_huge_lattice(tmp_path, capsys):
     })
     assert main(["body-check", "--config", cfg, "--k-max", "1000000"]) == 2
     assert "k=1000000 makes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mesh, message", [
+    ({"kind": "torus", "counts": [100000, 100000]}, "mesh.counts makes 10000000000 mesh points"),
+    ({"kind": "circle", "count": 2**22 + 1}, "mesh.count makes 4194305 mesh points"),
+    ({"kind": "product", "factors": [{"kind": "circle", "count": 4096}] * 3},
+     "mesh.factors makes 16777216 mesh points"),
+], ids=["torus", "circle", "product"])
+def test_tdiam_refuses_an_oversized_mesh(tmp_path, capsys, mesh, message):
+    # refused before any array of the mesh is made: the torus would need
+    # 160 GB for its point array alone
+    cfg = write_config(tmp_path, "mesh.json", {"body": SIMPLEX2, "mesh": mesh,
+                                               "output_dir": str(tmp_path / "out")})
+    tracemalloc.start()
+    try:
+        assert main(["tdiam", "--config", cfg]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f"{message}, more than 4194304" in capsys.readouterr().err
+    assert peak < 2**20
 
 
 # scipy is None in sys.modules, so any import of it raises ImportError

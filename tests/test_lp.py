@@ -110,7 +110,7 @@ def test_minimax_rejects_degenerate_polygon():
 
 
 def _outer_product_pivot(tab, rhs, basis, row, col):
-    """Reference pivot: every reached row updated by one outer product."""
+    """Reference pivot on [A | I] with a separate rhs: every reached row by one outer product."""
     piv = tab[row, col]
     tab[row] /= piv
     rhs[row] /= piv
@@ -133,13 +133,13 @@ def _random_minimax(rng, complex_mesh):
 
 
 @pytest.mark.parametrize("complex_mesh", [False, True], ids=["real", "complex"])
-def test_pivot_matches_outer_product_reference(monkeypatch, complex_mesh):
+def test_pivot_matches_outer_product_reference(complex_mesh):
     rng = np.random.default_rng(11 if complex_mesh else 10)
     instances = [_random_minimax(rng, complex_mesh) for _ in range(12)]
-    row_pivot = [solve_minimax(*inst, m_phases=16) for inst in instances]
-    monkeypatch.setattr(lp, "_pivot", _outer_product_pivot)
-    outer_pivot = [solve_minimax(*inst, m_phases=16) for inst in instances]
-    for new, ref in zip(row_pivot, outer_pivot):
+    block_pivot = [solve_minimax(*inst, m_phases=16) for inst in instances]
+    outer_pivot = [_reference_minimax(*inst, m_phases=16, pivot=_outer_product_pivot)
+                   for inst in instances]
+    for new, ref in zip(block_pivot, outer_pivot):
         assert new.real_path is not complex_mesh
         assert new.log_value == ref.log_value
         assert new.iterations == ref.iterations > 0
@@ -148,14 +148,14 @@ def test_pivot_matches_outer_product_reference(monkeypatch, complex_mesh):
 
 def test_pivot_allocates_no_tableau_sized_temporary():
     # the shape of a level-5 complex transform LP on a 16x16 torus: 2*20 + 1
-    # rows, 32 phases * 256 points + 41 artificial columns
+    # rows, 32 phases * 256 points + 41 artificial columns + the rhs column
     rng = np.random.default_rng(3)
-    tab = rng.normal(size=(41, 8233))
-    rhs = rng.uniform(size=41)
+    tab = rng.normal(size=(41, 8234))
+    tab[:, -1] = rng.uniform(size=41)
     basis = np.arange(8192, 8233)
     tracemalloc.start()
     try:
-        lp._pivot(tab, rhs, basis, 7, 100)
+        lp._pivot(tab, basis, 7, 100)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -164,7 +164,7 @@ def test_pivot_allocates_no_tableau_sized_temporary():
 
 
 def _row_pivot(tab, rhs, basis, row, col):
-    """Reference pivot: one reached row at a time, as before the block update."""
+    """Reference pivot on [A | I] with a separate rhs: one reached row at a time."""
     pivot_row = tab[row]
     piv = pivot_row[col]
     pivot_row /= piv
@@ -180,36 +180,34 @@ def _row_pivot(tab, rhs, basis, row, col):
     basis[row] = col
 
 
-@pytest.mark.parametrize("shape", [(41, 8233), (35, 4643), (23, 455)])
+@pytest.mark.parametrize("shape", [(41, 8234), (35, 4644), (23, 456)])
 def test_block_pivot_matches_row_pivot(shape):
-    # the largest torus-complex and pentagon tableaux (blocks of 3 and 7 rows)
-    # and a small one (one block); pivot rows 0 and m - 1 leave the rows before
-    # or after the pivot row empty, and the first pivot column does not reach
-    # the even rows
+    # the largest torus-complex and pentagon tableaux, rhs column included
+    # (blocks of 3 and 7 rows), and a small one (one block); pivot rows 0 and
+    # m - 1 leave the rows before or after the pivot row empty, and the first
+    # pivot column does not reach the even rows
     m, width = shape
     rng = np.random.default_rng(m)
     tab = rng.normal(size=shape)
     tab[::2, 5] = 0.0
-    rhs = rng.uniform(size=m)
-    basis = np.arange(width - m, width)
-    ref_tab, ref_rhs, ref_basis = tab.copy(), rhs.copy(), basis.copy()
+    tab[:, -1] = rng.uniform(size=m)
+    basis = np.arange(width - m - 1, width - 1)
+    ref_tab, ref_rhs, ref_basis = tab[:, :-1].copy(), tab[:, -1].copy(), basis.copy()
     for row, col in [(1, 5), (0, 17), (m - 1, 40), (m // 2, 3), (m - 1, 9), (0, 2)]:
-        lp._pivot(tab, rhs, basis, row, col)
+        lp._pivot(tab, basis, row, col)
         _row_pivot(ref_tab, ref_rhs, ref_basis, row, col)
     # array_equal: an unreached row may turn -0.0 into +0.0, which compares equal
-    assert np.array_equal(tab, ref_tab)
-    assert np.array_equal(rhs, ref_rhs)
+    assert np.array_equal(tab, np.column_stack([ref_tab, ref_rhs]))
     assert np.array_equal(basis, ref_basis)
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
-def test_block_pivot_solves_torus_like_row_pivot(monkeypatch, weighted):
+def test_block_pivot_solves_torus_like_row_pivot(weighted):
     # a complex torus 8x8 instance at level 4: 25 tableau rows in blocks of 15
     lower, target = _torus_instance(8, 4, (2, 2))
     logw = np.random.default_rng(4).uniform(-1.0, 1.0, 64) if weighted else np.zeros(64)
     new = solve_minimax(lower, target, logw)
-    monkeypatch.setattr(lp, "_pivot", _row_pivot)
-    ref = solve_minimax(lower, target, logw)
+    ref = _reference_minimax(lower, target, logw, pivot=_row_pivot)
     assert not new.real_path
     assert new.log_value == ref.log_value
     assert new.iterations == ref.iterations > 0
@@ -218,19 +216,44 @@ def test_block_pivot_solves_torus_like_row_pivot(monkeypatch, weighted):
 
 def test_block_pivot_peak_is_one_block_buffer():
     rng = np.random.default_rng(5)
-    tab = rng.normal(size=(41, 8233))
-    rhs = rng.uniform(size=41)
+    tab = rng.normal(size=(41, 8234))
+    tab[:, -1] = rng.uniform(size=41)
     basis = np.arange(8192, 8233)
     tracemalloc.start()
     try:
-        lp._pivot(tab, rhs, basis, 20, 100)
+        lp._pivot(tab, basis, 20, 100)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * lp._BLOCK + tab[0].nbytes
 
 
-def _reference_standard_form(B, h, c):
+def _reference_run_simplex(tab, rhs, basis, cost, allowed, n_struct, pivot):
+    """Reference simplex on [A | I] with a separate rhs, as before the rhs became a column."""
+    iters = 0
+    while True:
+        iters += 1
+        if iters > lp._MAX_ITER:
+            raise SolverFailure("simplex iteration cap exceeded")
+        reduced = cost[:allowed] - cost[basis] @ tab[:, :allowed]
+        col = int(np.argmin(reduced))
+        if not reduced[col] < -lp._RC_TOL:
+            return iters
+        column = tab[:, col]
+        rows = np.flatnonzero(column > lp._PIV_TOL)
+        if rows.size == 0:
+            raise SolverFailure("standard-form LP unbounded")
+        ratios = rhs[rows] / column[rows]
+        tie = rows[ratios <= ratios.min() + 1e-12]
+        if tie.size == 1:
+            row = int(tie[0])
+        else:
+            block = np.column_stack([rhs[tie], tab[tie, n_struct:]]) / column[tie, None]
+            row = int(tie[np.lexsort(block.T[::-1])[0]])
+        pivot(tab, rhs, basis, row, col)
+
+
+def _reference_standard_form(B, h, c, pivot):
     """Reference solver: [Bw | I] built from a flipped copy of B, as by one hstack."""
     B = np.asarray(B, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -246,16 +269,16 @@ def _reference_standard_form(B, h, c):
     rhs = hw.copy()
     basis = np.arange(n, n + m)
     phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
-    iters = lp._run_simplex(tab, rhs, basis, phase1_cost, n + m, n)
+    iters = _reference_run_simplex(tab, rhs, basis, phase1_cost, n + m, n, pivot)
     if float(rhs[basis >= n].sum()) > 1e-7 * max(1.0, float(np.abs(hw).max())):
         raise SolverFailure("phase 1 ended infeasible")
     for row in range(m):
         if basis[row] >= n:
             nz = np.flatnonzero(np.abs(tab[row, :n]) > 1e-7)
             if nz.size:
-                lp._pivot(tab, rhs, basis, row, int(nz[0]))
+                pivot(tab, rhs, basis, row, int(nz[0]))
     phase2_cost = np.concatenate([c, np.zeros(m)])
-    iters += lp._run_simplex(tab, rhs, basis, phase2_cost, n, n)
+    iters += _reference_run_simplex(tab, rhs, basis, phase2_cost, n, n, pivot)
 
     lam = np.zeros(n)
     in_struct = basis < n
@@ -274,7 +297,7 @@ def _reference_standard_form(B, h, c):
     return value, lam, pi, iters
 
 
-def _reference_minimax(lower_vals, target_vals, log_weight_pow, m_phases=32):
+def _reference_minimax(lower_vals, target_vals, log_weight_pow, m_phases=32, pivot=_outer_product_pivot):
     """Reference solver: F from Fx/Fy copies, then B = [F^T; 1] for the copying solver."""
     lower_vals = np.asarray(lower_vals, dtype=complex)
     target_vals = np.asarray(target_vals, dtype=complex)
@@ -312,7 +335,7 @@ def _reference_minimax(lower_vals, target_vals, log_weight_pow, m_phases=32):
     B = np.vstack([F.T, np.ones((1, F.shape[0]))])
     h = np.zeros(n_x + 1)
     h[-1] = 1.0
-    value, lam, pi, iters = _reference_standard_form(B, h, -g)
+    value, lam, pi, iters = _reference_standard_form(B, h, -g, pivot)
     u = pi[:n_x]
     t_star = -pi[-1]
     t_poly = float(np.max(F @ u + g))
@@ -381,7 +404,7 @@ def test_iteration_cap_fails_after_one_attempt(monkeypatch):
     original = lp._run_simplex
 
     def spy(*args):
-        calls.append(args[4])
+        calls.append(args[3])
         return original(*args)
 
     monkeypatch.setattr(lp, "_MAX_ITER", 2)
@@ -401,9 +424,9 @@ def test_lp_entries_counts_f_and_the_tableau(monkeypatch, kind):
     seen = []
     original = lp._two_phase
 
-    def spy(tab, rhs, cost, F):
+    def spy(tab, cost, F):
         seen.append(tab.size + F.size)
-        return original(tab, rhs, cost, F)
+        return original(tab, cost, F)
 
     monkeypatch.setattr(lp, "_two_phase", spy)
     res = solve_minimax(lower, target, np.zeros(target.shape[0]), m_phases=8)

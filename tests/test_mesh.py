@@ -71,6 +71,14 @@ def test_csv_mesh_rejects_non_numeric_cell(tmp_path):
         mesh_from_csv(path, 1)
 
 
+def test_csv_mesh_column_count_error_names_file_and_line(tmp_path):
+    path = tmp_path / "mesh.csv"
+    path.write_text("# re, im, re, im\n0,0,1,0\n1,0,2\n")
+    with pytest.raises(ValidationError) as exc:
+        mesh_from_csv(path, 2)
+    assert str(exc.value) == f"{path} row 3 has 3 columns, expected 4 or 5"
+
+
 def test_radial_gaussian_weight():
     mesh = build_mesh({"kind": "circle", "center": 0, "radius": 2, "count": 8,
                        "weight": {"kind": "radial-gaussian", "sigma": 1.0}})
