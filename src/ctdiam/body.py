@@ -239,7 +239,8 @@ def parse_body_spec(spec: dict) -> ConvexBody:
 @lru_cache(maxsize=None)
 def _coordinate_max(body: ConvexBody, j: int) -> Fraction:
     cost = [Fraction(int(i == j)) for i in range(body.dim)]
-    rows, rhs = zip(*body.halfspaces)
+    rows = [a for a, _ in body.halfspaces]
+    rhs = [b for _, b in body.halfspaces]
     value, bounded, ray = rational_lp_max(rows, rhs, cost)
     if not bounded:
         raise Unbounded(f"the body is unbounded along the direction ({', '.join(map(str, ray))})")

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .body import ConvexBody, Exponent, _dagger_verdict, as_fraction
-from .errors import CELL_ERRORS, DegenerateWeight, ThetaNotInterior, ValidationError
+from .errors import CtdiamError, DegenerateWeight, ThetaNotInterior, ValidationError
 from .lp import is_real_instance, lp_entries, solve_minimax
 from .mesh import Mesh, Polynomial, monomial_values
 from .order import CGREVLEX, GREVLEX, order_key
@@ -141,18 +141,18 @@ def solve_distinct(mesh: Mesh, body: ConvexBody, k: int, tasks: list, m_phases: 
                    workers: int = 1, cache: dict | None = None) -> list:
     """One outcome per (alpha, ordering) task of level k, in task order.
 
-    An outcome is the task's ChebyshevRecord, or the CELL_ERRORS
-    exception its solve raised; callers decide whether to record or
-    raise it.  Each distinct min-max problem is solved once.  A problem
-    is fixed by alpha, its lower monomials and, on a weighted mesh, the
-    weight power k; the two orders coincide on a simplex, and on an
-    unweighted mesh one exponent's problem repeats at every level where
-    its lower set is the same.  `cache` carries the outcomes across
-    calls with the same mesh, body and m_phases.
+    An outcome is the task's ChebyshevRecord, or the CtdiamError its
+    solve raised; callers decide whether to record or raise it.  Any
+    other exception propagates.  Each distinct min-max problem is solved
+    once.  A problem is fixed by alpha, its lower monomials and, on a
+    weighted mesh, the weight power k; the two orders coincide on a
+    simplex, and on an unweighted mesh one exponent's problem repeats at
+    every level where its lower set is the same.  `cache` carries the
+    outcomes across calls with the same mesh, body and m_phases.
     """
     try:
         _check_instance(mesh, body, m_phases)
-    except CELL_ERRORS as exc:  # every task would raise it first
+    except CtdiamError as exc:  # every task would raise it first
         return [exc] * len(tasks)
     cache = {} if cache is None else cache
     weight_power = None if mesh.is_unweighted else k
@@ -167,7 +167,7 @@ def solve_distinct(mesh: Mesh, body: ConvexBody, k: int, tasks: list, m_phases: 
         alpha, ordering = task
         try:
             return chebyshev_constant(mesh, body, k, alpha, ordering, m_phases)
-        except CELL_ERRORS as exc:  # row-level isolation
+        except CtdiamError as exc:  # row-level isolation
             return exc
 
     if workers > 1:

@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -112,7 +111,7 @@ def _load_config(path: str | None, overrides: argparse.Namespace) -> dict:
     run = config.setdefault("run", {})
     if not isinstance(run, dict):
         raise ValidationError("config 'run' must be a JSON object")
-    for name in ("k", "k_max", "workers", "polygon_m"):
+    for name in ("k", "k_max", "polygon_m"):
         value = getattr(overrides, name, None)
         if value is not None:
             run[name] = value
@@ -149,18 +148,6 @@ def _mesh_from_config(config: dict):
             raise ValidationError("csv mesh needs a 'path'")
         return mesh_from_csv(spec["path"], as_int(spec.get("dim"), "mesh.dim"))
     return build_mesh(spec)
-
-
-def _workers(run: dict) -> int:
-    """run.workers (which --workers sets), else CTDIAM_WORKERS, else 1; a count below 1 is rejected."""
-    if "workers" in run:
-        field, value = "run.workers", run["workers"]
-    else:
-        field, value = "CTDIAM_WORKERS", os.environ.get("CTDIAM_WORKERS") or 1
-    workers = as_int(value, field)
-    if workers < 1:
-        raise ValidationError(f"{field} must be at least 1, got {workers}")
-    return workers
 
 
 def _run_body_check(config, artifacts: _Artifacts) -> int:
@@ -255,8 +242,7 @@ def _run_transform(config, artifacts: _Artifacts) -> int:
     emit_plot_data = _run_bool(run, "emit_plot_data", default=False)
     table = transform_grid(mesh, body, k,
                            orderings=_orderings(run),
-                           m_phases=_run_int(run, "polygon_m", default=32),
-                           workers=_workers(run))
+                           m_phases=_run_int(run, "polygon_m", default=32))
     transform_to_csv(table, artifacts.outdir / "transform.csv")
     artifacts.add("transform.csv")
     solved = sum(1 for row in table.rows if row.records)
@@ -317,7 +303,6 @@ def _run_tdiam(config, artifacts: _Artifacts) -> int:
         include_leja=_run_bool(run, "include_leja", default=True),
         resolution=as_fraction(run.get("resolution", "1/32"), "run.resolution"),
         subsamples=_run_int(run, "subsamples", default=32),
-        workers=_workers(run),
     )
     k_max = _run_int(run, "k_max", default=4)
     report = build_report(mesh, body, k_max, options)
@@ -360,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--k", type=int)
     parser.add_argument("--k-max", dest="k_max", type=int)
     parser.add_argument("--alpha", help="comma-separated exponent, e.g. 2,0")
-    parser.add_argument("--workers", type=int)
     parser.add_argument("--polygon-m", dest="polygon_m", type=int)
     parser.add_argument("--ordering", choices=ORDERINGS)
     parser.add_argument("--strategy", choices=("brute-force", "greedy"))

@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-import numpy as np
-
 
 class CtdiamError(Exception):
     """Base class for all errors raised by this package."""
@@ -57,7 +55,3 @@ class BruteForceCapExceeded(ValidationError):
 
 class SolverFailure(CtdiamError):
     """The LP solver failed to produce a verified optimum. CLI exit code 3."""
-
-
-# failures a report records in a cell's or row's `errors` entry; anything else is a bug
-CELL_ERRORS = (CtdiamError, np.linalg.LinAlgError)

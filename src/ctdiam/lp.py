@@ -137,7 +137,10 @@ def _two_phase(tab, c, F):
     try:
         pi = np.linalg.solve(basis_matrix.T, basis_cost)
     except np.linalg.LinAlgError:
-        pi = np.linalg.lstsq(basis_matrix.T, basis_cost, rcond=None)[0]
+        try:
+            pi = np.linalg.lstsq(basis_matrix.T, basis_cost, rcond=None)[0]
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure(f"no dual solution for the final basis: {exc}") from exc
     return value, lam, pi, iters
 
 

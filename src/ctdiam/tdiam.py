@@ -24,7 +24,7 @@ import numpy as np
 
 from .body import ConvexBody, as_fraction, average_total_degree, check_dagger
 from .cheb import TransformTable, check_m_phases, transform_grid
-from .errors import CELL_ERRORS, InsufficientSupport, ValidationError
+from .errors import CtdiamError, InsufficientSupport, ValidationError
 from .leja import leja_diameter
 from .mesh import Mesh
 from .order import CGREVLEX, GREVLEX
@@ -58,16 +58,14 @@ def transform_mean_log(table: TransformTable, ordering: str) -> float:
 
 
 def d_estimate_transform(mesh: Mesh, body: ConvexBody, k: int, ordering: str = CGREVLEX,
-                         m_phases: int = 32, workers: int = 1) -> float:
+                         m_phases: int = 32) -> float:
     """Size estimate from the Chebyshev route: exp of the level-k lattice mean of log T_k."""
-    table = transform_grid(mesh, body, k, orderings=(ordering,), m_phases=m_phases,
-                           workers=workers)
+    table = transform_grid(mesh, body, k, orderings=(ordering,), m_phases=m_phases)
     return math.exp(transform_mean_log(table, ordering))
 
 
 def final_delta(mesh: Mesh, body: ConvexBody, k: int, strategy=None, route: str = "vdm",
-                m_phases: int = 32, workers: int = 1,
-                resolution=Fraction(1, 32), subsamples: int = 32):
+                m_phases: int = 32, resolution=Fraction(1, 32), subsamples: int = 32):
     """Length-scaled diameter estimate D ** (1/A) plus its level-k report row."""
     if route not in ("vdm", "transform"):
         raise ValidationError(f"unknown route {route!r}")
@@ -75,7 +73,7 @@ def final_delta(mesh: Mesh, body: ConvexBody, k: int, strategy=None, route: str 
     _check_support(mesh, body, k)
     a_n = average_total_degree(body, as_fraction(resolution, "resolution"), subsamples)
     row = _level_row(mesh, body, k, strategy_from_config(strategy),
-                     ReportOptions(m_phases=m_phases, workers=workers), {}, None, None)
+                     ReportOptions(m_phases=m_phases), {}, None, None)
     d_value = row.d_vdm if route == "vdm" else row.d_transform.get(CGREVLEX)
     if d_value is None:
         raise ValidationError(f"route {route} unavailable: {row.errors}")
@@ -145,7 +143,7 @@ def _level_row(mesh: Mesh, body: ConvexBody, k: int, strategy, options: ReportOp
         exact = result.exact
         delta = math.exp(log_vdm / l_k)
         d_vdm = math.exp(log_vdm / (k * m_k))
-    except CELL_ERRORS as exc:
+    except CtdiamError as exc:
         errors["vdm"] = f"{type(exc).__name__}: {exc}"
     d_transform: dict[str, float] = {}
     sum_log_nu: dict[str, float] = {}
@@ -160,7 +158,7 @@ def _level_row(mesh: Mesh, body: ConvexBody, k: int, strategy, options: ReportOp
                 sum_log_nu[ordering] = mean_log * k * m_k
             except ValidationError as exc:
                 errors[f"transform:{ordering}"] = str(exc)
-    except CELL_ERRORS as exc:
+    except CtdiamError as exc:
         errors["transform"] = f"{type(exc).__name__}: {exc}"
     sandwich = None
     if exact and CGREVLEX in sum_log_nu and math.isfinite(log_vdm):
@@ -187,7 +185,7 @@ def build_report(mesh: Mesh, body: ConvexBody, k_max: int, options: ReportOption
         try:
             leja_report = leja_diameter(mesh, body, k_max)
             leja_rows = {r.k: r.value for r in leja_report.rows}
-        except CELL_ERRORS as exc:
+        except CtdiamError as exc:
             leja_error = f"{type(exc).__name__}: {exc}"
 
     transform_cache: dict = {}  # one solve per distinct min-max problem of the report

@@ -191,11 +191,11 @@ _RATIO_COND = 1e6  # above this cond(A) the ratios may misrank swaps; scan them 
 
 def _swap_ratios(z, sel: list[int], m_k: int):
     """A^{-1} z[:m_k] for A = z[:m_k, sel]; None when A is singular or
-    ill-conditioned, or some ratio is not finite."""
+    ill-conditioned (or its SVD fails), or some ratio is not finite."""
     a = z[:m_k, sel]
-    if not np.linalg.cond(a) <= _RATIO_COND:
-        return None
     try:
+        if not np.linalg.cond(a) <= _RATIO_COND:
+            return None
         ratios = np.linalg.solve(a, z[:m_k])
     except np.linalg.LinAlgError:
         return None

@@ -50,6 +50,14 @@ def test_validate_rejects_diagonal_cone():
     assert "direction" in str(exc.value)
 
 
+@pytest.mark.parametrize("dim, ray", [(1, "(1)"), (2, "(1, 0)"), (3, "(1, 0, 0)")])
+def test_validate_rejects_a_body_without_halfspaces(dim, ray):
+    # the whole orthant: the first coordinate's LP has no rows and returns e_1
+    with pytest.raises(Unbounded) as exc:
+        validate_body([], dim)
+    assert str(exc.value) == f"the body is unbounded along the direction {ray}"
+
+
 def test_validate_rejects_nonpositive_offset():
     with pytest.raises(NonpositiveOffset):
         validate_body([(("1", "1"), "0")], 2)

@@ -251,6 +251,20 @@ def test_transform_grid_records_iteration_cap_as_row_error(cheb401, simplex1, mo
             {o: r.log_nu for o, r in ref.records.items()}
 
 
+def test_transform_grid_records_a_failed_dual_solve_as_solver_failure(mesh7, simplex1, monkeypatch):
+    # LAPACK fails on the final basis: solve raises, and so does its lstsq fallback
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    monkeypatch.setattr(np.linalg, "lstsq", failing)
+    table = transform_grid(mesh7, simplex1, 1)
+    assert [row.alpha for row in table.rows] == [(0,), (1,)]  # alpha = 0 needs no LP
+    assert table.rows[0].errors == {}
+    assert table.rows[1].errors == {o: "SolverFailure: no dual solution for the final basis: injected"
+                                    for o in (GREVLEX, CGREVLEX)}
+
+
 def test_transform_grid_propagates_programming_errors(mesh7, simplex1, monkeypatch):
     import ctdiam.cheb as cheb_mod
 

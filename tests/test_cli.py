@@ -10,8 +10,11 @@ import pytest
 import ctdiam
 from ctdiam.cli import main
 from ctdiam.errors import SolverFailure
+from ctdiam.mesh import build_mesh, mesh_to_csv
+from ctdiam.order import ORDERINGS
 
 SIMPLEX1 = {"dim": 1, "halfspaces": [{"a": ["1"], "b": "1"}]}
+SIMPLEX2 = {"dim": 2, "halfspaces": [{"a": ["1", "1"], "b": "1"}]}
 CIRCLE32 = {"kind": "circle", "center": [0, 0], "radius": 1, "count": 32, "weight": {"kind": "one"}}
 INTERVAL = {"kind": "interval", "a": -1, "b": 1, "count": 401, "spacing": "chebyshev-nodes"}
 
@@ -44,7 +47,8 @@ def test_tdiam_happy_path(tmp_path, capsys):
     assert float(last_csv[4]) == pytest.approx(report["rows"][-1]["log_vdm"])
 
 
-def test_tdiam_byte_identical_across_worker_counts(tmp_path):
+def test_tdiam_ignores_run_workers(tmp_path):
+    # the transform runs serially; a leftover run.workers changes nothing
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     base = {
         "body": SIMPLEX1,
@@ -52,10 +56,38 @@ def test_tdiam_byte_identical_across_worker_counts(tmp_path):
         "run": {"k_max": 2, "strategy": {"kind": "greedy", "restarts": 2}, "include_leja": True},
     }
     cfg1 = write_config(tmp_path, "c1.json", {**base, "output_dir": str(out1)})
-    cfg2 = write_config(tmp_path, "c2.json", {**base, "output_dir": str(out2)})
-    assert main(["tdiam", "--config", cfg1, "--workers", "1"]) == 0
-    assert main(["tdiam", "--config", cfg2, "--workers", "3"]) == 0
+    cfg2 = write_config(tmp_path, "c2.json", {**base, "run": {**base["run"], "workers": 3},
+                                              "output_dir": str(out2)})
+    assert main(["tdiam", "--config", cfg1]) == 0
+    assert main(["tdiam", "--config", cfg2]) == 0
     assert (out1 / "diameter.csv").read_bytes() == (out2 / "diameter.csv").read_bytes()
+
+
+def test_tdiam_reads_a_csv_mesh(tmp_path):
+    # the CSV holds every coordinate to 17 digits, so the report is the spec mesh's
+    mesh_to_csv(build_mesh(CIRCLE32), tmp_path / "circle.csv")
+    csv_mesh = {"kind": "csv", "path": str(tmp_path / "circle.csv"), "dim": 1}
+    for name, mesh in (("spec", CIRCLE32), ("csv", csv_mesh)):
+        cfg = write_config(tmp_path, f"{name}.json", {"body": SIMPLEX1, "mesh": mesh, "run": {"k_max": 2},
+                                                      "output_dir": str(tmp_path / name)})
+        assert main(["tdiam", "--config", cfg]) == 0
+    report = json.loads((tmp_path / "csv" / "report.json").read_text())
+    assert report["mesh"] == f"csv:{tmp_path / 'circle.csv'}"
+    assert ((tmp_path / "csv" / "diameter.csv").read_bytes()
+            == (tmp_path / "spec" / "diameter.csv").read_bytes())
+
+
+def test_strategy_flag_keeps_the_config_strategy_fields(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "body": SIMPLEX1, "mesh": CIRCLE32,
+        "run": {"k_max": 2, "strategy": {"kind": "brute-force", "restarts": 3}},
+        "output_dir": str(out),
+    })
+    assert main(["tdiam", "--config", cfg, "--strategy", "greedy"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["run"]["strategy"] == {"kind": "greedy", "restarts": 3}
+    assert report["options"]["strategy"] == {"restarts": 3, "seed": 0}
 
 
 def test_body_check_unbounded_exit_2(tmp_path, capsys):
@@ -67,6 +99,13 @@ def test_body_check_unbounded_exit_2(tmp_path, capsys):
     assert main(["body-check", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "unbounded" in err and "(1, 1)" in err
+
+
+def test_body_check_without_halfspaces_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "orthant.json", {"body": {"dim": 2, "halfspaces": []},
+                                                  "output_dir": str(tmp_path / "out")})
+    assert main(["body-check", "--config", cfg]) == 2
+    assert "the body is unbounded along the direction (1, 0)" in capsys.readouterr().err
 
 
 def test_body_check_happy(tmp_path):
@@ -128,6 +167,20 @@ def test_cheb_subcommand_with_overrides(tmp_path, capsys):
     payload = json.loads((out / "cheb.json").read_text())
     nu = math.exp(payload["cgrevlex"]["log_nu"])
     assert nu == pytest.approx(0.25, abs=2.5e-3)
+
+
+def test_cheb_theta_writes_directional_records(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "torus.json", {"body": SIMPLEX2, "mesh": {"kind": "torus", "counts": [8, 8]},
+                                                "run": {"k": 2, "alpha": [1, 1]}, "output_dir": str(out)})
+    assert main(["cheb", "--config", cfg, "--theta", "1/3,1/3", "--schedule", "3,6"]) == 0
+    assert "theta=" in capsys.readouterr().out
+    payload = json.loads((out / "cheb.json").read_text())
+    [directional] = payload["directional"]
+    assert directional["theta"] == ["1/3", "1/3"]
+    assert directional["schedule"] == [3, 6]
+    assert sorted(directional["final"]) == sorted(ORDERINGS)
+    assert all(len(steps) == 2 for steps in directional["steps"].values())
 
 
 def test_cheb_polygon_below_three_phases_exit_2(tmp_path, capsys):
@@ -271,10 +324,11 @@ BOX3 = {"kind": "box2d", "x": [0, 1], "y": [0, 1], "counts": [3, 3]}
     ({"body": PENTAGON, "run": {"resolution": True}}, [],
      "run.resolution: expected an exact rational"),
     ({"body": PENTAGON, "run": {"resolution": "abc"}}, [], "run.resolution: not an exact rational"),
+    ({"body": {"dim": 2, "halfspaces": []}}, [], "the body is unbounded along the direction (1, 0)"),
 ], ids=["zero-subsamples", "resolution-not-rational", "zero-denominator", "no-body",
         "oversized-subsamples", "oversized-grid", "halfspace-without-a", "halfspaces-not-a-list",
         "normal-is-a-string", "offset-not-rational", "k-max-true", "offset-true", "dim-true",
-        "resolution-true", "resolution-config-not-rational"])
+        "resolution-true", "resolution-config-not-rational", "no-halfspaces"])
 def test_tdiam_invalid_input_exit_2(tmp_path, capsys, config, flags, message):
     cfg = write_config(tmp_path, "bad.json", {"mesh": BOX3, "output_dir": str(tmp_path / "out"),
                                               **config})
@@ -283,7 +337,6 @@ def test_tdiam_invalid_input_exit_2(tmp_path, capsys, config, flags, message):
 
 
 INTERVAL9 = {"kind": "interval", "a": -1, "b": 1, "count": 9}
-SIMPLEX2 = {"dim": 2, "halfspaces": [{"a": ["1", "1"], "b": "1"}]}
 TORUS4 = {"kind": "torus", "counts": [4, 4]}
 
 
@@ -379,34 +432,6 @@ def test_count_flag_is_rejected(tmp_path, capsys):
         main(["leja", "--config", cfg, "--count", "3"])
     assert exc.value.code == 2
     assert "--count" in capsys.readouterr().err
-
-
-def test_workers_env_override(tmp_path, monkeypatch):
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path, "cfg.json", {
-        "body": SIMPLEX1,
-        "mesh": {"kind": "interval", "a": -1, "b": 1, "count": 17, "spacing": "uniform"},
-        "run": {"k": 2},
-        "output_dir": str(out),
-    })
-    monkeypatch.setenv("CTDIAM_WORKERS", "2")
-    assert main(["transform", "--config", cfg]) == 0
-
-
-@pytest.mark.parametrize("flag, env, message", [
-    (["--workers", "0"], None, "run.workers must be at least 1, got 0"),
-    (["--workers", "-2"], None, "run.workers must be at least 1, got -2"),
-    ([], "0", "CTDIAM_WORKERS must be at least 1, got 0"),
-    ([], "-1", "CTDIAM_WORKERS must be at least 1, got -1"),
-], ids=["flag-0", "flag-negative", "env-0", "env-negative"])
-@pytest.mark.parametrize("subcommand", ["transform", "tdiam"])
-def test_worker_count_below_one_is_rejected(tmp_path, monkeypatch, capsys, subcommand, flag, env, message):
-    cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1, "mesh": INTERVAL9, "run": {"k": 2, "k_max": 2},
-                                              "output_dir": str(tmp_path / "out")})
-    if env is not None:
-        monkeypatch.setenv("CTDIAM_WORKERS", env)
-    assert main([subcommand, "--config", cfg, *flag]) == 2
-    assert message in capsys.readouterr().err
 
 
 def test_body_check_refuses_a_huge_lattice(tmp_path, capsys):

@@ -206,6 +206,16 @@ def test_build_report_propagates_programming_errors(mesh5, simplex1, monkeypatch
         build_report(mesh5, simplex1, 1)
 
 
+def test_build_report_propagates_linalg_errors(mesh5, simplex1, monkeypatch):
+    # only package errors become cell errors; numpy's own failures surface
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "slogdet", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="injected"):
+        build_report(mesh5, simplex1, 1)
+
+
 def test_build_report_rejects_empty_support(simplex1):
     mesh = build_mesh({"kind": "interval", "a": 0, "b": 1, "count": 4})
     lw = np.full(4, -math.inf)
@@ -358,12 +368,11 @@ def test_final_delta_is_the_last_report_row_of_one_level(case, route):
             mp.setattr(tdiam_mod, name, counted(name))
         if d_value is None:
             with pytest.raises(ValidationError):
-                final_delta(mesh, body, k, route=route, workers=workers)
+                final_delta(mesh, body, k, route=route)
         else:
-            value, row = final_delta(mesh, body, k, route=route, workers=workers)
+            value, row = final_delta(mesh, body, k, route=route)
             assert value.hex() == (d_value ** (1.0 / report.a_n)).hex()
             assert _row_bits(row) == _row_bits(last)
     assert sorted(calls) == ["max_vdm", "transform_grid"]
     for ordering, d_transform in last.d_transform.items():
-        assert d_estimate_transform(mesh, body, k, ordering=ordering,
-                                    workers=workers).hex() == d_transform.hex()
+        assert d_estimate_transform(mesh, body, k, ordering=ordering).hex() == d_transform.hex()

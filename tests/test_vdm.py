@@ -340,6 +340,18 @@ def test_exchange_on_rank_deficient_mesh(simplex2):
     assert value.point_indices == (2, 11, 3, 12, 9, 7, 13, 8, 6, 10)
 
 
+def test_exchange_scans_every_swap_when_cond_fails(monkeypatch, torus16, simplex2):
+    # a failed SVD in the conditioning test leaves the full scan to pick the swaps
+    expected = max_vdm(torus16, simplex2, 2).value
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "cond", failing)
+    value = max_vdm(torus16, simplex2, 2).value
+    assert (value.log_abs, value.point_indices) == (expected.log_abs, expected.point_indices)
+
+
 def test_exchange_scores_few_swaps_by_slogdet(monkeypatch, torus16, simplex2):
     # the full scan scores 29,520 selections here; ratio scoring re-scores
     # only near-ties, so a silent fallback to the full scan fails this
