@@ -9,10 +9,10 @@ r(alpha) = inf{r >= 0 : alpha in r*C} then has the closed form
 max(0, max_i (a_i . alpha) / b_i).  The halfspaces are scaled once to
 integer rows A x <= B; with D = lcm(B) and G_i = A_i * (D // B_i), the
 gauge is the exact fraction max(0, max_i G_i . alpha) / D.  Order
-comparisons downstream depend on exact gauge ties, so nothing in this
-module touches floating point except the sampled boundary cells of
-`body_quadrature`.  Lattice membership, the gauge and its ties, and
-cell classification all read the integer rows, exact and vectorized.
+comparisons downstream depend on exact gauge ties.  Lattice membership,
+the gauge and its ties, cell classification and the test of each
+quadrature sample all read the integer rows, exact and vectorized;
+floating point enters only the sample sums of `body_quadrature`.
 """
 
 from __future__ import annotations
@@ -323,34 +323,20 @@ def _lattice_points(body: ConvexBody, k: int) -> tuple[Exponent, ...]:
 #   A_N = (1 / vol C) * integral over C of (theta_1 + ... + theta_N)
 # Midpoint rule on an axis-aligned cell grid.  Cells are classified
 # exactly with the integer rows; boundary cells get a volume fraction
-# and a mean coordinate sum sampled at sub^N midpoints.  A boundary cell
-# tests its samples only against the halfspaces that exactly cut it:
-# every sample lies at least resolution/(2*sub) inside its cell, so a
-# halfspace that holds on the whole closed cell holds at every sample.
+# and a mean coordinate sum sampled at sub^N midpoints.
 #
-# Boundary cells fall into classes of translates.  Cells with the same
-# cutting halfspaces and the same exact `highest` excess on each have
-# the same a.(c*resolution) - b, so each sample lies at the same exact
-# distance D from each cutting plane in every member of the class.
-# Against D, in any member X:
-#   - the float samples (corner, offset and their sum rounded) are within
-#     gamma_4 of the exact ones and the float a_k within u, so the float
-#     halfspace at the float samples is within gamma_5 * S of D, where
-#     S = sum_k |a_k| x_k + |b| with x_k < corner_k + resolution;
-#   - the per-axis estimate ((a_0 x - b) + a_1 y) + a_2 z adds at most
-#     gamma_{N+1} * S and the product test gamma_N * S (Higham 2002, 3.1),
-#     whatever the BLAS kernel or summation order.
-# So both lie within gamma_{N+6} * S of D, a quarter of X's margin; its
-# absolute term covers underflow, where a coefficient or a product loses
-# up to 2**-1075 instead of a relative u.  One member estimates
-# each cutting halfspace; if every estimate clears M, the class's
-# largest margin, then |D| > M - margin/4 >= 3 margin_X / 4 for every
-# member X, and X's own estimate and product test both decide sign(D).
-# The one mask is then the mask a test of every halfspace gives each
-# member.  A class with any sample within M (an exact tie, say) takes
-# the product test cell by cell.  Either way every float accumulated is
-# the one a test of every halfspace gives.  A class whose one mask keeps
-# no sample gives (0.0, 0.0) to every member, on any grid.
+# Samples are tested exactly, also with the integer rows.  With p/q the
+# resolution, the samples of cell c are (c + w/(2*sub)) * p/q for the
+# odd offsets w in {1, 3, ..., 2*sub - 1}^N, and with highest_i the
+# exact `_box_excess` at the max corner and up_i the sum of the positive
+# entries of A_i, a sample satisfies A_i x <= B_i iff
+#     p * (A_i . w) <= 2 * sub * (p * up_i - highest_i).
+# The left side is one table per call; the right side depends on the
+# cell only through highest.  Boundary cells with the same highest, the
+# key of a class of translates, therefore share one exact mask.  A
+# halfspace that holds on the whole cell enters with highest_i = 0,
+# where no sample reaches the bound.  A class whose mask keeps no sample
+# gives (0.0, 0.0) to every member.
 #
 # Exact grids.  Every sample coordinate is an odd multiple of the
 # half-sample step h = resolution/(2*sub), and every corner a multiple
@@ -362,13 +348,7 @@ def _lattice_points(body: ConvexBody, k: int) -> tuple[Exponent, ...]:
 # member then total K * corner_sum + T, K kept samples and T the sum of
 # their offset sums, itself exact and reduced once per class, so the
 # quotient by K is the one `np.add.reduce(sums.take(idx)) / K` gives.
-# If, further, every a_k and b is a float and each sum_k |a_k| x_k + |b|
-# stays below 2**53 times the finest step 1/(q * den a) of the products
-# a_k x_k, the product test computes each a.x exactly in any kernel.  It
-# then decides sign(D), the same in every member, so an uncertified class
-# takes the product test on one member only.  Non-dyadic grids, grids
-# past the bound and uncertified classes without exact products keep the
-# per-cell product test and per-cell sums.
+# Other grids sum the kept samples cell by cell.
 # ---------------------------------------------------------------------------
 
 def _classify_cells(body: ConvexBody, resolution: Fraction):
@@ -403,34 +383,26 @@ def _outer_sum(u, v):
     return (left @ right).ravel()
 
 
-def _certified_keep(axes, a_cut, b_cut, margins):
-    """Which samples satisfy the `a_cut` halfspaces, or None if one lies within a margin.
+def _offset_products(a_int, p: int, subsamples: int):
+    """p * (A_i . w) for every odd offset w, one row per row of `a_int`, offsets in row-major order.
 
-    Each halfspace is estimated on the grid as ((a_0 x - b) + a_1 y) + a_2 z.
-    A sample whose estimate is farther than the margin from 0 is decided
-    as `_product_keep` decides it.
+    Entries and bounds stay below 2 * subsamples * p * max_i |A_i|_1, so
+    int64 is exact below 2**62; Python ints hold the rest.
     """
-    keep = None
-    for a, b, margin in zip(a_cut, b_cut, margins):
-        est = functools.reduce(_outer_sum, a[1:, None] * axes[1:], a[0] * axes[0] - b)
-        if np.abs(est).min() <= margin:
-            return None
-        keep = est < 0 if keep is None else keep & (est < 0)
-    return keep
+    if 2 * subsamples * p * np.abs(a_int).sum(axis=1).max(initial=0) < 2**62:
+        a_int = a_int.astype(np.int64)
+    odd = np.arange(1, 2 * subsamples, 2).astype(a_int.dtype)
+    products = np.zeros((len(a_int), 1), dtype=a_int.dtype)
+    for column in a_int.T:
+        step = np.multiply.outer(p * column, odd)
+        width = products.shape[1] * subsamples
+        products = (products[:, :, None] + step[:, None, :]).reshape(len(a_int), width)
+    return products
 
 
-def _product_keep(cols, a_mat, b_vec, cutting):
-    """Which samples satisfy the `cutting` halfspaces, by the product with every halfspace.
-
-    `cols` holds one contiguous row of samples per coordinate.  The product
-    runs over every halfspace, as a test of all of them would: gemm rounds
-    alike in either memory layout, but numpy hands a one-column product to
-    gemv, whose rounding depends on the layout, so a one-halfspace body
-    keeps one row per sample.
-    """
-    pts = cols.T if len(b_vec) > 1 else np.ascontiguousarray(cols.T)
-    vals = pts @ a_mat.T
-    return functools.reduce(np.logical_and, (vals[:, i] <= b_vec[i] for i in np.flatnonzero(cutting)))
+def _class_keep(products, limits):
+    """The samples of one class of translates inside the body: every products[i] <= limits[i]."""
+    return np.all(products <= limits[:, None], axis=0)
 
 
 def _exact_grid(body: ConvexBody, resolution: Fraction, subsamples: int) -> bool:
@@ -444,51 +416,27 @@ def _exact_grid(body: ConvexBody, resolution: Fraction, subsamples: int) -> bool
     return (q & (q - 1)) == 0 and subsamples ** body.dim * reach * q < 2**53
 
 
-def _exact_products(body: ConvexBody, resolution: Fraction, subsamples: int) -> bool:
-    """True if, on an exact grid, the product test computes every a.x exactly.
+def _class_cells(corners, offs, keep, offset_sums):
+    """(fraction, mean coordinate sum) of the kept samples, per cell of one class of translates.
 
-    The coefficients must be floats, and each sum_k |a_k| x_k + |b| must
-    stay below 2**53 times the finest step of its products a_k * x_k.
+    The samples of a cell are the tensor product of the per-axis values
+    `corner[d] + offs` in row-major order.  The sums add the coordinates
+    in the order of a row sum, (x + y) + z, and their mean is
+    `sums[keep].mean()`'s.  `offset_sums` holds the sums of the offsets
+    on an exact grid, else None.
     """
-    q = (resolution / (2 * subsamples)).denominator
-    reach = [body.coordinate_max(j) + resolution for j in range(body.dim)]
-    for a, b in body.halfspaces:
-        if any(Fraction(float(x)) != x for x in (*a, b)):
-            return False
-        steps = q * max(aj.denominator for aj in a)
-        if steps > 2**1074 or (sum(abs(aj) * x for aj, x in zip(a, reach)) + abs(b)) * steps >= 2**53:
-            return False
-    return True
-
-
-def _class_cells(corners, offs, offsets, a_mat, b_vec, cutting, margin, offset_sums, shared_product):
-    """(fraction, mean coordinate sum) of the samples inside the `cutting` halfspaces, per cell.
-
-    `corners` holds one class of translates and `margin` its largest
-    margin per cutting halfspace.  The samples of a cell are `corner +
-    offsets`, the tensor product of the per-axis values `corner[d] + offs`
-    in row-major order.  The sums add the coordinates in the order of a
-    row sum, (x + y) + z, and their mean is `sums[keep].mean()`'s.
-    `offset_sums` holds the sums of `offsets` on an exact grid, else None;
-    `shared_product` says one member's product test decides the class.
-    """
-    keep = _certified_keep(offs + corners[0][:, None], a_mat[cutting], b_vec[cutting], margin)
-    if keep is None and shared_product:
-        keep = _product_keep(offsets + corners[0][:, None], a_mat, b_vec, cutting)
-    idx = None if keep is None else np.flatnonzero(keep)
-    if idx is not None and not idx.size:
+    idx = np.flatnonzero(keep)
+    k = idx.size
+    if not k:
         return [(0.0, 0.0)] * len(corners)
-    if idx is not None and offset_sums is not None:
+    if offset_sums is not None:
         # every sum is exact, so the kept sums total K * corner_sum + T
-        k = idx.size
         total = np.add.reduce(offset_sums.take(idx))
         return [(k / offset_sums.size, float((k * row + total) / k)) for row in corners.sum(axis=1)]
     out = []
     for corner in corners:
-        if keep is None:
-            idx = np.flatnonzero(_product_keep(offsets + corner[:, None], a_mat, b_vec, cutting))
         sums = functools.reduce(_outer_sum, offs + corner[:, None])
-        out.append((idx.size / sums.size, float(np.add.reduce(sums.take(idx)) / idx.size) if idx.size else 0.0))
+        out.append((k / sums.size, float(np.add.reduce(sums.take(idx)) / k)))
     return out
 
 
@@ -496,7 +444,7 @@ def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: in
     """(volume, integral of theta_1+...+theta_N over C) by midpoint quadrature.
 
     Full cells are exact for the linear integrand; boundary cells use a
-    sampled fraction with sub^N midpoints.
+    sampled fraction with sub^N midpoints, each tested exactly.
     """
     resolution = as_fraction(resolution, "resolution")
     if resolution <= 0:
@@ -518,34 +466,27 @@ def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: in
     if inside.any():
         volume += cell_vol * int(inside.sum())
         integral += cell_vol * float(((cells[inside] + 0.5) * res_f).sum())
+    # the key holds the exact excess of each cutting halfspace, 0 elsewhere, as Python ints
+    classes = {}
+    for i, key in enumerate(np.where(highest > 0, highest, 0).tolist()):
+        classes.setdefault(tuple(key), []).append(i)
+    # the table holds only the halfspaces that cut some cell
+    rows = np.flatnonzero(np.any(highest > 0, axis=0))
+    a_int = _integer_rows(body)[0][rows]
+    p = resolution.numerator
+    products = _offset_products(a_int, p, subsamples)
+    up = np.where(a_int > 0, a_int, 0).sum(axis=1)
     offs = (np.arange(subsamples) + 0.5) * (res_f / subsamples)
-    # one contiguous row of sample offsets per coordinate
-    offsets = np.stack([g.ravel() for g in np.meshgrid(*([offs] * body.dim), indexing="ij")])
-    a_mat = np.array([[float(aj) for aj in a] for a, _ in body.halfspaces])
-    b_vec = np.array([float(b) for _, b in body.halfspaces])
     # float(c * resolution) for every cell index c, one Fraction product each
     edges = np.array([float(c * resolution) for c in range(int(cells.max(initial=0)) + 1)])
     corners = edges[boundary]
-    reach = corners + res_f
-    # four times gamma_{N+6} * S, as the section comment derives
-    gamma = (body.dim + 6) * 2.0**-53 / (1 - (body.dim + 6) * 2.0**-53)
-    margins = (4 * gamma * (reach @ np.abs(a_mat).T + np.abs(b_vec))
-               + 2.0**-1000 * (1 + reach.sum(axis=1, keepdims=True)))
-    cutting = highest > 0
-    # the key holds the cutting set and its exact excesses as Python ints
-    classes = {}
-    for i, key in enumerate(np.where(cutting, highest, 0).tolist()):
-        classes.setdefault(tuple(key), []).append(i)
     exact = _exact_grid(body, resolution, subsamples)
     offset_sums = functools.reduce(_outer_sum, [offs] * body.dim) if exact else None
-    shared_product = exact and _exact_products(body, resolution, subsamples)
     sampled = [None] * len(boundary)
-    for members in classes.values():
-        cut = cutting[members[0]]
-        margin = margins[members][:, cut].max(axis=0)
-        cells = _class_cells(corners[members], offs, offsets, a_mat, b_vec, cut, margin,
-                             offset_sums, shared_product)
-        for i, cell in zip(members, cells):
+    for key, members in classes.items():
+        limits = 2 * subsamples * (p * up - np.array(key, dtype=object)[rows])
+        keep = _class_keep(products, limits.astype(products.dtype))
+        for i, cell in zip(members, _class_cells(corners[members], offs, keep, offset_sums)):
             sampled[i] = cell
     for frac, mean_sum in sampled:
         volume += cell_vol * frac

@@ -22,7 +22,7 @@ import numpy as np
 from .body import ConvexBody, Exponent, _dagger_verdict, as_fraction
 from .errors import CtdiamError, DegenerateWeight, ThetaNotInterior, ValidationError
 from .lp import is_real_instance, lp_entries, solve_minimax
-from .mesh import Mesh, Polynomial, monomial_values
+from .mesh import Mesh, Polynomial, check_dimensions, monomial_values
 from .order import CGREVLEX, GREVLEX, order_key
 
 # float64 entries of F plus the tableau of one min-max LP (256 MB): about
@@ -91,8 +91,7 @@ def check_m_phases(m_phases: int) -> None:
 
 def _check_instance(mesh: Mesh, body: ConvexBody, m_phases: int) -> None:
     """The checks of a min-max instance that do not depend on k, alpha or the ordering."""
-    if mesh.dim != body.dim:
-        raise ValidationError(f"mesh dimension {mesh.dim} != body dimension {body.dim}")
+    check_dimensions(mesh, body)
     check_m_phases(m_phases)
     if mesh.support.size == 0:
         raise DegenerateWeight("no positively weighted mesh points")
@@ -214,6 +213,7 @@ def transform_grid(mesh: Mesh, body: ConvexBody, k: int,
     `solve_distinct`, which solves each distinct problem once and fills
     `cache` (`build_report` passes one per report).
     """
+    check_dimensions(mesh, body)
     if k < 1:
         raise ValidationError("transform grid needs k >= 1")
     check_m_phases(m_phases)  # before the rows, whose handler records it per cell

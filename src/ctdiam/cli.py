@@ -200,6 +200,12 @@ def _run_cheb(config, artifacts: _Artifacts) -> int:
     k = as_int(run["k"], "run.k")
     alpha = tuple(_as_ints(run["alpha"], "run.alpha"))
     m_phases = _run_int(run, "polygon_m", default=32)
+    thetas = run.get("theta") or []
+    if not isinstance(thetas, list) or not all(isinstance(theta, list) for theta in thetas):
+        raise ValidationError(f"run.theta must be a list of directions, each a list of rationals, "
+                              f"got {thetas!r}")
+    thetas = [tuple(as_fraction(t, "run.theta") for t in theta) for theta in thetas]
+    schedule = _as_ints(run.get("schedule", [4, 8, 12]), "run.schedule") if thetas else None
     records = {}
     orderings = _orderings(run)
     outcomes = solve_distinct(mesh, body, k, [(alpha, o) for o in orderings], m_phases)
@@ -221,15 +227,12 @@ def _run_cheb(config, artifacts: _Artifacts) -> int:
         }
         nu = math.exp(rec.log_nu) if math.isfinite(rec.log_nu) else 0.0
         print(f"k={k} alpha={alpha} {ordering}: nu-opt={nu:.12g} T={records[ordering]['T']:.12g}")
-    maybe_theta = run.get("theta")
-    if maybe_theta:
-        schedule = _as_ints(run.get("schedule", [4, 8, 12]), "run.schedule")
-        for theta in maybe_theta:
-            res = directional_constant(mesh, body, theta, schedule,
-                                       m_phases=m_phases)
-            records.setdefault("directional", []).append(json_safe(res))
-            for ordering, value in res.final.items():
-                print(f"theta={theta} {ordering}: T~{value:.8g} (+-{res.error_proxy[ordering]:.2g})")
+    for theta in thetas:
+        res = directional_constant(mesh, body, theta, schedule, m_phases=m_phases)
+        records.setdefault("directional", []).append(json_safe(res))
+        for ordering, value in res.final.items():
+            print(f"theta={','.join(map(str, theta))} {ordering}: "
+                  f"T~{value:.8g} (+-{res.error_proxy[ordering]:.2g})")
     artifacts.write_json("cheb.json", records)
     return 0
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .body import ConvexBody, Exponent
 from .errors import InsufficientSupport, ValidationError
-from .mesh import Mesh, monomial_values
+from .mesh import Mesh, check_dimensions, monomial_values
 from .order import monomial_sequence
 from .vdm import greedy_grow, selection_value
 
@@ -51,6 +51,7 @@ def leja_sequence(mesh: Mesh, body: ConvexBody, count: int) -> LejaSequence:
     later point maximizes the bordered determinant over the whole mesh
     (again lowest index on ties).
     """
+    check_dimensions(mesh, body)
     if count < 1:
         raise ValidationError("count must be >= 1")
     if count > len(mesh):
@@ -87,6 +88,7 @@ class LejaDiameterReport:
 
 def leja_diameter(mesh: Mesh, body: ConvexBody, k_max: int) -> LejaDiameterReport:
     """Normalized running determinants at each level prefix M_k, k = 1..k_max."""
+    check_dimensions(mesh, body)
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
     m_last, _, _ = body.counts(k_max)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import _MAX_GRID, as_int
+from .body import _MAX_GRID, ConvexBody, as_int
 from .errors import (
     DegenerateWeight,
     DimensionMismatch,
@@ -36,6 +36,8 @@ class Mesh:
     provenance: str = "explicit"
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValidationError(f"a mesh needs dimension >= 1, got {self.dim}")
         pts = np.asarray(self.points, dtype=complex)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
@@ -76,6 +78,12 @@ class Mesh:
         """Mesh with every point multiplied by `factor` (weights unchanged)."""
         return Mesh(self.dim, self.points * factor, self.log_weights.copy(),
                     provenance=f"{self.provenance} * {factor}")
+
+
+def check_dimensions(mesh: Mesh, body: ConvexBody) -> None:
+    """Raise DimensionMismatch unless the mesh and the body live in one C^N."""
+    if mesh.dim != body.dim:
+        raise DimensionMismatch(f"mesh dimension {mesh.dim} != body dimension {body.dim}")
 
 
 def monomial_values(points: np.ndarray, exponents) -> np.ndarray:
@@ -359,6 +367,8 @@ def _build(spec, path: str) -> Mesh:
 
 def mesh_from_csv(path, dim: int) -> Mesh:
     """Read an explicit mesh: 2N real columns per row, optional trailing log-weight."""
+    if dim < 1:  # before any row is read against 2 * dim columns
+        raise ValidationError(f"a mesh needs dimension >= 1, got {dim}")
     points = []
     weights = []
     with open(path, newline="") as fh:

@@ -26,7 +26,7 @@ from .body import ConvexBody, as_fraction, average_total_degree, check_dagger
 from .cheb import TransformTable, check_m_phases, transform_grid
 from .errors import CtdiamError, InsufficientSupport, ValidationError
 from .leja import leja_diameter
-from .mesh import Mesh
+from .mesh import Mesh, check_dimensions
 from .order import CGREVLEX, GREVLEX
 from .vdm import Greedy, MaxVdmResult, max_vdm, strategy_from_config
 
@@ -67,6 +67,7 @@ def d_estimate_transform(mesh: Mesh, body: ConvexBody, k: int, ordering: str = C
 def final_delta(mesh: Mesh, body: ConvexBody, k: int, strategy=None, route: str = "vdm",
                 m_phases: int = 32, resolution=Fraction(1, 32), subsamples: int = 32):
     """Length-scaled diameter estimate D ** (1/A) plus its level-k report row."""
+    check_dimensions(mesh, body)
     if route not in ("vdm", "transform"):
         raise ValidationError(f"unknown route {route!r}")
     check_m_phases(m_phases)
@@ -172,6 +173,7 @@ def _level_row(mesh: Mesh, body: ConvexBody, k: int, strategy, options: ReportOp
 
 def build_report(mesh: Mesh, body: ConvexBody, k_max: int, options: ReportOptions | None = None) -> DiameterReport:
     """Assemble per-level rows for k = 1..k_max; row-level failures never abort."""
+    check_dimensions(mesh, body)
     _check_support(mesh, body, k_max)
     options = options or ReportOptions()
     check_m_phases(options.m_phases)  # _level_row would record it as a row error

@@ -23,7 +23,7 @@ from .errors import (
     TooManyPoints,
     ValidationError,
 )
-from .mesh import Mesh, monomial_values
+from .mesh import Mesh, check_dimensions, monomial_values
 
 
 def log_abs_det(matrix) -> float:
@@ -87,6 +87,7 @@ class MaxVdmResult:
 
 def vandermonde_det(mesh: Mesh, body: ConvexBody, k: int, point_indices) -> VdmValue:
     """log |det [w(zeta_l)^k z^(alpha_j)(zeta_l)]| for the first s basis monomials."""
+    check_dimensions(mesh, body)
     indices = tuple(int(i) for i in point_indices)
     basis = body.lattice_points(k)
     s = len(indices)
@@ -267,6 +268,7 @@ def max_vdm(mesh: Mesh, body: ConvexBody, k: int, strategy=None) -> MaxVdmResult
     certified lower bound that in practice reaches the optimum on the
     mesh sizes this package targets.
     """
+    check_dimensions(mesh, body)
     if k < 1:
         raise ValidationError("max_vdm needs k >= 1")
     strategy = _checked(strategy if strategy is not None else Greedy())

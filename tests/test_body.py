@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from ctdiam import average_total_degree, check_dagger, validate_body
 from ctdiam.body import (
-    _certified_keep,
+    _class_keep,
     _classify_cells,
     _dagger_verdict,
     _exact_grid,
     _gauge_numerators,
     _integer_rows,
     _lattice_points,
+    _offset_products,
     _outer_sum,
-    _product_keep,
     body_quadrature,
     box_body,
     is_simplex,
@@ -334,9 +334,12 @@ def test_gauge_rejects_float_coordinates(skew_body):
         skew_body.gauge((0.5, Fraction(1, 3)))
 
 
-def _reference_quadrature(body, resolution, subsamples):
+def _reference_quadrature(body, resolution, subsamples, keep_ties=True):
     # body_quadrature as it was before boundary cells tested only their
-    # cutting halfspaces: every sample against every halfspace, row sums
+    # cutting halfspaces: every sample against every halfspace, row sums.
+    # A sample (c + w/(2*sub)) * p/q, w odd, satisfies a.x <= b iff
+    # p * a'.(2*sub*c + w) <= 2*sub*q*b' for a', b' the row scaled to
+    # integers; keep_ties=False drops the samples on a plane.
     cells, status, _ = _classify_cells(body, resolution)
     res_f = float(resolution)
     cell_vol = res_f ** body.dim
@@ -349,11 +352,21 @@ def _reference_quadrature(body, resolution, subsamples):
         integral += cell_vol * float(mids.sum())
     offs = (np.arange(subsamples) + 0.5) * (res_f / subsamples)
     offsets = np.stack([g.ravel() for g in np.meshgrid(*([offs] * body.dim), indexing="ij")], axis=1)
-    a_mat = np.array([[float(aj) for aj in a] for a, _ in body.halfspaces])
-    b_vec = np.array([float(b) for _, b in body.halfspaces])
+    odd = np.arange(1, 2 * subsamples, 2)
+    odd = np.stack([g.ravel() for g in np.meshgrid(*([odd] * body.dim), indexing="ij")], axis=1)
+    scales = [math.lcm(b.denominator, *(aj.denominator for aj in a)) for a, b in body.halfspaces]
+    a_int = np.array([[int(aj * s) for aj in a] for (a, _), s in zip(body.halfspaces, scales)], dtype=object)
+    bounds = [2 * subsamples * resolution.denominator * int(b * s)
+              for (_, b), s in zip(body.halfspaces, scales)]
+    reach = 2 * subsamples * (int(cells.max(initial=0)) + 1) * resolution.numerator
+    exact_int64 = max(reach * int(np.abs(a_int).sum(axis=1).max()), *map(abs, bounds)) < 2**62
+    a_int = a_int.astype(np.int64 if exact_int64 else object)
+    bounds = np.array(bounds, dtype=a_int.dtype)
     for idx in np.flatnonzero(status == 0):
         pts = offsets + np.array([float(c * resolution) for c in cells[idx].tolist()])
-        keep = np.all(pts @ a_mat.T <= b_vec, axis=1)
+        ticks = (odd + 2 * subsamples * cells[idx]).astype(a_int.dtype)
+        lhs = resolution.numerator * (ticks @ a_int.T)
+        keep = np.all(lhs <= bounds if keep_ties else lhs < bounds, axis=1)
         frac = keep.mean()
         mean_sum = float(pts[keep].sum(axis=1).mean()) if keep.any() else 0.0
         volume += cell_vol * frac
@@ -370,7 +383,9 @@ TIE_3D = [(("0", "1/4", "1"), "1"), (("1", "0", "0"), "1")]
 SKEW_3D = [(("1/2", "1/3", "5/6"), "1"), (("2/3", "-1/3", "1"), "5/4"), (("0", "3/4", "1/4"), "7/8")]
 # x + y = 97/64 passes exactly through samples of every boundary cell at resolution 1/32
 TIE_9764 = [(("1", "0", "0"), "1"), (("0", "1", "0"), "1"), (("0", "0", "1"), "1"), (("1", "1", "0"), "97/64")]
-# bodies whose exact ties send some boundary cells, and not others, to the product test
+# rows that scale to integers of 2**62 and more
+WIDE_ROWS = [((1, Fraction(2**62 - 1, 2**62)), 1), ((Fraction(-1, 2**61 + 1), 1), 1)]
+# bodies with samples on a cutting plane
 TIE_CASES = [
     (validate_body(PENTAGON, 2), Fraction(1, 32), 32),
     (validate_body(TIE_3D, 3), Fraction(2, 3), 3),
@@ -384,13 +399,13 @@ TIE_CASES = [
 @example(case=TIE_CASES[0][:2], subsamples=TIE_CASES[0][2])
 # an exact 3-D tie, which also tells (x + y) + z from x + (y + z)
 @example(case=TIE_CASES[1][:2], subsamples=TIE_CASES[1][2])
-# rounding-sensitive sums and estimates (a zero margin fails here), and a cell
-# cut by only one of two halfspaces
+# rounding-sensitive sums, samples on planes whose coefficients are not
+# floats, and a cell cut by only one of two halfspaces
 @example(case=(validate_body([(("1/3", "5/12", "5/12"), "1/2"), (("-1/2", "1", "0"), "1")], 3),
                Fraction(1, 4)), subsamples=5)
-# one halfspace, so the reference product goes through gemv, whose rounding depends on the layout
+# one halfspace with samples on its plane, which a float product a.x misjudged
 @example(case=(validate_body([(("2/9", "4/9", "2/9"), "2/3")], 3), Fraction(1, 4)), subsamples=8)
-# every row scaled by 10**-310, so products underflow and only the margin's absolute term holds
+# every row scaled by 10**-310, where float products underflow; it reads the unscaled body's bits
 @example(case=(validate_body([(tuple(Fraction(x) / 10**310 for x in a), Fraction(b) / 10**310) for a, b in
                               [(("1/2", "1/2", "1"), "3/2"), (("-1/2", "3/4", "2/3"), "4"),
                                (("1/2", "-1/2", "-2/3"), "3")]], 3), Fraction(1, 3)), subsamples=2)
@@ -406,6 +421,8 @@ TIE_CASES = [
 @example(case=(validate_body(TIE_9764, 3), Fraction(1, 16)), subsamples=4)
 # a dyadic grid past the 2**53 bound, which keeps the per-cell sums
 @example(case=(validate_body([(("1",), "8191/2")], 1), Fraction(1)), subsamples=2**20)
+# integer rows past 2**62, so the sample tests run on Python ints
+@example(case=(validate_body(WIDE_ROWS, 2), Fraction(1, 4)), subsamples=4)
 def test_quadrature_matches_all_halfspace_reference(case, subsamples):
     body, resolution = case
     got = body_quadrature(body, resolution, subsamples)
@@ -415,12 +432,43 @@ def test_quadrature_matches_all_halfspace_reference(case, subsamples):
 
 @pytest.mark.parametrize("body, resolution, subsamples", TIE_CASES)
 def test_quadrature_ties_take_both_paths(body, resolution, subsamples):
-    # cells with a sample inside the rounding margin fall back to the product
-    # test; the explicit examples above check the values of both paths
-    with mock.patch("ctdiam.body._product_keep", wraps=_product_keep) as product_test:
-        body_quadrature(body, resolution, subsamples)
-    boundary = int(np.count_nonzero(_classify_cells(body, resolution)[1] == 0))
-    assert 0 < product_test.call_count < boundary
+    # samples on a cutting plane lie in the body and are kept: the result
+    # is the reference's, and differs from the one that drops them
+    got = [x.hex() for x in body_quadrature(body, resolution, subsamples)]
+    assert got == [x.hex() for x in _reference_quadrature(body, resolution, subsamples)]
+    assert got != [x.hex() for x in _reference_quadrature(body, resolution, subsamples, keep_ties=False)]
+
+
+positive_rationals = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=bodies_and_resolutions(), subsamples=st.integers(1, 8), row=st.integers(0, 2),
+       factor=positive_rationals)
+# x/10 + y/10 <= 3/20, whose float coefficients misjudged the samples on x + y = 3/2
+@example(case=(validate_body(PENTAGON, 2), Fraction(1, 32)), subsamples=32, row=2, factor=Fraction(1, 10))
+@example(case=(validate_body(WIDE_ROWS, 2), Fraction(1, 4)), subsamples=4, row=1, factor=Fraction(1, 2**70))
+def test_quadrature_ignores_how_a_halfspace_is_written(case, subsamples, row, factor):
+    body, resolution = case
+    row %= len(body.halfspaces)
+    halfspaces = list(body.halfspaces)
+    a, b = halfspaces[row]
+    halfspaces[row] = (tuple(factor * aj for aj in a), factor * b)
+    scaled = validate_body(halfspaces, body.dim)
+    got = body_quadrature(scaled, resolution, subsamples)
+    assert [x.hex() for x in got] == [x.hex() for x in body_quadrature(body, resolution, subsamples)]
+
+
+def test_quadrature_rows_beyond_int64_test_python_ints():
+    body = validate_body(WIDE_ROWS, 2)
+    assert max(abs(x) for x in _integer_rows(body)[0].ravel()) >= 2**62
+    with mock.patch("ctdiam.body._class_keep", wraps=_class_keep) as masks:
+        got = body_quadrature(body, Fraction(1, 4), 4)
+    assert masks.call_count > 0
+    assert all(call.args[0].dtype == object for call in masks.call_args_list)
+    assert [x.hex() for x in got] == [x.hex() for x in _reference_quadrature(body, Fraction(1, 4), 4)]
+    # one step below the bound, the table is int64
+    assert _offset_products(np.array([[2**58, 2**58 - 1]], dtype=object), 1, 4).dtype == np.int64
 
 
 @pytest.mark.parametrize("halfspaces, resolution, subsamples, exact", [
@@ -437,35 +485,31 @@ def test_exact_grid_needs_a_dyadic_step_and_the_bound(halfspaces, resolution, su
 
 
 def _count_quadrature_calls(body, resolution, subsamples):
-    with mock.patch("ctdiam.body._certified_keep", wraps=_certified_keep) as certify, \
-            mock.patch("ctdiam.body._product_keep", wraps=_product_keep) as product_test, \
+    with mock.patch("ctdiam.body._class_keep", wraps=_class_keep) as masks, \
             mock.patch("ctdiam.body._outer_sum", wraps=_outer_sum) as outer:
         body_quadrature(body, resolution, subsamples)
-    return certify.call_count, product_test.call_count, outer.call_count
+    boundary = int(np.count_nonzero(_classify_cells(body, resolution)[1] == 0))
+    return boundary, masks.call_count, outer.call_count
 
 
 def test_quadrature_certifies_each_class_once(cube3):
-    # cube3's 1489 boundary cells at resolution 1/32 are translates of 3 cells;
-    # on this exact grid each class makes one estimate (N - 1 outer sums) and
-    # one offset table serves every class, so no cell builds its own samples
-    certify, product_test, outer = _count_quadrature_calls(cube3, Fraction(1, 32), 32)
-    assert (certify, product_test) == (3, 0)
-    assert outer <= (cube3.dim - 1) * (certify + 1)
+    # cube3's 1489 boundary cells at resolution 1/32 are translates of 3 cells,
+    # one exact mask each; on this exact grid one offset table (N - 1 outer
+    # sums) serves every class, so no cell builds its own samples
+    assert _count_quadrature_calls(cube3, Fraction(1, 32), 32) == (1489, 3, cube3.dim - 1)
 
 
 def test_quadrature_exact_products_test_one_cell_per_class():
-    # all 992 boundary cells tie, in 2 classes: one product test each
-    body = validate_body(TIE_9764, 3)
-    certify, product_test, _ = _count_quadrature_calls(body, Fraction(1, 32), 32)
-    assert int(np.count_nonzero(_classify_cells(body, Fraction(1, 32))[1] == 0)) == 992
-    assert certify == product_test == 2
+    # all 992 boundary cells have samples on x + y = 97/64, in 2 classes: one mask each
+    boundary, masks, _ = _count_quadrature_calls(validate_body(TIE_9764, 3), Fraction(1, 32), 32)
+    assert (boundary, masks) == (992, 2)
 
 
 def test_quadrature_non_dyadic_grid_sums_each_cell(cube3):
-    # h = 1/70: the 64 boundary cells in 3 classes still build one sample
-    # table per cell with a kept sample, N - 1 outer sums each
-    certify, _, outer = _count_quadrature_calls(cube3, Fraction(1, 7), 5)
-    assert certify == 3
+    # h = 1/70: the 64 boundary cells in 3 classes take 3 masks but still
+    # build one sample table per cell with a kept sample, N - 1 outer sums each
+    boundary, masks, outer = _count_quadrature_calls(cube3, Fraction(1, 7), 5)
+    assert (boundary, masks) == (64, 3)
     assert outer > 64
 
 

@@ -382,6 +382,45 @@ def test_bad_scalar_input_exit_2(tmp_path, capsys, subcommand, config, flags, me
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["tdiam", "vdm", "leja", "transform"])
+@pytest.mark.parametrize("body, mesh, message", [
+    (SIMPLEX1, TORUS4, "mesh dimension 2 != body dimension 1"),
+    (SIMPLEX2, INTERVAL9, "mesh dimension 1 != body dimension 2"),
+], ids=["mesh-wider", "mesh-narrower"])
+def test_mesh_body_dimension_mismatch_exit_2(tmp_path, capsys, subcommand, body, mesh, message):
+    cfg = write_config(tmp_path, "bad.json", {"body": body, "mesh": mesh, "run": {"k_max": 2},
+                                              "output_dir": str(tmp_path / "out")})
+    assert main([subcommand, "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["tdiam", "vdm"])
+@pytest.mark.parametrize("mesh", [
+    {"kind": "explicit", "points": [[], [], []]},
+    "csv",
+], ids=["explicit", "csv"])
+def test_zero_dimensional_mesh_exit_2(tmp_path, capsys, subcommand, mesh):
+    if mesh == "csv":
+        (tmp_path / "mesh.csv").write_text("0\n0\n0\n")
+        mesh = {"kind": "csv", "path": str(tmp_path / "mesh.csv"), "dim": 0}
+    cfg = write_config(tmp_path, "bad.json", {"body": SIMPLEX1, "mesh": mesh, "run": {"k_max": 1},
+                                              "output_dir": str(tmp_path / "out")})
+    assert main([subcommand, "--config", cfg]) == 2
+    assert "a mesh needs dimension >= 1, got 0" in capsys.readouterr().err
+
+
+def test_cheb_flat_theta_exit_2_before_any_solve(tmp_path, capsys):
+    # each string of a flat list used to be read as a direction, after the records were solved
+    cfg = write_config(tmp_path, "bad.json", {
+        "body": SIMPLEX2, "mesh": TORUS4, "output_dir": str(tmp_path / "out"),
+        "run": {"k": 2, "alpha": [1, 0], "theta": ["1/3", "1/3"], "schedule": [2, 3]}})
+    assert main(["cheb", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert "run.theta must be a list of directions" in err
+    assert out == ""
+    assert not (tmp_path / "out" / "cheb.json").exists()
+
+
 @pytest.mark.parametrize("subcommand", ["tdiam", "vdm"])
 @pytest.mark.parametrize("strategy, message", [
     ({"kind": "greedy", "restarts": "x"}, "run.strategy.restarts"),

@@ -182,6 +182,16 @@ def test_nan_or_infinite_log_weight_rejected(bad):
         Mesh(1, [[0], [1], [2], [3]], [0, 0, bad, 0])
 
 
+def test_zero_dimensional_mesh_rejected(tmp_path):
+    # no coordinates per point, as an explicit spec or as a csv of log weights only
+    with pytest.raises(ValidationError, match="a mesh needs dimension >= 1, got 0"):
+        build_mesh({"kind": "explicit", "points": [[], [], []]})
+    path = tmp_path / "mesh.csv"
+    path.write_text("0\n0\n0\n")
+    with pytest.raises(ValidationError, match="a mesh needs dimension >= 1, got 0"):
+        mesh_from_csv(path, 0)
+
+
 def test_empty_specs_rejected():
     with pytest.raises(EmptySpec):
         build_mesh({"kind": "circle", "center": 0, "radius": 1, "count": 0})

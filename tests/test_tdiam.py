@@ -20,7 +20,7 @@ from ctdiam import (
     simplex_body,
     validate_body,
 )
-from ctdiam.errors import CtdiamError, InsufficientSupport, SolverFailure, ValidationError
+from ctdiam.errors import CtdiamError, DimensionMismatch, InsufficientSupport, SolverFailure, ValidationError
 from ctdiam.mesh import Mesh
 from ctdiam.order import CGREVLEX, GREVLEX
 from ctdiam.tdiam import report_to_csv, report_to_json, transform_mean_log
@@ -119,6 +119,32 @@ def test_polygon_below_three_phases_rejected_before_any_cell(monkeypatch, circle
     }
     with pytest.raises(ValidationError, match=r"m_phases >= 3, got -?[12]$"):
         calls[entry]()
+
+
+@pytest.mark.parametrize("entry", ["build_report", "final_delta", "max_vdm", "vandermonde_det",
+                                   "leja_sequence", "leja_diameter", "transform_grid"])
+@pytest.mark.parametrize("mesh_dim, body_dim", [(2, 1), (1, 2)], ids=["mesh-wider", "mesh-narrower"])
+def test_mesh_body_dimension_mismatch_rejected_before_any_work(monkeypatch, entry, mesh_dim, body_dim):
+    # a wider mesh used to be read through its first coordinates only, a
+    # narrower one failed with an IndexError; now neither gets to a lattice
+    from ctdiam import leja_diameter, leja_sequence, max_vdm, vandermonde_det
+
+    monkeypatch.setattr("ctdiam.body._lattice_points", lambda *args: pytest.fail("a lattice was built"))
+    mesh = build_mesh({"kind": "torus", "counts": [6, 6]} if mesh_dim == 2
+                      else {"kind": "circle", "count": 6})
+    body = simplex_body(body_dim)
+    calls = {
+        "build_report": lambda: build_report(mesh, body, 2),
+        "final_delta": lambda: final_delta(mesh, body, 2),
+        "max_vdm": lambda: max_vdm(mesh, body, 2),
+        "vandermonde_det": lambda: vandermonde_det(mesh, body, 1, [0, 1]),
+        "leja_sequence": lambda: leja_sequence(mesh, body, 3),
+        "leja_diameter": lambda: leja_diameter(mesh, body, 2),
+        "transform_grid": lambda: transform_grid(mesh, body, 2),
+    }
+    with pytest.raises(DimensionMismatch) as exc:
+        calls[entry]()
+    assert str(exc.value) == f"mesh dimension {mesh_dim} != body dimension {body_dim}"
 
 
 def test_leja_between_fekete_bounds_normalized(mesh7, simplex1):
