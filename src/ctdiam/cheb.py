@@ -25,9 +25,10 @@ from .lp import is_real_instance, lp_entries, solve_minimax
 from .mesh import Mesh, Polynomial, check_dimensions, monomial_values
 from .order import CGREVLEX, GREVLEX, order_key
 
-# float64 entries of F plus the tableau of one min-max LP (256 MB): about
-# 50 times the largest benchmark instance (torus 16x16 at level 5, 0.67 M),
-# below a torus 64x64 at level 12 (47 M entries, 380 MB per solve)
+# float64 entries of the one tableau of a min-max LP (256 MB; F is written
+# into the tableau's memory after the simplex): about 100 times the largest
+# benchmark instance (torus 16x16 at level 5, 0.34 M), above a torus 64x64
+# at level 14 (31.4 M entries) and below one at level 15 (35.6 M, 285 MB)
 _MAX_LP_ENTRIES = 2**25
 
 

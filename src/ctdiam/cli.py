@@ -106,6 +106,8 @@ def _load_config(path: str | None, overrides: argparse.Namespace) -> dict:
         raise ValidationError(f"config not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"config {path} cannot be read: {exc}") from exc
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
     run = config.setdefault("run", {})
@@ -178,6 +180,8 @@ def _run_enumerate(config, artifacts: _Artifacts) -> int:
     body = parse_body_spec(config.get("body"))
     run = config.get("run", {})
     k_max = _run_int(run, "k_max", "k", default=4)
+    if k_max < 1:
+        raise ValidationError("k_max must be >= 1")
     name = "lattice.csv"
     with open(artifacts.outdir / name, "w", newline="") as fh:
         writer = csv.writer(fh)

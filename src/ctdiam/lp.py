@@ -25,11 +25,13 @@ each entry receives the one product an outer-product update would
 subtract.  Every solve is verified against its optimality certificate
 before the result is returned.
 
-Memory: a solve holds F and one preallocated tableau [F^T; 1 | I | e_last],
-filled straight from F, and makes no other tableau-sized array.  The
+Memory: a solve makes one tableau-sized array, the tableau
+[F^T; 1 | I | e_last].  The constraint rows are written straight into
+its F^T block, one phase at a time, and never exist elsewhere.  The
 right-hand side is the tableau's last column, so a pivot eliminates it
-with every other entry; the basis columns for the multipliers are read
-back from F.
+with every other entry.  After the simplex the tableau is spent: F is
+written again into the first n_rows * n_x entries of its buffer, and the
+multipliers and the optimality certificate are read from there.
 """
 
 from __future__ import annotations
@@ -101,12 +103,10 @@ def _run_simplex(tab, basis, cost, allowed):
         _pivot(tab, basis, row, col)
 
 
-def _two_phase(tab, c, F):
+def _two_phase(tab, c):
     """Two-phase simplex on the filled tableau [F^T; 1 | I | e_last].
 
-    Only the optimal basis columns of [F^T; 1] are read back from F, to
-    solve for the multipliers pi.  Returns (value, lam, pi, iterations);
-    tab is overwritten.
+    Returns (value, basis, iterations); tab is overwritten.
     """
     m = tab.shape[0]
     n = tab.shape[1] - m - 1
@@ -126,8 +126,13 @@ def _two_phase(tab, c, F):
     lam = np.zeros(n)
     in_struct = basis < n
     lam[basis[in_struct]] = tab[in_struct, -1]
-    value = float(c @ lam)
-    # the basis columns of [F^T; 1 | I] and their costs
+    return float(c @ lam), basis, iters
+
+
+def _multipliers(F, basis, c):
+    """The multipliers pi of the final basis: its columns of [F^T; 1 | I], read from F."""
+    n, m = F.shape[0], F.shape[1] + 1
+    in_struct = basis < n
     basis_matrix = np.zeros((m, m))
     basis_cost = np.zeros(m)
     basis_matrix[:m - 1, in_struct] = F[basis[in_struct]].T
@@ -135,13 +140,32 @@ def _two_phase(tab, c, F):
     basis_matrix[basis[~in_struct] - n, np.flatnonzero(~in_struct)] = 1.0
     basis_cost[in_struct] = c[basis[in_struct]]
     try:
-        pi = np.linalg.solve(basis_matrix.T, basis_cost)
+        return np.linalg.solve(basis_matrix.T, basis_cost)
     except np.linalg.LinAlgError:
         try:
-            pi = np.linalg.lstsq(basis_matrix.T, basis_cost, rcond=None)[0]
+            return np.linalg.lstsq(basis_matrix.T, basis_cost, rcond=None)[0]
         except np.linalg.LinAlgError as exc:
             raise SolverFailure(f"no dual solution for the final basis: {exc}") from exc
-    return value, lam, pi, iters
+
+
+def _fill_constraints(out, low_scaled, W, phases):
+    """Write the constraint rows into `out`, an (n_rows, n_x) view of any layout.
+
+    Real path (phases None): rows j and npts + j are W_j Re(l_j) and its
+    negation.  Complex path: row p * npts + j is (Re, -Im)(phase_p l_j) W_j,
+    computed one phase at a time.
+    """
+    d, npts = low_scaled.shape
+    if phases is None:
+        np.multiply(low_scaled.real, W, out=out[:npts].T)
+        np.negative(out[:npts], out=out[npts:])
+        return
+    neg_W = -W
+    for p, phase in enumerate(phases):
+        rot = phase * low_scaled
+        block = out[p * npts:(p + 1) * npts].T  # (2d, npts)
+        np.multiply(rot.real, W, out=block[:d])
+        np.multiply(rot.imag, neg_W, out=block[d:])  # (-a) * b and a * (-b) round alike
 
 
 @dataclass
@@ -172,9 +196,9 @@ def is_real_instance(lower_vals, target_vals) -> bool:
 
 
 def lp_entries(d: int, npts: int, m_phases: int, real_path: bool) -> int:
-    """float64 entries of F plus the tableau of a `solve_minimax` instance, d lower monomials."""
+    """float64 entries of the one tableau of a `solve_minimax` instance, d lower monomials."""
     n_rows, n_x = (2 * npts, d) if real_path else (m_phases * npts, 2 * d)
-    return n_rows * n_x + (n_x + 1) * (n_rows + n_x + 2)
+    return (n_x + 1) * (n_rows + n_x + 2)
 
 
 def solve_minimax(lower_vals, target_vals, log_weight_pow, m_phases: int = 32) -> MinimaxResult:
@@ -211,39 +235,34 @@ def solve_minimax(lower_vals, target_vals, log_weight_pow, m_phases: int = 32) -
     low_scaled = lower_vals / col_scale[:, None]
     tgt_scaled = target_vals / target_scale
 
-    # F (one row per constraint, one column per real coefficient) is the
-    # only copy of the constraint data; the tableau is filled from F.T.
-    # Its layout fixes the gemv of the certificate F @ u: column-major on
-    # the real path, row-major on the complex path.
     if real_path:
-        F = np.empty((2 * npts, d), order="F")
-        np.multiply(low_scaled.real, W, out=F[:npts].T)
-        np.negative(F[:npts], out=F[npts:])
+        phases = None
         g = np.concatenate([W * tgt_scaled.real, -(W * tgt_scaled.real)])
         bracket = 1.0
-        n_x = d
+        n_rows, n_x = 2 * npts, d
     else:
         phases = np.exp(2j * np.pi * np.arange(m_phases) / m_phases)
-        rot_low = phases[:, None, None] * low_scaled[None, :, :]  # (m, d, npts)
         rot_tgt = phases[:, None] * tgt_scaled[None, :]  # (m, npts)
-        # row p * npts + j is (Re, -Im) of phase p times the point-j values, times W_j
-        F = np.empty((m_phases * npts, 2 * d))
-        blocks = F.reshape(m_phases, npts, 2 * d).transpose(0, 2, 1)  # (m, 2d, npts) view
-        np.multiply(rot_low.real, W, out=blocks[:, :d])
-        np.multiply(rot_low.imag, -W, out=blocks[:, d:])  # (-a) * b and a * (-b) round alike
-        del rot_low
         g = (rot_tgt.real * W[None, :]).reshape(-1)
         bracket = 1.0 / math.cos(math.pi / m_phases)
-        n_x = 2 * d
+        n_rows, n_x = m_phases * npts, 2 * d
 
     # the standard form [F^T; 1] lam = e_last, lam >= 0, in one tableau [F^T; 1 | I | e_last]
-    n_rows = F.shape[0]
     tab = np.zeros((n_x + 1, n_rows + n_x + 2))
-    tab[:n_x, :n_rows] = F.T
+    _fill_constraints(tab[:n_x, :n_rows].T, low_scaled, W, phases)
     tab[n_x, :n_rows] = 1.0
     tab[:, n_rows:-1] = np.eye(n_x + 1)
     tab[-1, -1] = 1.0
-    value, lam, pi, iters = _two_phase(tab, -g, F)
+    c = -g
+    value, basis, iters = _two_phase(tab, c)
+
+    # F now takes the spent tableau's memory, in the layout that fixes the
+    # bits of the certificate's gemv F @ u: column-major on the real path,
+    # row-major on the complex path
+    head = tab.reshape(-1)[:n_rows * n_x]
+    F = head.reshape(n_x, n_rows).T if real_path else head.reshape(n_rows, n_x)
+    _fill_constraints(F, low_scaled, W, phases)
+    pi = _multipliers(F, basis, c)
 
     u = pi[:n_x]
     t_star = -pi[-1]

@@ -365,31 +365,39 @@ def _build(spec, path: str) -> Mesh:
     return Mesh(pts.shape[1], pts, _weight_for(pts, weight_spec, f"{path}.weight"), provenance=prov)
 
 
+def _csv_rows(path):
+    """Yield the rows of the csv file `path`; one that cannot be read is a ValidationError."""
+    try:
+        with open(path, newline="") as fh:
+            yield from csv.reader(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"csv mesh {path} cannot be read: {exc}") from exc
+
+
 def mesh_from_csv(path, dim: int) -> Mesh:
     """Read an explicit mesh: 2N real columns per row, optional trailing log-weight."""
     if dim < 1:  # before any row is read against 2 * dim columns
         raise ValidationError(f"a mesh needs dimension >= 1, got {dim}")
     points = []
     weights = []
-    with open(path, newline="") as fh:
-        for line, row in enumerate(csv.reader(fh), start=1):
-            row = [c for c in row if c.strip() != ""]
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            try:
-                vals = [float(c) for c in row]
-            except ValueError as exc:
-                raise ValidationError(f"{path} row {line} is not numeric: {row}") from exc
-            if len(vals) == 2 * dim:
-                lw = 0.0
-            elif len(vals) == 2 * dim + 1:
-                lw = vals[-1]
-                vals = vals[:-1]
-            else:
-                raise ValidationError(f"{path} row {line} has {len(vals)} columns, "
-                                      f"expected {2 * dim} or {2 * dim + 1}")
-            points.append([complex(vals[2 * i], vals[2 * i + 1]) for i in range(dim)])
-            weights.append(lw)
+    for line, row in enumerate(_csv_rows(path), start=1):
+        row = [c for c in row if c.strip() != ""]
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        try:
+            vals = [float(c) for c in row]
+        except ValueError as exc:
+            raise ValidationError(f"{path} row {line} is not numeric: {row}") from exc
+        if len(vals) == 2 * dim:
+            lw = 0.0
+        elif len(vals) == 2 * dim + 1:
+            lw = vals[-1]
+            vals = vals[:-1]
+        else:
+            raise ValidationError(f"{path} row {line} has {len(vals)} columns, "
+                                  f"expected {2 * dim} or {2 * dim + 1}")
+        points.append([complex(vals[2 * i], vals[2 * i + 1]) for i in range(dim)])
+        weights.append(lw)
     if not points:
         raise EmptySpec(f"no mesh rows in {path}")
     return Mesh(dim, np.array(points), np.array(weights), provenance=f"csv:{path}")

@@ -429,5 +429,7 @@ def test_lp_limit_sits_between_benchmark_and_oversized_instances():
 
     # torus 16x16, simplex N=2, level 5: at most 20 lower monomials on 256 points
     assert lp_entries(20, 256, 32, False) * 50 < cheb_mod._MAX_LP_ENTRIES
-    # torus 64x64, simplex N=2, level 12: 90 lower monomials on 4096 points
-    assert lp_entries(90, 4096, 32, False) > cheb_mod._MAX_LP_ENTRIES
+    # torus 64x64, simplex N=2: level 14 (119 lower monomials on 4096 points,
+    # 31.4 M entries) is admitted, level 15 (135, 35.6 M entries) is refused
+    assert lp_entries(119, 4096, 32, False) <= cheb_mod._MAX_LP_ENTRIES
+    assert lp_entries(135, 4096, 32, False) > cheb_mod._MAX_LP_ENTRIES

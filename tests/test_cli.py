@@ -228,9 +228,10 @@ def test_cheb_solver_failure_exit_3(tmp_path, capsys, monkeypatch):
 
 def test_cheb_oversized_lp_exit_2(tmp_path, capsys, monkeypatch, count_solves):
     import ctdiam.cheb as cheb_mod
+    from ctdiam.lp import lp_entries
 
-    # the real LP of x^2 against 1, x on 9 points holds 99 entries
-    monkeypatch.setattr(cheb_mod, "_MAX_LP_ENTRIES", 98)
+    # the real LP of x^2 against 1, x on 9 points, one entry over the cap
+    monkeypatch.setattr(cheb_mod, "_MAX_LP_ENTRIES", lp_entries(2, 9, 32, True) - 1)
     calls = count_solves()
     cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
                                               "output_dir": str(tmp_path / "out")})
@@ -253,6 +254,15 @@ def test_report_polygon_below_three_phases_exit_2(tmp_path, capsys, subcommand, 
     assert main([subcommand, "--config", cfg, f"--polygon-m={polygon_m}"]) == 2
     assert f"m_phases >= 3, got {polygon_m}" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("k_max", ["0", "-1"])
+def test_enumerate_k_max_below_one_exit_2(tmp_path, capsys, k_max):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1, "output_dir": str(out)})
+    assert main(["enumerate", "--config", cfg, f"--k-max={k_max}"]) == 2
+    assert "k_max must be >= 1" in capsys.readouterr().err
+    assert not (out / "lattice.csv").exists()
 
 def test_enumerate_and_vdm_and_leja(tmp_path):
     out = tmp_path / "out"
@@ -301,6 +311,29 @@ def test_invalid_json_is_validation_error(tmp_path):
     path.write_text("{not json")
     assert main(["tdiam", "--config", str(path)]) == 2
 
+
+
+@pytest.mark.parametrize("config", ["directory", "not-utf8"])
+def test_unreadable_config_exit_2(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    if config == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe\x00")
+    assert main(["tdiam", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert f"config {path} cannot be read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mesh_path", ["missing", "directory"])
+def test_unreadable_csv_mesh_exit_2(tmp_path, capsys, mesh_path):
+    path = tmp_path / "mesh.csv"
+    if mesh_path == "directory":
+        path.mkdir()
+    cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1,
+                                              "mesh": {"kind": "csv", "path": str(path), "dim": 1},
+                                              "output_dir": str(tmp_path / "out")})
+    assert main(["tdiam", "--config", cfg]) == 2
+    assert f"csv mesh {path} cannot be read" in capsys.readouterr().err
 
 PENTAGON = {"dim": 2, "halfspaces": [{"a": ["1", "0"], "b": "1"}, {"a": ["0", "1"], "b": "1"},
                                      {"a": ["1", "1"], "b": "3/2"}]}

@@ -379,12 +379,13 @@ def test_minimax_bit_identical_to_copying_assembly(kind):
 
 
 def test_minimax_holds_only_f_and_one_tableau():
-    # a level-5 complex transform LP on a 16x16 torus: F has 32 phases * 256
-    # points rows and 2 * 20 columns, the tableau 41 rows and 8192 + 41 columns
+    # a level-5 complex transform LP on a 16x16 torus: the tableau has 41 rows
+    # and 32 phases * 256 points + 41 + 1 columns; F, 8192 x 40, is written
+    # into its memory after the simplex, so the one tableau bounds the peak
     lower, target = _torus_instance(16, 5, (5, 0))
     d, npts = lower.shape
     n_rows, n_x = 32 * npts, 2 * d
-    working_set = 8 * (n_rows * n_x + (n_x + 1) * (n_rows + n_x + 1))
+    tableau = 8 * (n_x + 1) * (n_rows + n_x + 2)
     tracemalloc.start()
     try:
         res = solve_minimax(lower, target, np.zeros(npts))
@@ -392,7 +393,7 @@ def test_minimax_holds_only_f_and_one_tableau():
     finally:
         tracemalloc.stop()
     assert (d, npts) == (20, 256) and res.iterations > 0
-    assert peak < 1.25 * working_set
+    assert peak < 1.5 * tableau
 
 
 def test_iteration_cap_fails_after_one_attempt(monkeypatch):
@@ -421,14 +422,21 @@ def test_lp_entries_counts_f_and_the_tableau(monkeypatch, kind):
         lower, target = np.vstack([x**0, x**1, x**2]).astype(complex), (x**3).astype(complex)
     else:
         lower, target = _torus_instance(6, 2, (1, 1))
-    seen = []
-    original = lp._two_phase
+    tableaux, shared = [], []
+    two_phase, multipliers = lp._two_phase, lp._multipliers
 
-    def spy(tab, cost, F):
-        seen.append(tab.size + F.size)
-        return original(tab, cost, F)
+    def spy_two_phase(tab, cost):
+        tableaux.append(tab)
+        return two_phase(tab, cost)
 
-    monkeypatch.setattr(lp, "_two_phase", spy)
+    def spy_multipliers(F, basis, cost):
+        shared.append(np.shares_memory(F, tableaux[-1]))
+        return multipliers(F, basis, cost)
+
+    monkeypatch.setattr(lp, "_two_phase", spy_two_phase)
+    monkeypatch.setattr(lp, "_multipliers", spy_multipliers)
     res = solve_minimax(lower, target, np.zeros(target.shape[0]), m_phases=8)
     assert res.real_path == (kind == "real") == lp.is_real_instance(lower, target)
-    assert seen == [lp.lp_entries(lower.shape[0], target.shape[0], 8, res.real_path)]
+    entries = lp.lp_entries(lower.shape[0], target.shape[0], 8, res.real_path)
+    assert [tab.size for tab in tableaux] == [entries]
+    assert shared == [True]
