@@ -304,6 +304,8 @@ def _gauge_numerators(body: ConvexBody, points):
 # A lattice box or quadrature grid with more cells than this, or a cell
 # with more samples, is refused before anything is allocated.
 _MAX_GRID = 2**22
+# `body_quadrature` classifies its grid this many consecutive cells at a time
+_CELL_BLOCK = 2**12
 
 
 @lru_cache(maxsize=None)
@@ -324,6 +326,12 @@ def _lattice_points(body: ConvexBody, k: int) -> tuple[Exponent, ...]:
 # Midpoint rule on an axis-aligned cell grid.  Cells are classified
 # exactly with the integer rows; boundary cells get a volume fraction
 # and a mean coordinate sum sampled at sub^N midpoints.
+#
+# The grid is classified _CELL_BLOCK consecutive cells at a time, in C
+# order, so no table spans the whole grid.  A block leaves only its
+# inside cells' midpoints and its boundary cells with their keys.  The
+# midpoints are joined in cell order and summed once: the pairwise sum
+# of the same array, whatever the block size.
 #
 # Samples are tested exactly, also with the integer rows.  With p/q the
 # resolution, the samples of cell c are (c + w/(2*sub)) * p/q for the
@@ -351,19 +359,26 @@ def _lattice_points(body: ConvexBody, k: int) -> tuple[Exponent, ...]:
 # Other grids sum the kept samples cell by cell.
 # ---------------------------------------------------------------------------
 
-def _classify_cells(body: ConvexBody, resolution: Fraction):
-    """(cells, status, highest) for each grid cell [c, c + 1] * resolution in the bounding box.
-
-    status: 1 inside, 0 boundary, -1 outside.  A cell is inside iff every
-    halfspace holds at its max corner, outside iff some halfspace fails at
-    its min corner; both tests are exact for boxes.  highest is the exact
-    `_box_excess` at the max corner, one column per halfspace.
-    """
+def _grid_counts(body: ConvexBody, resolution: Fraction) -> list[int]:
+    """Cells per axis of the quadrature grid over the bounding box; a grid past `_MAX_GRID` is refused."""
     counts = [math.ceil(body.coordinate_max(j) / resolution) for j in range(body.dim)]
     if math.prod(counts) > _MAX_GRID:
         raise ValidationError(f"resolution {resolution} makes {math.prod(counts)} quadrature cells, "
                               f"more than {_MAX_GRID}")
-    cells = np.stack([g.ravel() for g in np.meshgrid(*map(np.arange, counts), indexing="ij")], axis=1)
+    return counts
+
+
+def _classify_cells(body: ConvexBody, resolution: Fraction, counts, start: int, stop: int):
+    """(cells, status, highest) for the grid cells [c, c + 1] * resolution numbered start to stop - 1.
+
+    Cells are numbered in C order over the grid of `counts` cells per
+    axis.  status: 1 inside, 0 boundary, -1 outside.  A cell is inside
+    iff every halfspace holds at its max corner, outside iff some
+    halfspace fails at its min corner; both tests are exact for boxes.
+    highest is the exact `_box_excess` at the max corner, one column per
+    halfspace.
+    """
+    cells = np.stack(np.unravel_index(np.arange(start, stop), counts), axis=1)
     highest, lowest = _box_excess(body, cells, resolution.numerator, resolution.denominator)
     status = np.where(np.all(highest <= 0, axis=1), 1, np.where(np.any(lowest > 0, axis=1), -1, 0))
     return cells, status, highest
@@ -454,31 +469,44 @@ def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: in
     if subsamples ** body.dim > _MAX_GRID:
         raise ValidationError(f"subsamples {subsamples} makes {subsamples}**{body.dim} samples per cell, "
                               f"more than {_MAX_GRID}")
-    cells, status, highest = _classify_cells(body, resolution)
-    on_boundary = status == 0
-    # the boundary rows only, so the full excess table is freed at once
-    boundary, highest = cells[on_boundary], highest[on_boundary]
+    counts = _grid_counts(body, resolution)
+    n_cells = math.prod(counts)
     res_f = float(resolution)
     cell_vol = res_f ** body.dim
+    mids, boundary, keys = [], [], []
+    cutting = np.zeros(len(body.halfspaces), dtype=bool)
+    for start in range(0, n_cells, _CELL_BLOCK):
+        cells, status, highest = _classify_cells(body, resolution, counts, start,
+                                                 min(start + _CELL_BLOCK, n_cells))
+        on_boundary = status == 0
+        mids.append((cells[status == 1] + 0.5) * res_f)
+        boundary.append(cells[on_boundary])
+        # the key holds the exact excess of each cutting halfspace, 0 elsewhere, as Python ints
+        excess = highest[on_boundary]
+        excess = np.where(excess > 0, excess, 0)
+        cutting |= np.any(excess > 0, axis=0)
+        keys.extend(map(tuple, excess.tolist()))
+    # the inside midpoints joined in cell order: one pairwise sum, whatever the blocks
+    mids = np.concatenate(mids)
     volume = 0.0
     integral = 0.0
-    inside = status == 1
-    if inside.any():
-        volume += cell_vol * int(inside.sum())
-        integral += cell_vol * float(((cells[inside] + 0.5) * res_f).sum())
-    # the key holds the exact excess of each cutting halfspace, 0 elsewhere, as Python ints
+    if len(mids):
+        volume += cell_vol * len(mids)
+        integral += cell_vol * float(mids.sum())
+    del mids  # the largest array of the call, freed before the sample tables are built
+    boundary = np.concatenate(boundary)
     classes = {}
-    for i, key in enumerate(np.where(highest > 0, highest, 0).tolist()):
-        classes.setdefault(tuple(key), []).append(i)
+    for i, key in enumerate(keys):
+        classes.setdefault(key, []).append(i)
     # the table holds only the halfspaces that cut some cell
-    rows = np.flatnonzero(np.any(highest > 0, axis=0))
+    rows = np.flatnonzero(cutting)
     a_int = _integer_rows(body)[0][rows]
     p = resolution.numerator
     products = _offset_products(a_int, p, subsamples)
     up = np.where(a_int > 0, a_int, 0).sum(axis=1)
     offs = (np.arange(subsamples) + 0.5) * (res_f / subsamples)
     # float(c * resolution) for every cell index c, one Fraction product each
-    edges = np.array([float(c * resolution) for c in range(int(cells.max(initial=0)) + 1)])
+    edges = np.array([float(c * resolution) for c in range(max(counts))])
     corners = edges[boundary]
     exact = _exact_grid(body, resolution, subsamples)
     offset_sums = functools.reduce(_outer_sum, [offs] * body.dim) if exact else None

@@ -78,7 +78,8 @@ def _pivot(tab, basis, row, col):
 
 def _run_simplex(tab, basis, cost, allowed):
     """Iterate to optimality on a tableau [A | I | rhs]; returns iteration count."""
-    n_struct = tab.shape[1] - tab.shape[0] - 1
+    m = tab.shape[0]
+    n_struct = tab.shape[1] - m - 1
     iters = 0
     while True:
         iters += 1
@@ -93,13 +94,17 @@ def _run_simplex(tab, basis, cost, allowed):
         if rows.size == 0:
             raise SolverFailure("standard-form LP unbounded; the min-max construction is broken")
         ratios = tab[rows, -1] / column[rows]
-        tie = rows[ratios <= ratios.min() + 1e-12]
-        if tie.size == 1:
-            row = int(tie[0])
+        best = ratios.min()
+        at_best = rows[ratios == best]
+        if at_best.size == 1:
+            # the ratio is the lexicographic test's first key, so a unique minimum wins
+            row = int(at_best[0])
         else:
-            # lexicographic comparison of [rhs | B^-1] rows scaled by the pivot
-            block = np.column_stack([tab[tie, -1], tab[tie, n_struct:-1]]) / column[tie, None]
-            row = int(tie[np.lexsort(block.T[::-1])[0]])
+            # lexicographic comparison of [rhs | B^-1] rows scaled by the pivot: rhs first,
+            # then the B^-1 columns in order; lexsort reads its last key first
+            tie = rows[ratios <= best + 1e-12]
+            keys = (tab[tie, n_struct:] / column[tie, None]).T
+            row = int(tie[np.lexsort((*keys[m - 1::-1], keys[m]))[0]])
         _pivot(tab, basis, row, col)
 
 

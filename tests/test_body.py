@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -15,6 +16,7 @@ from ctdiam.body import (
     _dagger_verdict,
     _exact_grid,
     _gauge_numerators,
+    _grid_counts,
     _integer_rows,
     _lattice_points,
     _offset_products,
@@ -276,8 +278,14 @@ def bodies_and_resolutions(draw):
     return validate_body(rows, dim), resolution
 
 
+def _whole_grid(body, resolution):
+    # _classify_cells over the whole grid as one range of cells
+    counts = _grid_counts(body, resolution)
+    return _classify_cells(body, resolution, counts, 0, math.prod(counts))
+
+
 def _check_against_oracles(body, resolution, k):
-    cells, status, _ = _classify_cells(body, resolution)
+    cells, status, _ = _whole_grid(body, resolution)
     assert [_oracle_status(body, cell, resolution) for cell in cells.tolist()] == status.tolist()
     box = [range(int(k * body.coordinate_max(j)) + 1) for j in range(body.dim)]
     in_kc = [alpha for alpha in itertools.product(*box) if _oracle_gauge(body, alpha) <= k]
@@ -340,7 +348,7 @@ def _reference_quadrature(body, resolution, subsamples, keep_ties=True):
     # A sample (c + w/(2*sub)) * p/q, w odd, satisfies a.x <= b iff
     # p * a'.(2*sub*c + w) <= 2*sub*q*b' for a', b' the row scaled to
     # integers; keep_ties=False drops the samples on a plane.
-    cells, status, _ = _classify_cells(body, resolution)
+    cells, status, _ = _whole_grid(body, resolution)
     res_f = float(resolution)
     cell_vol = res_f ** body.dim
     volume = 0.0
@@ -488,7 +496,7 @@ def _count_quadrature_calls(body, resolution, subsamples):
     with mock.patch("ctdiam.body._class_keep", wraps=_class_keep) as masks, \
             mock.patch("ctdiam.body._outer_sum", wraps=_outer_sum) as outer:
         body_quadrature(body, resolution, subsamples)
-    boundary = int(np.count_nonzero(_classify_cells(body, resolution)[1] == 0))
+    boundary = int(np.count_nonzero(_whole_grid(body, resolution)[1] == 0))
     return boundary, masks.call_count, outer.call_count
 
 
@@ -511,6 +519,40 @@ def test_quadrature_non_dyadic_grid_sums_each_cell(cube3):
     boundary, masks, outer = _count_quadrature_calls(cube3, Fraction(1, 7), 5)
     assert (boundary, masks) == (64, 3)
     assert outer > 64
+
+
+def test_quadrature_classifies_in_bounded_memory(cube3):
+    # the 32768 cells are classified a block at a time; classifying the
+    # whole grid at once made the call's allocations peak at 4.0 MB
+    body_quadrature(cube3, Fraction(1, 32), 32)  # fill the body's caches
+    tracemalloc.start()
+    try:
+        body_quadrature(cube3, Fraction(1, 32), 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=bodies_and_resolutions(), subsamples=st.integers(1, 4))
+# a 1-D body on a non-dyadic grid: 56 cells
+@example(case=(validate_body([(("3",), "7")], 1), Fraction(1, 24)), subsamples=5)
+# a 3-D body with a negative coefficient on a non-dyadic grid: 1134 cells
+@example(case=(validate_body(SKEW_3D, 3), Fraction(1, 7)), subsamples=3)
+def test_quadrature_is_independent_of_the_cell_block(case, subsamples):
+    body, resolution = case
+    counts = _grid_counts(body, resolution)
+    n_cells = math.prod(counts)
+    whole = _whole_grid(body, resolution)
+    want = [x.hex() for x in body_quadrature(body, resolution, subsamples)]
+    for block in (1, 7, n_cells + 1):
+        with mock.patch("ctdiam.body._CELL_BLOCK", block):
+            assert [x.hex() for x in body_quadrature(body, resolution, subsamples)] == want
+        parts = [_classify_cells(body, resolution, counts, start, min(start + block, n_cells))
+                 for start in range(0, n_cells, block)]
+        for got, full in zip(zip(*parts), whole):
+            assert np.array_equal(np.concatenate(got), full)
 
 
 @pytest.mark.parametrize("k", [1, 3])
