@@ -78,8 +78,7 @@ def _pivot(tab, basis, row, col):
 
 def _run_simplex(tab, basis, cost, allowed):
     """Iterate to optimality on a tableau [A | I | rhs]; returns iteration count."""
-    m = tab.shape[0]
-    n_struct = tab.shape[1] - m - 1
+    n_struct = tab.shape[1] - tab.shape[0] - 1
     iters = 0
     while True:
         iters += 1
@@ -97,14 +96,14 @@ def _run_simplex(tab, basis, cost, allowed):
         best = ratios.min()
         at_best = rows[ratios == best]
         if at_best.size == 1:
-            # the ratio is the lexicographic test's first key, so a unique minimum wins
+            # the ratio is the lexicographic test's first key, so a row alone at the minimum wins
             row = int(at_best[0])
         else:
-            # lexicographic comparison of [rhs | B^-1] rows scaled by the pivot: rhs first,
-            # then the B^-1 columns in order; lexsort reads its last key first
+            # lexicographic comparison of [rhs | B^-1] rows scaled by the pivot; the slice is
+            # [B^-1 | rhs] and lexsort reads its last key first: B^-1 columns m-1..0, then rhs
             tie = rows[ratios <= best + 1e-12]
-            keys = (tab[tie, n_struct:] / column[tie, None]).T
-            row = int(tie[np.lexsort((*keys[m - 1::-1], keys[m]))[0]])
+            block = tab[tie, n_struct:] / column[tie, None]
+            row = int(tie[np.lexsort((*block.T[-2::-1], block[:, -1]))[0]])
         _pivot(tab, basis, row, col)
 
 
