@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -171,6 +170,9 @@ def solve_distinct(mesh: Mesh, body: ConvexBody, k: int, tasks: list, m_phases: 
             return exc
 
     if workers > 1:
+        # imported here, so a serial run never loads concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             cache.update(zip(pending, pool.map(solve, pending.values())))
     else:

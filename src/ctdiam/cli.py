@@ -3,8 +3,9 @@
 One JSON config document carries the body, the mesh, and per-run
 parameters; flags override scalar fields.  Artifacts are written into
 the output directory together with a MANIFEST.json that lists every
-completed file, so partial runs remain inspectable.  Exit codes:
-0 success, 2 validation error, 3 solver failure.
+completed file and the run's status, so partial runs remain
+inspectable.  Exit codes: 0 success, 2 validation error, 3 solver
+failure.
 """
 
 from __future__ import annotations
@@ -38,18 +39,29 @@ from .tdiam import (
 from .vdm import fekete_to_dict, max_vdm, strategy_from_config
 
 class _Artifacts:
-    """Tracks written files and keeps MANIFEST.json current after each one."""
+    """Tracks written files and keeps MANIFEST.json current after each one.
+
+    Its status reads "running" (exit_code null) until `finish` records
+    the exit code: "ok" for 0, else "failed".
+    """
 
     def __init__(self, outdir: Path):
         self.outdir = outdir
         self.files: list[str] = []
+        self.exit_code: int | None = None
         outdir.mkdir(parents=True, exist_ok=True)
         self._flush()
 
     def _flush(self):
+        status = "running" if self.exit_code is None else "ok" if self.exit_code == 0 else "failed"
         with open(self.outdir / "MANIFEST.json", "w") as fh:
-            json.dump({"artifacts": self.files}, fh, indent=2)
+            json.dump({"status": status, "exit_code": self.exit_code, "artifacts": self.files},
+                      fh, indent=2)
             fh.write("\n")
+
+    def finish(self, exit_code: int):
+        self.exit_code = exit_code
+        self._flush()
 
     def add(self, name: str):
         self.files.append(name)
@@ -365,19 +377,30 @@ def build_parser() -> argparse.ArgumentParser:
 def run(subcommand: str, config_path: str | None, overrides: argparse.Namespace) -> int:
     config = _load_config(config_path, overrides)
     artifacts = _Artifacts(Path(config["output_dir"]))
-    return _HANDLERS[subcommand](config, artifacts)
+    try:
+        exit_code = _HANDLERS[subcommand](config, artifacts)
+    except BaseException as exc:
+        artifacts.finish(_exit_code(exc))
+        raise
+    artifacts.finish(exit_code)
+    return exit_code
+
+
+def _exit_code(exc: BaseException) -> int:
+    """2 after a validation error, 3 after a solver failure, else 1 (a traceback)."""
+    if isinstance(exc, ValidationError):
+        return 2
+    return 3 if isinstance(exc, SolverFailure) else 1
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args.subcommand, args.config, args)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except SolverFailure as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
+    except (ValidationError, SolverFailure) as exc:
+        kind = "validation error" if isinstance(exc, ValidationError) else "solver failure"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

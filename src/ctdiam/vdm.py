@@ -187,20 +187,38 @@ def greedy_grow(z, logw, powers, start: int) -> list[int]:
 
 
 _RATIO_TIE = 1e-9  # ratio scores this close to the best are re-scored by slogdet
-_RATIO_COND = 1e6  # above this cond(A) the ratios may misrank swaps; scan them all
+_RATIO_COND = 1e6  # above this cond_1(A) the ratios may misrank swaps; scan them all
+_RATIO_RESIDUAL = 1e-11  # an updated R whose R[:, sel] strays this far from I is solved again
 
 
 def _swap_ratios(z, sel: list[int], m_k: int):
     """A^{-1} z[:m_k] for A = z[:m_k, sel]; None when A is singular or
-    ill-conditioned (or its SVD fails), or some ratio is not finite."""
+    ill-conditioned in the 1-norm (or its inverse fails), or some ratio is
+    not finite."""
     a = z[:m_k, sel]
     try:
-        if not np.linalg.cond(a) <= _RATIO_COND:
+        if not np.linalg.cond(a, 1) <= _RATIO_COND:
             return None
         ratios = np.linalg.solve(a, z[:m_k])
     except np.linalg.LinAlgError:
         return None
     return ratios if np.isfinite(ratios).all() else None
+
+
+def _update_ratios(ratios, sel: list[int], pos: int, col, outer) -> bool:
+    """Turn R = A^{-1} z[:m_k] into the R of A with column sel[pos] swapped in,
+    in place: one product-form step through the buffers col (m_k,) and
+    outer (m_k, ns).  False when the result is not finite or R[:, sel]
+    strays from the identity by more than _RATIO_RESIDUAL."""
+    np.copyto(col, ratios[:, sel[pos]])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratios[pos] /= col[pos]
+        col[pos] = 0
+        np.multiply.outer(col, ratios[pos], out=outer)
+        ratios -= outer
+        residual = ratios[:, sel]
+        residual.flat[:: len(sel) + 1] -= 1
+        return bool(np.isfinite(ratios).all() and np.abs(residual).max() <= _RATIO_RESIDUAL)
 
 
 def _exchange_passes(z, logw, k, sel: list[int], m_k: int):
@@ -211,15 +229,20 @@ def _exchange_passes(z, logw, k, sel: list[int], m_k: int):
     every swap would.  Swapping column c into position pos multiplies
     |det A| by |R[pos, c]| (Cramer's rule) and the weight term by
     (w(c) / w(sel[pos]))^k, where R = A^{-1} z[:m_k] is solved once per
-    accepted swap.  These ratio scores only shortlist the swaps within
+    exchange run and carried across accepted swaps by `_update_ratios`, a
+    rank-1 update (Dantzig & Orchard-Hays, 1954).  An update that is not
+    finite or leaves R[:, sel] more than _RATIO_RESIDUAL from the identity
+    is solved again.  These ratio scores only shortlist the swaps within
     _RATIO_TIE of the best; the shortlist is re-scored with
     `_selection_values`, so picks and values are those of the full scan.
-    A value of -inf, a singular A or cond(A) above _RATIO_COND scans every
-    swap instead.
+    A value of -inf, a singular A or cond_1(A) above _RATIO_COND scans
+    every swap instead.
     """
     ns = z.shape[1]
     val = selection_value(z, logw, k, sel)
     ratios = _swap_ratios(z, sel, m_k) if val > -math.inf else None
+    col = np.empty(m_k, dtype=z.dtype)
+    outer = np.empty((m_k, ns), dtype=z.dtype)
     improved = True
     while improved:
         improved = False
@@ -241,7 +264,8 @@ def _exchange_passes(z, logw, k, sel: list[int], m_k: int):
                 sel[pos] = int(cands[i])
                 val = float(totals[i])
                 improved = True
-                ratios = _swap_ratios(z, sel, m_k)
+                if ratios is None or not _update_ratios(ratios, sel, pos, col, outer):
+                    ratios = _swap_ratios(z, sel, m_k)
     return sel, val
 
 

@@ -224,6 +224,8 @@ def test_cheb_solver_failure_exit_3(tmp_path, capsys, monkeypatch):
                                               "output_dir": str(tmp_path / "out")})
     assert main(["cheb", "--config", cfg, "--k", "2", "--alpha", "2"]) == 3
     assert "solver failure: injected" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "MANIFEST.json").read_text())
+    assert (manifest["status"], manifest["exit_code"]) == ("failed", 3)
 
 
 def test_cheb_oversized_lp_exit_2(tmp_path, capsys, monkeypatch, count_solves):
@@ -425,6 +427,41 @@ def test_mesh_body_dimension_mismatch_exit_2(tmp_path, capsys, subcommand, body,
                                               "output_dir": str(tmp_path / "out")})
     assert main([subcommand, "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_manifest_records_run_status(tmp_path, capsys, monkeypatch):
+    import ctdiam.cli as cli_mod
+
+    def manifest(out):
+        return json.loads((out / "MANIFEST.json").read_text())
+
+    failed = tmp_path / "failed"
+    cfg = write_config(tmp_path, "bad.json", {"body": SIMPLEX1, "mesh": TORUS4,
+                                              "output_dir": str(failed)})
+    assert main(["tdiam", "--config", cfg]) == 2
+    assert manifest(failed) == {"status": "failed", "exit_code": 2, "artifacts": []}
+
+    ok = tmp_path / "ok"
+    seen = []
+
+    def spying(*args):
+        seen.append(manifest(ok))
+        return build_report(*args)
+
+    build_report = cli_mod.build_report
+    monkeypatch.setattr(cli_mod, "build_report", spying)
+    cfg = write_config(tmp_path, "ok.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
+                                             "run": {"k_max": 1}, "output_dir": str(ok)})
+    assert main(["tdiam", "--config", cfg]) == 0
+    assert seen == [{"status": "running", "exit_code": None, "artifacts": []}]
+    assert manifest(ok) == {"status": "ok", "exit_code": 0,
+                            "artifacts": ["diameter.csv", "report.json"]}
+
+    # an exception main does not map leaves a traceback and exit status 1
+    monkeypatch.setattr(cli_mod, "build_report", lambda *args: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        main(["tdiam", "--config", cfg])
+    assert manifest(ok) == {"status": "failed", "exit_code": 1, "artifacts": []}
 
 
 @pytest.mark.parametrize("subcommand", ["tdiam", "vdm"])

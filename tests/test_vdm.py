@@ -10,8 +10,10 @@ import ctdiam.vdm as vdm_mod
 from ctdiam import (
     BruteForce,
     Greedy,
+    ReportOptions,
     box_body,
     build_mesh,
+    build_report,
     chebyshev_constant,
     fekete_points,
     max_vdm,
@@ -341,7 +343,7 @@ def test_exchange_on_rank_deficient_mesh(simplex2):
 
 
 def test_exchange_scans_every_swap_when_cond_fails(monkeypatch, torus16, simplex2):
-    # a failed SVD in the conditioning test leaves the full scan to pick the swaps
+    # a failed inverse in the 1-norm conditioning test leaves the full scan to pick the swaps
     expected = max_vdm(torus16, simplex2, 2).value
 
     def failing(*args, **kwargs):
@@ -366,6 +368,71 @@ def test_exchange_scores_few_swaps_by_slogdet(monkeypatch, torus16, simplex2):
     monkeypatch.setattr(vdm_mod, "_selection_values", counting)
     max_vdm(torus16, simplex2, 3)
     assert 0 < sum(scored) < 1000
+
+
+def _spy_on_updates(monkeypatch):
+    """Record (updated R, sel, z) after each rank-1 update that passes its gate."""
+    updates = []
+    exchange, update = vdm_mod._exchange_passes, vdm_mod._update_ratios
+    current_z = []
+
+    def exchanging(z, *args):
+        current_z[:] = [z]
+        return exchange(z, *args)
+
+    def updating(ratios, sel, *args):
+        passed = update(ratios, sel, *args)
+        if passed:
+            updates.append((ratios.copy(), list(sel), current_z[0]))
+        return passed
+
+    monkeypatch.setattr(vdm_mod, "_exchange_passes", exchanging)
+    monkeypatch.setattr(vdm_mod, "_update_ratios", updating)
+    return updates
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=exchange_cases())
+def test_updated_ratios_match_a_fresh_solve(case):
+    # every update that passes the residual gate stays within 1e-12 (relative
+    # to the largest ratio) of solving A^{-1} z[:m_k] afresh, far inside the
+    # 1e-9 window of ratio scores that slogdet re-scores
+    with pytest.MonkeyPatch.context() as mp:
+        updates = _spy_on_updates(mp)
+        _greedy_outcome(*case)
+    for ratios, sel, z in updates:
+        fresh = np.linalg.solve(z[:len(sel), sel], z[:len(sel)])
+        assert np.abs(ratios - fresh).max() <= 1e-12 * np.abs(fresh).max()
+
+
+@pytest.mark.parametrize("residual", [vdm_mod._RATIO_RESIDUAL, 0.0], ids=["updated", "fallback"])
+def test_exchange_solves_once_per_run_unless_an_update_fails(monkeypatch, torus16, simplex2,
+                                                             residual):
+    # R is solved once per exchange run and updated after each accepted swap;
+    # a residual bound of 0 fails every update here, so each accepted swap
+    # solves R again, and the picks still match the full scan either way
+    solves = []
+    original = vdm_mod._swap_ratios
+    monkeypatch.setattr(vdm_mod, "_swap_ratios", lambda *args: solves.append(1) or original(*args))
+    monkeypatch.setattr(vdm_mod, "_RATIO_RESIDUAL", residual)
+    updates = _spy_on_updates(monkeypatch)
+    _assert_exchange_matches_full_scan(torus16, simplex2, 3)
+    if residual:
+        assert len(solves) == Greedy().restarts and updates
+    else:
+        assert not updates and len(solves) > Greedy().restarts
+
+
+def test_torus_report_calls_no_svd(monkeypatch):
+    # the 1-norm conditioning test inverts by LU; no report step takes an SVD
+    def failing(*args, **kwargs):
+        raise AssertionError("svd called")
+
+    monkeypatch.setattr(np.linalg._linalg, "svd", failing)
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    torus = build_mesh({"kind": "torus", "counts": [8, 8]})
+    report = build_report(torus, simplex_body(2), 3, ReportOptions(include_leja=True))
+    assert all(not row.errors and math.isfinite(row.log_vdm) for row in report.rows)
 
 
 def test_max_vdm_overflowing_monomial_is_a_validation_error(simplex1):
