@@ -429,7 +429,7 @@ def test_mesh_body_dimension_mismatch_exit_2(tmp_path, capsys, subcommand, body,
     assert message in capsys.readouterr().err
 
 
-def test_manifest_records_run_status(tmp_path, capsys, monkeypatch):
+def test_manifest_records_run_status(tmp_path, monkeypatch):
     import ctdiam.cli as cli_mod
 
     def manifest(out):
@@ -443,12 +443,12 @@ def test_manifest_records_run_status(tmp_path, capsys, monkeypatch):
 
     ok = tmp_path / "ok"
     seen = []
+    build_report = cli_mod.build_report
 
     def spying(*args):
         seen.append(manifest(ok))
         return build_report(*args)
 
-    build_report = cli_mod.build_report
     monkeypatch.setattr(cli_mod, "build_report", spying)
     cfg = write_config(tmp_path, "ok.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
                                              "run": {"k_max": 1}, "output_dir": str(ok)})
