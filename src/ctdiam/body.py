@@ -505,8 +505,9 @@ def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: in
     products = _offset_products(a_int, p, subsamples)
     up = np.where(a_int > 0, a_int, 0).sum(axis=1)
     offs = (np.arange(subsamples) + 0.5) * (res_f / subsamples)
-    # float(c * resolution) for every cell index c, one Fraction product each
-    edges = np.array([float(c * resolution) for c in range(max(counts))])
+    # float(c * resolution) for every cell index c: int true division rounds the exact quotient once
+    q = resolution.denominator
+    edges = np.fromiter((c * p / q for c in range(max(counts))), float, max(counts))
     corners = edges[boundary]
     exact = _exact_grid(body, resolution, subsamples)
     offset_sums = functools.reduce(_outer_sum, [offs] * body.dim) if exact else None

@@ -137,7 +137,7 @@ def chebyshev_constant(mesh: Mesh, body: ConvexBody, k: int, alpha: Exponent,
 
 
 def solve_distinct(mesh: Mesh, body: ConvexBody, k: int, tasks: list, m_phases: int = 32,
-                   workers: int = 1, cache: dict | None = None) -> list:
+                   cache: dict | None = None) -> list:
     """One outcome per (alpha, ordering) task of level k, in task order.
 
     An outcome is the task's ChebyshevRecord, or the CtdiamError its
@@ -169,14 +169,7 @@ def solve_distinct(mesh: Mesh, body: ConvexBody, k: int, tasks: list, m_phases: 
         except CtdiamError as exc:  # row-level isolation
             return exc
 
-    if workers > 1:
-        # imported here, so a serial run never loads concurrent.futures
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cache.update(zip(pending, pool.map(solve, pending.values())))
-    else:
-        cache.update((key, solve(task)) for key, task in pending.items())
+    cache.update((key, solve(task)) for key, task in pending.items())
     outcomes = [cache[key] for key in keys]
     return [replace(out, k=k, ordering=ordering) if isinstance(out, ChebyshevRecord) else out
             for out, (_, ordering) in zip(outcomes, tasks)]
@@ -214,7 +207,7 @@ def transform_grid(mesh: Mesh, body: ConvexBody, k: int,
     Rows whose solve fails are kept with the error message recorded, so
     the table is always returned whole.  The rows come from
     `solve_distinct`, which solves each distinct problem once and fills
-    `cache` (`build_report` passes one per report).
+    `cache` (`build_report` passes one per report).  `workers` is ignored.
     """
     check_dimensions(mesh, body)
     if k < 1:
@@ -223,7 +216,7 @@ def transform_grid(mesh: Mesh, body: ConvexBody, k: int,
     alphas = body.lattice_points(k)
     orderings = tuple(orderings)
     tasks = [(alpha, ordering) for alpha in alphas for ordering in orderings]
-    outcomes = iter(solve_distinct(mesh, body, k, tasks, m_phases, workers, cache))
+    outcomes = iter(solve_distinct(mesh, body, k, tasks, m_phases, cache))
     rows = []
     for alpha in alphas:
         records: dict[str, ChebyshevRecord] = {}

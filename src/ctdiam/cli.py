@@ -153,20 +153,28 @@ def _load_config(path: str | None, overrides: argparse.Namespace) -> dict:
     return config
 
 
-def _mesh_from_config(config: dict):
+def _inputs(config: dict, mesh: bool = True):
+    """(body, mesh, run) of a loaded config; the body is parsed before the mesh.
+
+    With `mesh=False` the mesh section is not read and None stands in for it.
+    """
+    body = parse_body_spec(config.get("body"))
+    run = config["run"]
+    if not mesh:
+        return body, None, run
     spec = config.get("mesh")
     if spec is None:
         raise ValidationError("config has no 'mesh' section")
     if isinstance(spec, dict) and spec.get("kind") == "csv":
         if "path" not in spec:
             raise ValidationError("csv mesh needs a 'path'")
-        return mesh_from_csv(spec["path"], as_int(spec.get("dim"), "mesh.dim"))
-    return build_mesh(spec)
+        return body, mesh_from_csv(spec["path"], as_int(spec.get("dim"), "mesh.dim")), run
+    return body, build_mesh(spec), run
 
 
-def _run_body_check(config, artifacts: _Artifacts) -> int:
-    body = parse_body_spec(config.get("body"))
-    k_max = _run_int(config.get("run", {}), "k_max", default=4)
+def _run_body_check(config, artifacts: _Artifacts):
+    body, _, run = _inputs(config, mesh=False)
+    k_max = _run_int(run, "k_max", default=4)
     report = check_dagger(body, k_max)
     payload = {
         "dim": body.dim,
@@ -185,12 +193,10 @@ def _run_body_check(config, artifacts: _Artifacts) -> int:
     cut = f", first {listed} listed" if listed < report.pair_count else ""
     print(f"dagger: {report.verdict} ({report.pair_count} witness pairs up to k={k_max}{cut})")
     artifacts.write_json("body_check.json", payload)
-    return 0
 
 
-def _run_enumerate(config, artifacts: _Artifacts) -> int:
-    body = parse_body_spec(config.get("body"))
-    run = config.get("run", {})
+def _run_enumerate(config, artifacts: _Artifacts):
+    body, _, run = _inputs(config, mesh=False)
     k_max = _run_int(run, "k_max", "k", default=4)
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
@@ -204,13 +210,10 @@ def _run_enumerate(config, artifacts: _Artifacts) -> int:
             for alpha in pts:
                 writer.writerow([k, " ".join(map(str, alpha)), str(body.gauge(alpha))])
     artifacts.add(name)
-    return 0
 
 
-def _run_cheb(config, artifacts: _Artifacts) -> int:
-    body = parse_body_spec(config.get("body"))
-    mesh = _mesh_from_config(config)
-    run = config.get("run", {})
+def _run_cheb(config, artifacts: _Artifacts):
+    body, mesh, run = _inputs(config)
     if "k" not in run or "alpha" not in run:
         raise ValidationError("cheb needs run.k and run.alpha")
     k = as_int(run["k"], "run.k")
@@ -250,13 +253,10 @@ def _run_cheb(config, artifacts: _Artifacts) -> int:
             print(f"theta={','.join(map(str, theta))} {ordering}: "
                   f"T~{value:.8g} (+-{res.error_proxy[ordering]:.2g})")
     artifacts.write_json("cheb.json", records)
-    return 0
 
 
-def _run_transform(config, artifacts: _Artifacts) -> int:
-    body = parse_body_spec(config.get("body"))
-    mesh = _mesh_from_config(config)
-    run = config.get("run", {})
+def _run_transform(config, artifacts: _Artifacts):
+    body, mesh, run = _inputs(config)
     k = _run_int(run, "k", "k_max", default=4)
     emit_plot_data = _run_bool(run, "emit_plot_data", default=False)
     table = transform_grid(mesh, body, k,
@@ -279,13 +279,10 @@ def _run_transform(config, artifacts: _Artifacts) -> int:
                     out.append(format(rec.log_T, ".17g") if rec else "")
                 writer.writerow(out)
         artifacts.add(name)
-    return 0
 
 
-def _run_vdm(config, artifacts: _Artifacts, name="vdm.json") -> int:
-    body = parse_body_spec(config.get("body"))
-    mesh = _mesh_from_config(config)
-    run = config.get("run", {})
+def _run_vdm(config, artifacts: _Artifacts, name="vdm.json"):
+    body, mesh, run = _inputs(config)
     k = _run_int(run, "k", "k_max", default=4)
     strategy = strategy_from_config(run.get("strategy"))
     result = max_vdm(mesh, body, k, strategy)
@@ -293,13 +290,10 @@ def _run_vdm(config, artifacts: _Artifacts, name="vdm.json") -> int:
     print(f"k={k}: log|VDM|={result.value.log_abs:.12g} exact={result.exact} "
           f"points={list(result.value.point_indices)}")
     artifacts.write_json(name, payload)
-    return 0
 
 
-def _run_leja(config, artifacts: _Artifacts) -> int:
-    body = parse_body_spec(config.get("body"))
-    mesh = _mesh_from_config(config)
-    run = config.get("run", {})
+def _run_leja(config, artifacts: _Artifacts):
+    body, mesh, run = _inputs(config)
     k_max = _run_int(run, "k_max", default=4)
     report = leja_diameter(mesh, body, k_max)
     for row in report.rows:
@@ -308,13 +302,10 @@ def _run_leja(config, artifacts: _Artifacts) -> int:
         print("note: weighted mesh; normalized values are heuristic")
     leja_to_csv(report, artifacts.outdir / "leja.csv")
     artifacts.add("leja.csv")
-    return 0
 
 
-def _run_tdiam(config, artifacts: _Artifacts) -> int:
-    body = parse_body_spec(config.get("body"))
-    mesh = _mesh_from_config(config)
-    run = config.get("run", {})
+def _run_tdiam(config, artifacts: _Artifacts):
+    body, mesh, run = _inputs(config)
     options = ReportOptions(
         strategy=strategy_from_config(run.get("strategy")),
         orderings=_orderings(run),
@@ -338,7 +329,6 @@ def _run_tdiam(config, artifacts: _Artifacts) -> int:
     artifacts.add("diameter.csv")
     report_to_json(report, artifacts.outdir / "report.json", config_echo=config)
     artifacts.add("report.json")
-    return 0
 
 
 _HANDLERS = {
@@ -378,12 +368,12 @@ def run(subcommand: str, config_path: str | None, overrides: argparse.Namespace)
     config = _load_config(config_path, overrides)
     artifacts = _Artifacts(Path(config["output_dir"]))
     try:
-        exit_code = _HANDLERS[subcommand](config, artifacts)
+        _HANDLERS[subcommand](config, artifacts)
     except BaseException as exc:
         artifacts.finish(_exit_code(exc))
         raise
-    artifacts.finish(exit_code)
-    return exit_code
+    artifacts.finish(0)
+    return 0
 
 
 def _exit_code(exc: BaseException) -> int:

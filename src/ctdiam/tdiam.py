@@ -150,8 +150,7 @@ def _level_row(mesh: Mesh, body: ConvexBody, k: int, strategy, options: ReportOp
     sum_log_nu: dict[str, float] = {}
     try:
         table = transform_grid(mesh, body, k, orderings=options.orderings,
-                               m_phases=options.m_phases, workers=options.workers,
-                               cache=cache)
+                               m_phases=options.m_phases, cache=cache)
         for ordering in options.orderings:
             try:
                 mean_log = transform_mean_log(table, ordering)

@@ -534,6 +534,26 @@ def test_quadrature_classifies_in_bounded_memory(cube3):
     assert peak < 2.5e6
 
 
+@pytest.mark.parametrize("resolution", [Fraction(1, 2**22), Fraction(1, 24), Fraction(2, 9),
+                                        Fraction(7, 10**18 + 9)])
+def test_cell_edges_round_like_fraction_products(simplex1, resolution):
+    # the quadrature's edge table takes c*p/q by int true division, one rounding of the
+    # exact quotient, where it took float(c * resolution), one Fraction product per cell;
+    # the grid is cut to its first 5000 cells, so every resolution runs
+    tables = []
+    fromiter = np.fromiter
+
+    def spy(*args, **kwargs):
+        tables.append(fromiter(*args, **kwargs))
+        return tables[-1]
+
+    with mock.patch("ctdiam.body._grid_counts", lambda body, resolution: [5000]), \
+            mock.patch.object(np, "fromiter", spy):
+        body_quadrature(simplex1, resolution, 1)
+    [edges] = tables
+    assert [x.hex() for x in edges] == [float(c * resolution).hex() for c in range(5000)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=bodies_and_resolutions(), subsamples=st.integers(1, 4))
 # a 1-D body on a non-dyadic grid: 56 cells

@@ -429,6 +429,27 @@ def test_mesh_body_dimension_mismatch_exit_2(tmp_path, capsys, subcommand, body,
     assert message in capsys.readouterr().err
 
 
+BAD_BODY = {"dim": 1, "halfspaces": [{"b": "1"}]}
+BAD_MESH = {"kind": "interval", "a": -1, "b": 1, "count": "abc"}
+
+
+@pytest.mark.parametrize("subcommand", ["tdiam", "vdm", "fekete", "leja", "transform", "cheb"])
+def test_body_is_read_before_the_mesh(tmp_path, capsys, subcommand):
+    cfg = write_config(tmp_path, "bad.json", {"body": BAD_BODY, "mesh": BAD_MESH,
+                                              "run": {"k": 1, "alpha": [1]},
+                                              "output_dir": str(tmp_path / "out")})
+    assert main([subcommand, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "body.halfspaces[0]" in err and "mesh.count" not in err
+
+
+@pytest.mark.parametrize("subcommand", ["body-check", "enumerate"])
+def test_body_only_subcommands_ignore_the_mesh(tmp_path, subcommand):
+    cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1, "mesh": BAD_MESH, "run": {"k_max": 2},
+                                              "output_dir": str(tmp_path / "out")})
+    assert main([subcommand, "--config", cfg]) == 0
+
+
 def test_manifest_records_run_status(tmp_path, monkeypatch):
     import ctdiam.cli as cli_mod
 

@@ -1,11 +1,14 @@
+import json
 import math
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from ctdiam import lp
+from ctdiam import ReportOptions, build_report, lp, parse_body_spec
 from ctdiam.body import simplex_body
 from ctdiam.cheb import lower_monomials
 from ctdiam.errors import SolverFailure
@@ -440,3 +443,86 @@ def test_lp_entries_counts_f_and_the_tableau(monkeypatch, kind):
     entries = lp.lp_entries(lower.shape[0], target.shape[0], 8, res.real_path)
     assert [tab.size for tab in tableaux] == [entries]
     assert shared == [True]
+
+
+def _scaled_ints(values):
+    """Integers N and one power of two D with values[i] == N[i] / D exactly."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    d = max(q for _, q in ratios)
+    return [p * (d // q) for p, q in ratios], d
+
+
+def _exact_bounds(F, basis, c, pi):
+    """[lo, hi] around the exact optimum t* of the min-max LP the solver was posed.
+
+    F and g = -c are floats, so the LP has exact (dyadic) data.  lo =
+    g . lam for the final basis's exact lam (B lam = e_last): weak duality
+    gives t* >= lo when lam >= 0 and every basic artificial is 0, which
+    is asserted.  hi = max_r (F u + g)_r, exactly, for the solver's float
+    u = pi[:n_x], a feasible point of the primal.
+    """
+    n, n_x = F.shape
+    m = n_x + 1
+    g = [-Fraction(x) for x in c.tolist()]
+    # the basis columns of [F^T; 1 | I], augmented by e_last
+    aug = [[Fraction(0)] * (m + 1) for _ in range(m)]
+    for col, j in enumerate(basis.tolist()):
+        if j < n:
+            for i in range(n_x):
+                aug[i][col] = Fraction(F[j, i])
+            aug[n_x][col] = Fraction(1)
+        else:
+            aug[j - n][col] = Fraction(1)
+    aug[m - 1][m] = Fraction(1)
+    for col in range(m):  # Gauss-Jordan elimination in exact arithmetic
+        piv = next(r for r in range(col, m) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(m):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    lam = [aug[i][m] for i in range(m)]
+    assert all(x >= 0 for x in lam)
+    assert all(x == 0 for x, j in zip(lam, basis.tolist()) if j >= n)
+    lo = sum(g[j] * x for x, j in zip(lam, basis.tolist()) if j < n)
+    f_int, d_f = _scaled_ints(F.reshape(-1))
+    u_int, d_u = _scaled_ints(pi[:n_x])
+    g_int, d_g = _scaled_ints(-c)
+    best = max(sum(a * b for a, b in zip(f_int[r * n_x:(r + 1) * n_x], u_int)) * d_g
+               + g_int[r] * d_f * d_u for r in range(n))
+    return lo, Fraction(best, d_f * d_u * d_g)
+
+
+@pytest.mark.parametrize("workload, solves", [("interval-real", 12), ("cube3-real", 32)])
+def test_report_lps_lie_within_their_exact_bounds(monkeypatch, workload, solves):
+    # every LP of the workload's seed-0 report: the float t_poly behind log_value lies in
+    # [lo, hi] widened by 2 gamma_{n_x+1} max_r (|F| |u| + |g|)_r, a bound on the rounding of
+    # F @ u + g in any summation order (the 2 covers evaluating the bound in float), and
+    # the exact bracket [lo, hi] is narrow: the solver's basis is optimal to ~1e-12
+    config = json.loads((Path(__file__).parents[1] / "bench" / "workloads"
+                         / f"{workload}.json").read_text())
+    captured = []
+    multipliers = lp._multipliers
+
+    def capture(F, basis, c):
+        pi = multipliers(F, basis, c)
+        captured.append((F.copy(order="K"), basis.copy(), c.copy(), pi.copy()))
+        return pi
+
+    monkeypatch.setattr(lp, "_multipliers", capture)
+    build_report(build_mesh(config["mesh"]), parse_body_spec(config["body"]),
+                 config["run"]["k_max"], ReportOptions())
+    assert len(captured) == solves
+    for F, basis, c, pi in captured:
+        n_x = F.shape[1]
+        u, g = pi[:n_x], -c
+        t_poly = float(np.max(F @ u + g))
+        unit = 2.0**-53
+        gamma = (n_x + 1) * unit / (1 - (n_x + 1) * unit)
+        slack = 2 * gamma * float(np.max(np.abs(F) @ np.abs(u) + np.abs(g)))
+        lo, hi = _exact_bounds(F, basis, c, pi)
+        assert lo - Fraction(slack) <= Fraction(t_poly) <= hi + Fraction(slack)
+        assert 0 < lo <= hi
+        assert (hi - lo) / lo < 1e-11

@@ -343,6 +343,37 @@ def test_report_solves_each_distinct_problem_once(count_solves, simplex2, worker
     assert all(not row.errors for row in report.rows)
 
 
+def test_transform_workers_start_no_thread(tmp_path, monkeypatch, simplex2):
+    # `workers` is accepted and ignored: every solve runs on the calling thread
+    import threading
+
+    from ctdiam.cheb import transform_to_csv
+
+    mesh = build_mesh({"kind": "torus", "counts": [8, 8]})
+
+    def outputs(name, grid_workers, report_workers):
+        transform_to_csv(transform_grid(mesh, simplex2, 3, workers=grid_workers),
+                         tmp_path / f"{name}-transform.csv")
+        report = build_report(mesh, simplex2, 3, ReportOptions(workers=report_workers))
+        report_to_csv(report, tmp_path / f"{name}-diameter.csv")
+        report_to_json(report, tmp_path / f"{name}-report.json")
+        payload = json.loads((tmp_path / f"{name}-report.json").read_text())
+        return [(tmp_path / f"{name}-{file}").read_bytes()
+                for file in ("transform.csv", "diameter.csv")], payload
+
+    serial_files, serial_payload = outputs("serial", 1, 1)
+
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    files, payload = outputs("asked", 4, 2)
+    assert files == serial_files
+    # the echoed option is the one report.json difference
+    assert (payload["options"].pop("workers"), serial_payload["options"].pop("workers")) == (2, 1)
+    assert payload == serial_payload
+
+
 def test_transform_cache_reuses_a_failed_problem(count_solves, mesh7, simplex1):
     # alpha = 1 has the lower set {0} at every level and in both orders
     calls = count_solves(fail_single_lower=True)
