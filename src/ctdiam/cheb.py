@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .body import ConvexBody, Exponent, _dagger_verdict, as_fraction
-from .errors import CtdiamError, DegenerateWeight, ThetaNotInterior, ValidationError
+from .errors import CtdiamError, ThetaNotInterior, ValidationError
 from .lp import is_real_instance, lp_entries, solve_minimax
 from .mesh import Mesh, Polynomial, check_dimensions, monomial_values
 from .order import CGREVLEX, GREVLEX, order_key
@@ -93,8 +93,6 @@ def _check_instance(mesh: Mesh, body: ConvexBody, m_phases: int) -> None:
     """The checks of a min-max instance that do not depend on k, alpha or the ordering."""
     check_dimensions(mesh, body)
     check_m_phases(m_phases)
-    if mesh.support.size == 0:
-        raise DegenerateWeight("no positively weighted mesh points")
 
 
 def chebyshev_constant(mesh: Mesh, body: ConvexBody, k: int, alpha: Exponent,
@@ -120,39 +118,41 @@ def chebyshev_constant(mesh: Mesh, body: ConvexBody, k: int, alpha: Exponent,
             f"the min-max LP for k={k}, alpha={alpha} on {pts.shape[0]} mesh points with "
             f"polygon_m={m_phases} needs {entries} float64 entries, more than {_MAX_LP_ENTRIES}")
     result = solve_minimax(low_vals, tgt_vals, k * mesh.log_weights[support], m_phases)
-    terms = {alpha: 1.0 + 0.0j}
-    for beta, c in zip(lower, result.coefficients):
-        if c != 0:
-            terms[beta] = c
     return ChebyshevRecord(
         k=k,
         alpha=alpha,
         ordering=ordering,
         log_nu=result.log_value,
-        coefficients=Polynomial(terms),
+        coefficients=Polynomial({alpha: 1.0 + 0.0j, **dict(zip(lower, result.coefficients))}),
         bracket_factor=result.bracket_factor,
         iterations=result.iterations,
         real_path=result.real_path,
     )
 
 
+def _outcome(mesh: Mesh, body: ConvexBody, k: int, task, m_phases: int):
+    """The ChebyshevRecord of one (alpha, ordering) task, or the CtdiamError its solve raised."""
+    try:
+        return chebyshev_constant(mesh, body, k, *task, m_phases)
+    except CtdiamError as exc:  # row-level isolation
+        return exc
+
+
 def solve_distinct(mesh: Mesh, body: ConvexBody, k: int, tasks: list, m_phases: int = 32,
                    cache: dict | None = None) -> list:
     """One outcome per (alpha, ordering) task of level k, in task order.
 
-    An outcome is the task's ChebyshevRecord, or the CtdiamError its
-    solve raised; callers decide whether to record or raise it.  Any
-    other exception propagates.  Each distinct min-max problem is solved
-    once.  A problem is fixed by alpha, its lower monomials and, on a
-    weighted mesh, the weight power k; the two orders coincide on a
+    The instance checks (dimensions, m_phases) raise at once, before any
+    solve.  An outcome is the task's ChebyshevRecord, or the CtdiamError
+    its own problem raised; callers decide whether to record or raise it.
+    Any other exception propagates.  Each distinct min-max problem is
+    solved once.  A problem is fixed by alpha, its lower monomials and, on
+    a weighted mesh, the weight power k; the two orders coincide on a
     simplex, and on an unweighted mesh one exponent's problem repeats at
     every level where its lower set is the same.  `cache` carries the
     outcomes across calls with the same mesh, body and m_phases.
     """
-    try:
-        _check_instance(mesh, body, m_phases)
-    except CtdiamError as exc:  # every task would raise it first
-        return [exc] * len(tasks)
+    _check_instance(mesh, body, m_phases)
     cache = {} if cache is None else cache
     weight_power = None if mesh.is_unweighted else k
     keys = [(alpha, tuple(lower_monomials(body, k, alpha, ordering)), weight_power)
@@ -161,15 +161,7 @@ def solve_distinct(mesh: Mesh, body: ConvexBody, k: int, tasks: list, m_phases: 
     for key, task in zip(keys, tasks):
         if key not in cache:
             pending.setdefault(key, task)
-
-    def solve(task):
-        alpha, ordering = task
-        try:
-            return chebyshev_constant(mesh, body, k, alpha, ordering, m_phases)
-        except CtdiamError as exc:  # row-level isolation
-            return exc
-
-    cache.update((key, solve(task)) for key, task in pending.items())
+    cache.update((key, _outcome(mesh, body, k, task, m_phases)) for key, task in pending.items())
     outcomes = [cache[key] for key in keys]
     return [replace(out, k=k, ordering=ordering) if isinstance(out, ChebyshevRecord) else out
             for out, (_, ordering) in zip(outcomes, tasks)]
@@ -194,10 +186,6 @@ class TransformTable:
     orderings: tuple[str, ...]
     rows: list[TransformRow]
 
-    def log_T_values(self, ordering: str) -> list[float]:
-        """Per-row log T_k for one ordering; failed rows are skipped."""
-        return [row.records[ordering].log_T for row in self.rows if ordering in row.records]
-
 
 def transform_grid(mesh: Mesh, body: ConvexBody, k: int,
                    orderings=(GREVLEX, CGREVLEX), m_phases: int = 32,
@@ -212,7 +200,6 @@ def transform_grid(mesh: Mesh, body: ConvexBody, k: int,
     check_dimensions(mesh, body)
     if k < 1:
         raise ValidationError("transform grid needs k >= 1")
-    check_m_phases(m_phases)  # before the rows, whose handler records it per cell
     alphas = body.lattice_points(k)
     orderings = tuple(orderings)
     tasks = [(alpha, ordering) for alpha in alphas for ordering in orderings]

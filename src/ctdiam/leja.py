@@ -56,8 +56,6 @@ def leja_sequence(mesh: Mesh, body: ConvexBody, count: int) -> LejaSequence:
         raise ValidationError("count must be >= 1")
     if count > len(mesh):
         raise InsufficientSupport(f"count {count} exceeds mesh size {len(mesh)}")
-    if mesh.support.size == 0:
-        raise InsufficientSupport("no positively weighted mesh points")
 
     exponents = monomial_sequence(body, count)
     k_values = [body.degree(alpha) for alpha in exponents]

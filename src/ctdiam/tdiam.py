@@ -47,14 +47,10 @@ def d_estimate_vdm(mesh: Mesh, body: ConvexBody, k: int, strategy=None) -> float
 
 def transform_mean_log(table: TransformTable, ordering: str) -> float:
     """Mean over the level lattice of log T_k; requires every row solved."""
-    values = table.log_T_values(ordering)
-    if len(values) != len(table.rows):
-        failed = [row.alpha for row in table.rows if ordering not in row.records]
+    failed = [row.alpha for row in table.rows if ordering not in row.records]
+    if failed:
         raise ValidationError(f"transform rows failed for {ordering}: {failed}")
-    finite = [v for v in values if not math.isinf(v)]
-    if len(finite) < len(values):
-        return -math.inf
-    return float(np.mean(values))
+    return float(np.mean([row.records[ordering].log_T for row in table.rows]))
 
 
 def d_estimate_transform(mesh: Mesh, body: ConvexBody, k: int, ordering: str = CGREVLEX,
@@ -67,11 +63,9 @@ def d_estimate_transform(mesh: Mesh, body: ConvexBody, k: int, ordering: str = C
 def final_delta(mesh: Mesh, body: ConvexBody, k: int, strategy=None, route: str = "vdm",
                 m_phases: int = 32, resolution=Fraction(1, 32), subsamples: int = 32):
     """Length-scaled diameter estimate D ** (1/A) plus its level-k report row."""
-    check_dimensions(mesh, body)
     if route not in ("vdm", "transform"):
         raise ValidationError(f"unknown route {route!r}")
-    check_m_phases(m_phases)
-    _check_support(mesh, body, k)
+    _check_inputs(mesh, body, k, m_phases)
     a_n = average_total_degree(body, as_fraction(resolution, "resolution"), subsamples)
     row = _level_row(mesh, body, k, strategy_from_config(strategy),
                      ReportOptions(m_phases=m_phases), {}, None, None)
@@ -120,8 +114,11 @@ class DiameterReport:
     options: ReportOptions
 
 
-def _check_support(mesh: Mesh, body: ConvexBody, k_max: int) -> None:
-    if k_max < 1:
+def _check_inputs(mesh: Mesh, body: ConvexBody, k: int, m_phases: int) -> None:
+    """The checks shared by `build_report` and `final_delta`, before any level is computed."""
+    check_dimensions(mesh, body)
+    check_m_phases(m_phases)  # _level_row would record it as a row error
+    if k < 1:
         raise ValidationError("k_max must be >= 1")
     m_1, _, _ = body.counts(1)
     if mesh.support.size < m_1:
@@ -172,10 +169,8 @@ def _level_row(mesh: Mesh, body: ConvexBody, k: int, strategy, options: ReportOp
 
 def build_report(mesh: Mesh, body: ConvexBody, k_max: int, options: ReportOptions | None = None) -> DiameterReport:
     """Assemble per-level rows for k = 1..k_max; row-level failures never abort."""
-    check_dimensions(mesh, body)
-    _check_support(mesh, body, k_max)
     options = options or ReportOptions()
-    check_m_phases(options.m_phases)  # _level_row would record it as a row error
+    _check_inputs(mesh, body, k_max, options.m_phases)
     strategy = strategy_from_config(options.strategy)
     dagger = check_dagger(body, k_max)
     a_n = average_total_degree(body, options.resolution, options.subsamples)

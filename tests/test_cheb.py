@@ -1,12 +1,13 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ctdiam import build_mesh, chebyshev_constant, directional_constant, lower_monomials, transform_grid
-from ctdiam.cheb import select_direction_exponent, transform_to_csv
-from ctdiam.errors import SolverFailure, ThetaNotInterior, ValidationError
+from ctdiam.cheb import select_direction_exponent, solve_distinct, transform_to_csv
+from ctdiam.errors import DimensionMismatch, SolverFailure, ThetaNotInterior, ValidationError
 from ctdiam.mesh import weighted_sup_norm
 from ctdiam.order import CGREVLEX, GREVLEX, cgrevlex_key, order_key
 
@@ -433,3 +434,33 @@ def test_lp_limit_sits_between_benchmark_and_oversized_instances():
     # 31.4 M entries) is admitted, level 15 (135, 35.6 M entries) is refused
     assert lp_entries(119, 4096, 32, False) <= cheb_mod._MAX_LP_ENTRIES
     assert lp_entries(135, 4096, 32, False) > cheb_mod._MAX_LP_ENTRIES
+
+
+def test_chebyshev_constant_keeps_only_nonzero_terms(simplex1):
+    # on {-1, 0, 1} the monic cubic of least norm is z^3 - z, which vanishes there; the
+    # LP's zero coefficients of 1 and z^2 leave no term
+    mesh = build_mesh({"kind": "interval", "a": -1, "b": 1, "count": 3, "spacing": "uniform"})
+    rec = chebyshev_constant(mesh, simplex1, 3, (3,))
+    assert list(rec.coefficients.terms) == [(3,), (1,)]
+    assert rec.coefficients.terms == {(3,): 1, (1,): -1}
+    assert rec.log_nu == -math.inf
+
+
+@pytest.mark.parametrize("fault, error, message", [
+    ("dimension", DimensionMismatch, "mesh dimension 1 != body dimension 2"),
+    ("m_phases", ValidationError, "the polygon relaxation needs m_phases >= 3, got 2"),
+], ids=["mesh-of-another-dimension", "two-phases"])
+def test_solve_distinct_raises_a_bad_instance_before_solving(mesh7, simplex1, simplex2, count_solves,
+                                                             fault, error, message):
+    # the instance checks raise once, for every caller, instead of one error per task
+    body, m_phases = (simplex2, 32) if fault == "dimension" else (simplex1, 2)
+    theta = ("1/4",) * body.dim
+    alpha = select_direction_exponent(body, theta, 2)
+    calls = count_solves()
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
+        solve_distinct(mesh7, body, 2, [(alpha, GREVLEX), (alpha, CGREVLEX)], m_phases)
+    assert type(exc.value) is error
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
+        directional_constant(mesh7, body, theta, [2, 4], m_phases=m_phases)
+    assert type(exc.value) is error
+    assert calls == []

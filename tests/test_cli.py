@@ -193,6 +193,19 @@ def test_cheb_polygon_below_three_phases_exit_2(tmp_path, capsys):
     assert "m_phases >= 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, flags, message", [
+    (SIMPLEX2, ["--alpha", "1,0"], "mesh dimension 1 != body dimension 2"),
+    (SIMPLEX1, ["--alpha", "1", "--polygon-m", "2"], "the polygon relaxation needs m_phases >= 3, got 2"),
+], ids=["mesh-of-another-dimension", "two-phases"])
+def test_cheb_bad_instance_exit_2_before_solving(tmp_path, capsys, count_solves, body, flags, message):
+    cfg = write_config(tmp_path, "bad.json", {"body": body, "mesh": CIRCLE32,
+                                              "output_dir": str(tmp_path / "out")})
+    calls = count_solves()
+    assert main(["cheb", "--config", cfg, "--k", "2", *flags]) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert calls == []
+
+
 def test_cheb_solves_a_shared_problem_once(tmp_path, count_solves):
     # on a simplex both orders pose one problem; the file matches per-ordering runs
     def run(name, *flags):

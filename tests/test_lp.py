@@ -495,7 +495,13 @@ def _exact_bounds(F, basis, c, pi):
     return lo, Fraction(best, d_f * d_u * d_g)
 
 
-@pytest.mark.parametrize("workload, solves", [("interval-real", 12), ("cube3-real", 32)])
+# the exact elimination of torus-complex's levels 4 and 5 would take seconds, so its
+# report stops at level 3
+_ORACLE_K_MAX = {"torus-complex": 3}
+
+
+@pytest.mark.parametrize("workload, solves", [("interval-real", 12), ("cube3-real", 32),
+                                              ("torus-complex", 9)])
 def test_report_lps_lie_within_their_exact_bounds(monkeypatch, workload, solves):
     # every LP of the workload's seed-0 report: the float t_poly behind log_value lies in
     # [lo, hi] widened by 2 gamma_{n_x+1} max_r (|F| |u| + |g|)_r, a bound on the rounding of
@@ -503,6 +509,7 @@ def test_report_lps_lie_within_their_exact_bounds(monkeypatch, workload, solves)
     # the exact bracket [lo, hi] is narrow: the solver's basis is optimal to ~1e-12
     config = json.loads((Path(__file__).parents[1] / "bench" / "workloads"
                          / f"{workload}.json").read_text())
+    k_max = _ORACLE_K_MAX.get(workload, config["run"]["k_max"])
     captured = []
     multipliers = lp._multipliers
 
@@ -513,7 +520,7 @@ def test_report_lps_lie_within_their_exact_bounds(monkeypatch, workload, solves)
 
     monkeypatch.setattr(lp, "_multipliers", capture)
     build_report(build_mesh(config["mesh"]), parse_body_spec(config["body"]),
-                 config["run"]["k_max"], ReportOptions())
+                 k_max, ReportOptions())
     assert len(captured) == solves
     for F, basis, c, pi in captured:
         n_x = F.shape[1]

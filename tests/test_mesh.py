@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -166,6 +167,25 @@ def test_all_zero_weights_rejected():
     with pytest.raises(DegenerateWeight):
         build_mesh({"kind": "interval", "a": 0, "b": 1, "count": 2,
                     "weight": {"kind": "table", "log_weights": [-math.inf, -math.inf]}})
+
+
+def _csv_without_weight(tmp_path):
+    path = tmp_path / "mesh.csv"
+    path.write_text("0,0,-inf\n1,0,-inf\n")
+    return mesh_from_csv(path, 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp_path: Mesh(1, [[0], [1]], np.full(2, -math.inf)),
+    lambda tmp_path: dataclasses.replace(Mesh(1, [[0], [1]], np.zeros(2)),
+                                         log_weights=np.full(2, -math.inf)),
+    _csv_without_weight,
+], ids=["constructor", "dataclasses-replace", "csv-weight-column"])
+def test_every_mesh_has_a_positively_weighted_point(tmp_path, make):
+    # the Chebyshev and Leja paths read a nonempty mesh.support without checking it;
+    # test_all_zero_weights_rejected covers build_mesh's table weight
+    with pytest.raises(DegenerateWeight, match="^every mesh point has zero weight$"):
+        make(tmp_path)
 
 
 @pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0),

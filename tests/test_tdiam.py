@@ -147,6 +147,17 @@ def test_mesh_body_dimension_mismatch_rejected_before_any_work(monkeypatch, entr
     assert str(exc.value) == f"mesh dimension {mesh_dim} != body dimension {body_dim}"
 
 
+def test_report_preamble_names_the_first_of_two_faults(mesh7, simplex1, simplex2):
+    # build_report and final_delta share one preamble: dimensions, m_phases, k, support;
+    # final_delta checks its route before it
+    with pytest.raises(ValidationError, match=r"^the polygon relaxation needs m_phases >= 3, got 2$"):
+        build_report(mesh7, simplex1, 0, ReportOptions(m_phases=2))
+    with pytest.raises(ValidationError, match=r"^unknown route 'other'$"):
+        final_delta(mesh7, simplex2, 1, route="other")
+    with pytest.raises(DimensionMismatch):
+        final_delta(mesh7, simplex2, 0, m_phases=2)
+
+
 def test_leja_between_fekete_bounds_normalized(mesh7, simplex1):
     # (running determinant at M_k) ** (1/L_k) sits between the exact k-th
     # order diameter and its factorial deflation
