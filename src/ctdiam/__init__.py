@@ -5,7 +5,8 @@ orthant with an exact rational gauge; `order` the two total orders on
 exponents; `mesh` finite weighted discretizations of compact sets;
 `cheb` the monic min-max solves; `vdm` and `leja` the Vandermonde
 maximizers; `tdiam` the diameter estimates and the consistency report;
-`cli` the batch driver.
+`serialize` the format of every CSV and JSON artifact; `cli` the batch
+driver.
 """
 
 from .body import (

@@ -10,7 +10,6 @@ bracketed by the polygon factor otherwise.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -23,6 +22,7 @@ from .errors import CtdiamError, ThetaNotInterior, ValidationError
 from .lp import is_real_instance, lp_entries, solve_minimax
 from .mesh import Mesh, Polynomial, check_dimensions, monomial_values
 from .order import CGREVLEX, GREVLEX, order_key
+from .serialize import fmt, write_csv
 
 # float64 entries of the one tableau of a min-max LP (256 MB; F is written
 # into the tableau's memory after the simplex): about 100 times the largest
@@ -224,26 +224,29 @@ def transform_grid(mesh: Mesh, body: ConvexBody, k: int,
     return TransformTable(k=k, orderings=orderings, rows=rows)
 
 
-def transform_to_csv(table: TransformTable, path):
-    """Columns: alpha, theta components, gauge, logT per ordering, bracket of the graded value."""
+def transform_rows(table: TransformTable) -> list[list]:
+    """Header and one row per exponent: alpha, theta components, gauge, logT per ordering,
+    bracket of the graded value."""
     dim = len(table.rows[0].alpha) if table.rows else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["alpha"] + [f"theta_{i + 1}" for i in range(dim)] + ["gauge",
-                  "logT_grevlex", "logT_C", "bracket_low", "bracket_high"]
-        writer.writerow(header)
-        for row in table.rows:
-            rec_g = row.records.get(GREVLEX)
-            rec_c = row.records.get(CGREVLEX)
-            out = [" ".join(map(str, row.alpha))]
-            out += [format(float(t), ".17g") for t in row.theta]
-            out.append(format(float(row.gauge), ".17g"))
-            out.append(format(rec_g.log_T, ".17g") if rec_g else "")
-            out.append(format(rec_c.log_T, ".17g") if rec_c else "")
-            ref = rec_c or rec_g
-            out.append(format(ref.log_T, ".17g") if ref else "")
-            out.append(format(ref.log_bracket_high / max(ref.k, 1), ".17g") if ref else "")
-            writer.writerow(out)
+    rows = [["alpha"] + [f"theta_{i + 1}" for i in range(dim)]
+            + ["gauge", "logT_grevlex", "logT_C", "bracket_low", "bracket_high"]]
+    for row in table.rows:
+        rec_g = row.records.get(GREVLEX)
+        rec_c = row.records.get(CGREVLEX)
+        ref = rec_c or rec_g
+        rows.append([" ".join(map(str, row.alpha))] + [fmt(float(t)) for t in row.theta] + [
+            fmt(float(row.gauge)),
+            fmt(rec_g.log_T if rec_g else None),
+            fmt(rec_c.log_T if rec_c else None),
+            fmt(ref.log_T if ref else None),
+            fmt(ref.log_bracket_high / max(ref.k, 1) if ref else None),
+        ])
+    return rows
+
+
+def transform_to_csv(table: TransformTable, path):
+    """`transform_rows(table)` as one CSV file."""
+    write_csv(path, transform_rows(table))
 
 
 # ---------------------------------------------------------------------------

@@ -11,31 +11,19 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from pathlib import Path
 
 from .body import as_fraction, as_int, check_dagger, parse_body_spec
-from .cheb import (
-    ChebyshevRecord,
-    directional_constant,
-    solve_distinct,
-    transform_grid,
-    transform_to_csv,
-)
+from .cheb import ChebyshevRecord, directional_constant, solve_distinct, transform_grid, transform_rows
 from .errors import SolverFailure, ValidationError
 from .leja import leja_diameter, leja_to_csv
-from .mesh import build_mesh, mesh_from_csv
-from .order import CGREVLEX, GREVLEX, ORDERINGS
-from .tdiam import (
-    ReportOptions,
-    build_report,
-    json_safe,
-    report_to_csv,
-    report_to_json,
-)
+from .mesh import build_mesh
+from .order import CGREVLEX, ORDERINGS
+from .serialize import write_csv, write_json
+from .tdiam import ReportOptions, build_report, report_to_csv, report_to_json
 from .vdm import fekete_to_dict, max_vdm, strategy_from_config
 
 class _Artifacts:
@@ -54,10 +42,8 @@ class _Artifacts:
 
     def _flush(self):
         status = "running" if self.exit_code is None else "ok" if self.exit_code == 0 else "failed"
-        with open(self.outdir / "MANIFEST.json", "w") as fh:
-            json.dump({"status": status, "exit_code": self.exit_code, "artifacts": self.files},
-                      fh, indent=2)
-            fh.write("\n")
+        write_json(self.outdir / "MANIFEST.json",
+                   {"status": status, "exit_code": self.exit_code, "artifacts": self.files})
 
     def finish(self, exit_code: int):
         self.exit_code = exit_code
@@ -68,9 +54,11 @@ class _Artifacts:
         self._flush()
 
     def write_json(self, name: str, payload):
-        with open(self.outdir / name, "w") as fh:
-            json.dump(json_safe(payload), fh, indent=2)
-            fh.write("\n")
+        write_json(self.outdir / name, payload)
+        self.add(name)
+
+    def write_csv(self, name: str, rows):
+        write_csv(self.outdir / name, rows)
         self.add(name)
 
 
@@ -162,14 +150,9 @@ def _inputs(config: dict, mesh: bool = True):
     run = config["run"]
     if not mesh:
         return body, None, run
-    spec = config.get("mesh")
-    if spec is None:
+    if config.get("mesh") is None:
         raise ValidationError("config has no 'mesh' section")
-    if isinstance(spec, dict) and spec.get("kind") == "csv":
-        if "path" not in spec:
-            raise ValidationError("csv mesh needs a 'path'")
-        return body, mesh_from_csv(spec["path"], as_int(spec.get("dim"), "mesh.dim")), run
-    return body, build_mesh(spec), run
+    return body, build_mesh(config["mesh"]), run
 
 
 def _run_body_check(config, artifacts: _Artifacts):
@@ -200,16 +183,12 @@ def _run_enumerate(config, artifacts: _Artifacts):
     k_max = _run_int(run, "k_max", "k", default=4)
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
-    name = "lattice.csv"
-    with open(artifacts.outdir / name, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "alpha", "gauge"])
-        for k in range(1, k_max + 1):
-            pts = body.lattice_points(k)
-            print(f"k={k}: {len(pts)} lattice points")
-            for alpha in pts:
-                writer.writerow([k, " ".join(map(str, alpha)), str(body.gauge(alpha))])
-    artifacts.add(name)
+    rows = [["k", "alpha", "gauge"]]
+    for k in range(1, k_max + 1):
+        pts = body.lattice_points(k)
+        print(f"k={k}: {len(pts)} lattice points")
+        rows += [[k, " ".join(map(str, alpha)), str(body.gauge(alpha))] for alpha in pts]
+    artifacts.write_csv("lattice.csv", rows)
 
 
 def _run_cheb(config, artifacts: _Artifacts):
@@ -248,7 +227,7 @@ def _run_cheb(config, artifacts: _Artifacts):
         print(f"k={k} alpha={alpha} {ordering}: nu-opt={nu:.12g} T={records[ordering]['T']:.12g}")
     for theta in thetas:
         res = directional_constant(mesh, body, theta, schedule, m_phases=m_phases)
-        records.setdefault("directional", []).append(json_safe(res))
+        records.setdefault("directional", []).append(res)
         for ordering, value in res.final.items():
             print(f"theta={','.join(map(str, theta))} {ordering}: "
                   f"T~{value:.8g} (+-{res.error_proxy[ordering]:.2g})")
@@ -262,23 +241,13 @@ def _run_transform(config, artifacts: _Artifacts):
     table = transform_grid(mesh, body, k,
                            orderings=_orderings(run),
                            m_phases=_run_int(run, "polygon_m", default=32))
-    transform_to_csv(table, artifacts.outdir / "transform.csv")
-    artifacts.add("transform.csv")
+    rows = transform_rows(table)
+    artifacts.write_csv("transform.csv", rows)
     solved = sum(1 for row in table.rows if row.records)
     print(f"k={k}: {solved}/{len(table.rows)} transform rows solved")
     if emit_plot_data:
-        name = "transform_plot.csv"
-        with open(artifacts.outdir / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            dim = body.dim
-            writer.writerow([f"theta_{i + 1}" for i in range(dim)] + ["logT_grevlex", "logT_C"])
-            for row in table.rows:
-                out = [format(float(t), ".17g") for t in row.theta]
-                for ordering in (GREVLEX, CGREVLEX):
-                    rec = row.records.get(ordering)
-                    out.append(format(rec.log_T, ".17g") if rec else "")
-                writer.writerow(out)
-        artifacts.add(name)
+        dim = body.dim  # the theta columns, then logT_grevlex and logT_C
+        artifacts.write_csv("transform_plot.csv", [row[1:1 + dim] + row[2 + dim:4 + dim] for row in rows])
 
 
 def _run_vdm(config, artifacts: _Artifacts, name="vdm.json"):

@@ -11,7 +11,6 @@ value is recomputed from scratch for robustness.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ from .body import ConvexBody, Exponent
 from .errors import InsufficientSupport, ValidationError
 from .mesh import Mesh, check_dimensions, monomial_values
 from .order import monomial_sequence
+from .serialize import fmt, write_csv
 from .vdm import greedy_grow, selection_value
 
 
@@ -105,18 +105,11 @@ def leja_diameter(mesh: Mesh, body: ConvexBody, k_max: int) -> LejaDiameterRepor
 def leja_to_csv(report: LejaDiameterReport, path):
     """Per-step rows (s, k, point coordinates, log_vdm) followed by per-k summaries."""
     seq = report.sequence
-    dim = seq.mesh.dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        coord_cols = [f"{part}_{i + 1}" for i in range(dim) for part in ("re", "im")]
-        writer.writerow(["s", "k"] + coord_cols + ["log_vdm"])
-        for s, (idx, k, lv) in enumerate(zip(seq.indices, seq.k_values, seq.log_values), start=1):
-            row = [s, k]
-            for zc in seq.mesh.points[idx]:
-                row.extend([format(zc.real, ".17g"), format(zc.imag, ".17g")])
-            row.append(format(lv, ".17g"))
-            writer.writerow(row)
-        writer.writerow([])
-        writer.writerow(["k", "M_k", "L_k", "log_vdm", "value"])
-        for r in report.rows:
-            writer.writerow([r.k, r.m_k, r.l_k, format(r.log_vdm, ".17g"), format(r.value, ".17g")])
+    coord_cols = [f"{part}_{i + 1}" for i in range(seq.mesh.dim) for part in ("re", "im")]
+    rows = [["s", "k"] + coord_cols + ["log_vdm"]]
+    for s, (idx, k, lv) in enumerate(zip(seq.indices, seq.k_values, seq.log_values), start=1):
+        rows.append([s, k] + [fmt(x) for zc in seq.mesh.points[idx] for x in (zc.real, zc.imag)]
+                    + [fmt(lv)])
+    rows += [[], ["k", "M_k", "L_k", "log_vdm", "value"]]
+    rows += [[r.k, r.m_k, r.l_k, fmt(r.log_vdm), fmt(r.value)] for r in report.rows]
+    write_csv(path, rows)

@@ -22,6 +22,7 @@ from .errors import (
     ValidationError,
     WeightLengthMismatch,
 )
+from .serialize import fmt, write_csv
 
 Exponent = tuple[int, ...]
 
@@ -222,7 +223,7 @@ def _weight_for(points: np.ndarray, spec, field: str) -> np.ndarray:
     if kind == "radial-gaussian":
         sigma = _as_real(spec.get("sigma", 1.0), f"{field}.sigma")
         if sigma <= 0:
-            raise ValidationError("radial-gaussian weight needs sigma > 0")
+            raise ValidationError(f"{field}.sigma must be > 0, got {sigma}")
         sq = np.sum(np.abs(points) ** 2, axis=1)
         return -sq / (2.0 * sigma**2)
     if kind == "table":
@@ -231,41 +232,35 @@ def _weight_for(points: np.ndarray, spec, field: str) -> np.ndarray:
         if len(table) != n:
             raise WeightLengthMismatch(f"{len(table)} weights for {n} points")
         return np.array(table)
-    raise ValidationError(f"unknown weight kind {kind!r}")
+    raise ValidationError(f"{field}.kind must be 'one', 'radial-gaussian' or 'table', got {kind!r}")
 
 
 def _check_size(counts, field: str) -> None:
-    """Refuse a grid of more than _MAX_GRID points, naming `field`, before it is built.
-
-    Counts below 1 are left to the generators, which raise EmptySpec.
-    """
-    if all(c >= 1 for c in counts) and (total := math.prod(counts)) > _MAX_GRID:
+    """Refuse a count below 1 or a grid of more than _MAX_GRID points, naming `field`,
+    before it is built."""
+    if any(c < 1 for c in counts):
+        raise EmptySpec(f"{field} must be >= 1, got {min(counts)}")
+    if (total := math.prod(counts)) > _MAX_GRID:
         raise ValidationError(f"{field} makes {total} mesh points, more than {_MAX_GRID}")
 
 
 def _circle_points(center: complex, radius: float, count: int) -> np.ndarray:
-    if count < 1:
-        raise EmptySpec("circle needs count >= 1")
     ang = 2.0 * np.pi * np.arange(count) / count
     return (center + radius * np.exp(1j * ang)).reshape(-1, 1)
 
 
 def _interval_points(a: float, b: float, count: int, spacing: str) -> np.ndarray:
-    if count < 1:
-        raise EmptySpec("interval needs count >= 1")
     if count == 1:
         x = np.array([(a + b) / 2.0])
     elif spacing == "uniform":
         x = np.linspace(a, b, count)
-    elif spacing == "chebyshev-nodes":
+    else:  # "chebyshev-nodes"
         # extreme points of the degree count-1 Chebyshev polynomial, ascending;
         # the sine form keeps them exactly symmetric (0 lands exactly on the
         # grid for odd counts), unlike -cos(pi*j/(count-1))
         n = count - 1
         t = np.sin(np.pi * (2.0 * np.arange(count) - n) / (2.0 * n))
         x = a + (b - a) * (t + 1.0) / 2.0
-    else:
-        raise ValidationError(f"unknown interval spacing {spacing!r}")
     return x.astype(complex).reshape(-1, 1)
 
 
@@ -284,9 +279,11 @@ def build_mesh(spec: dict) -> Mesh:
 
     Kinds: circle{center, radius, count}, interval{a, b, count, spacing},
     box2d{x, y, counts}, torus{radii, counts[, centers]},
-    product{factors}, explicit{points[, dim]}.  An optional weight block
+    product{factors}, explicit{points[, dim]}, csv{path, dim} (read by
+    `mesh_from_csv`).  An optional weight block
     {'kind': 'one' | 'radial-gaussian' | 'table', ...} applies to the
-    final point list; on a product it adds to the factors' log weights.
+    final point list; on a product or a csv mesh it adds to the log
+    weights they already carry.
     A malformed field raises ValidationError naming it, e.g.
     `mesh.factors[1].count`.
     """
@@ -307,9 +304,12 @@ def _build(spec, path: str) -> Mesh:
     elif kind == "interval":
         count = as_int(spec.get("count"), f"{path}.count")
         _check_size([count], f"{path}.count")
+        spacing = spec.get("spacing", "uniform")
+        if spacing not in ("uniform", "chebyshev-nodes"):
+            raise ValidationError(f"{path}.spacing must be 'uniform' or 'chebyshev-nodes', got {spacing!r}")
         pts = _interval_points(_as_real(spec.get("a"), f"{path}.a"), _as_real(spec.get("b"), f"{path}.b"),
-                               count, spec.get("spacing", "uniform"))
-        prov = f"interval([{spec['a']}, {spec['b']}], count={spec['count']}, {spec.get('spacing', 'uniform')})"
+                               count, spacing)
+        prov = f"interval([{spec['a']}, {spec['b']}], count={spec['count']}, {spacing})"
     elif kind == "box2d":
         xa, xb = (_as_real(v, f"{path}.x") for v in _as_list(spec.get("x"), f"{path}.x", 2))
         ya, yb = (_as_real(v, f"{path}.y") for v in _as_list(spec.get("y"), f"{path}.y", 2))
@@ -322,11 +322,10 @@ def _build(spec, path: str) -> Mesh:
     elif kind == "torus":
         counts = [as_int(c, f"{path}.counts") for c in _as_list(spec.get("counts"), f"{path}.counts")]
         radii = [_as_real(r, f"{path}.radii")
-                 for r in _as_list(spec.get("radii", [1.0] * len(counts)), f"{path}.radii")]
+                 for r in _as_list(spec.get("radii", [1.0] * len(counts)), f"{path}.radii", len(counts))]
         centers = [_as_complex(c, f"{path}.centers")
-                   for c in _as_list(spec.get("centers", [0.0] * len(counts)), f"{path}.centers")]
-        if not (len(counts) == len(radii) == len(centers)):
-            raise ValidationError("torus radii/counts/centers lengths differ")
+                   for c in _as_list(spec.get("centers", [0.0] * len(counts)), f"{path}.centers",
+                                     len(counts))]
         _check_size(counts, f"{path}.counts")
         factors = [Mesh(1, _circle_points(c, r, n), np.zeros(n)) for c, r, n in zip(centers, radii, counts)]
         out = _cartesian(factors, f"torus({'x'.join(map(str, counts))})")
@@ -338,13 +337,14 @@ def _build(spec, path: str) -> Mesh:
             # refused as soon as the factors built so far are too many points
             _check_size([len(m) for m in factors], f"{path}.factors")
         if not factors:
-            raise EmptySpec("product needs at least one factor")
-        out = _cartesian(factors, " x ".join(m.provenance for m in factors))
-        if weight_spec is None:
-            return out
-        with np.errstate(invalid="ignore"):  # -inf + inf is NaN, which Mesh rejects
-            lw = out.log_weights + _weight_for(out.points, weight_spec, f"{path}.weight")
-        return Mesh(out.dim, out.points, lw, provenance=out.provenance)
+            raise EmptySpec(f"{path}.factors must list at least one factor")
+        return _add_weight(_cartesian(factors, " x ".join(m.provenance for m in factors)),
+                           weight_spec, path)
+    elif kind == "csv":
+        if "path" not in spec:
+            raise ValidationError("csv mesh needs a 'path'")
+        return _add_weight(mesh_from_csv(spec["path"], as_int(spec.get("dim"), f"{path}.dim")),
+                           weight_spec, path)
     elif kind == "explicit":
         raw = _as_list(spec.get("points"), f"{path}.points")
         if not raw:
@@ -353,16 +353,25 @@ def _build(spec, path: str) -> Mesh:
         flat = [[_as_real(x, f"{path}.points[{i}]") for x in _as_list(p, f"{path}.points[{i}]", width)]
                 for i, p in enumerate(raw)]
         if width % 2 != 0:
-            raise ValidationError("explicit points need 2N real columns (re, im pairs)")
+            raise ValidationError(f"{path}.points need 2N real columns (re, im pairs), got {width}")
         dim = as_int(spec.get("dim", width // 2), f"{path}.dim")
         if dim * 2 != width:
-            raise ValidationError(f"{width} columns inconsistent with dim={dim}")
+            raise ValidationError(f"{path}.dim {dim} is inconsistent with {width} point columns")
         arr = np.array(flat)
         pts = (arr[:, 0::2] + 1j * arr[:, 1::2]).astype(complex)
         prov = f"explicit({len(raw)} points)"
     else:
         raise ValidationError(f"unknown mesh kind {kind!r}")
     return Mesh(pts.shape[1], pts, _weight_for(pts, weight_spec, f"{path}.weight"), provenance=prov)
+
+
+def _add_weight(mesh: Mesh, weight_spec, path: str) -> Mesh:
+    """`mesh` with the weight block added to the log weights it carries."""
+    if weight_spec is None:
+        return mesh
+    with np.errstate(invalid="ignore"):  # -inf + inf is NaN, which Mesh rejects
+        lw = mesh.log_weights + _weight_for(mesh.points, weight_spec, f"{path}.weight")
+    return Mesh(mesh.dim, mesh.points, lw, provenance=mesh.provenance)
 
 
 def _csv_rows(path):
@@ -404,11 +413,6 @@ def mesh_from_csv(path, dim: int) -> Mesh:
 
 
 def mesh_to_csv(mesh: Mesh, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for p, lw in zip(mesh.points, mesh.log_weights):
-            row = []
-            for z in p:
-                row.extend((format(z.real, ".17g"), format(z.imag, ".17g")))
-            row.append(format(lw, ".17g"))
-            writer.writerow(row)
+    """One row per point: re and im of each coordinate, then the log weight."""
+    write_csv(path, ([fmt(x) for z in p for x in (z.real, z.imag)] + [fmt(lw)]
+                     for p, lw in zip(mesh.points, mesh.log_weights)))

@@ -14,8 +14,6 @@ volume-averaged coordinate sum of the body.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,6 +26,7 @@ from .errors import CtdiamError, InsufficientSupport, ValidationError
 from .leja import leja_diameter
 from .mesh import Mesh, check_dimensions
 from .order import CGREVLEX, GREVLEX
+from .serialize import fmt, write_csv, write_json
 from .vdm import Greedy, MaxVdmResult, max_vdm, strategy_from_config
 
 
@@ -65,7 +64,7 @@ def final_delta(mesh: Mesh, body: ConvexBody, k: int, strategy=None, route: str 
     """Length-scaled diameter estimate D ** (1/A) plus its level-k report row."""
     if route not in ("vdm", "transform"):
         raise ValidationError(f"unknown route {route!r}")
-    _check_inputs(mesh, body, k, m_phases)
+    _check_inputs(mesh, body, k, "k", m_phases)
     a_n = average_total_degree(body, as_fraction(resolution, "resolution"), subsamples)
     row = _level_row(mesh, body, k, strategy_from_config(strategy),
                      ReportOptions(m_phases=m_phases), {}, None, None)
@@ -114,12 +113,15 @@ class DiameterReport:
     options: ReportOptions
 
 
-def _check_inputs(mesh: Mesh, body: ConvexBody, k: int, m_phases: int) -> None:
-    """The checks shared by `build_report` and `final_delta`, before any level is computed."""
+def _check_inputs(mesh: Mesh, body: ConvexBody, k: int, k_name: str, m_phases: int) -> None:
+    """The checks shared by `build_report` and `final_delta`, before any level is computed.
+
+    `k_name` is the caller's name for its level `k`, which an error names.
+    """
     check_dimensions(mesh, body)
     check_m_phases(m_phases)  # _level_row would record it as a row error
     if k < 1:
-        raise ValidationError("k_max must be >= 1")
+        raise ValidationError(f"{k_name} must be >= 1")
     m_1, _, _ = body.counts(1)
     if mesh.support.size < m_1:
         raise InsufficientSupport(f"mesh supports {mesh.support.size} points; even level 1 needs {m_1}")
@@ -170,7 +172,7 @@ def _level_row(mesh: Mesh, body: ConvexBody, k: int, strategy, options: ReportOp
 def build_report(mesh: Mesh, body: ConvexBody, k_max: int, options: ReportOptions | None = None) -> DiameterReport:
     """Assemble per-level rows for k = 1..k_max; row-level failures never abort."""
     options = options or ReportOptions()
-    _check_inputs(mesh, body, k_max, options.m_phases)
+    _check_inputs(mesh, body, k_max, "k_max", options.m_phases)
     strategy = strategy_from_config(options.strategy)
     dagger = check_dagger(body, k_max)
     a_n = average_total_degree(body, options.resolution, options.subsamples)
@@ -198,58 +200,28 @@ def build_report(mesh: Mesh, body: ConvexBody, k_max: int, options: ReportOption
 # Serialization.
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return format(value, ".17g")
-
-
 def report_to_csv(report: DiameterReport, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "M_k", "h_k", "L_k", "logV", "exact", "delta_k", "D_vdm",
-                         "D_transform_C", "D_transform_grevlex", "leja_value"])
-        for r in report.rows:
-            writer.writerow([
-                r.k, r.m_k, r.h_k, r.l_k, _fmt(r.log_vdm),
-                "" if r.exact is None else str(r.exact).lower(),
-                _fmt(r.delta), _fmt(r.d_vdm),
-                _fmt(r.d_transform.get(CGREVLEX)), _fmt(r.d_transform.get(GREVLEX)),
-                _fmt(r.leja_value),
-            ])
-
-
-def json_safe(obj):
-    """Recursively convert report objects to JSON-serializable values.
-
-    Non-finite floats become strings so the output stays standard JSON;
-    fractions are serialized exactly as 'p/q' strings.
-    """
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else repr(obj).replace("np.", "")
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_safe(v) for v in obj]
-    if hasattr(obj, "__dataclass_fields__"):
-        return {name: json_safe(getattr(obj, name)) for name in obj.__dataclass_fields__}
-    return obj
+    header = ["k", "M_k", "h_k", "L_k", "logV", "exact", "delta_k", "D_vdm",
+              "D_transform_C", "D_transform_grevlex", "leja_value"]
+    write_csv(path, [header] + [
+        [r.k, r.m_k, r.h_k, r.l_k, fmt(r.log_vdm),
+         "" if r.exact is None else str(r.exact).lower(),
+         fmt(r.delta), fmt(r.d_vdm),
+         fmt(r.d_transform.get(CGREVLEX)), fmt(r.d_transform.get(GREVLEX)),
+         fmt(r.leja_value)]
+        for r in report.rows])
 
 
 def report_to_json(report: DiameterReport, path, config_echo: dict | None = None):
     payload = {
         "a_n": report.a_n,
         "dagger_verdict": report.dagger_verdict,
-        "final_delta_vdm": json_safe(report.final_delta_vdm),
-        "final_delta_transform": json_safe(report.final_delta_transform),
+        "final_delta_vdm": report.final_delta_vdm,
+        "final_delta_transform": report.final_delta_transform,
         "mesh": report.mesh_provenance,
-        "rows": [json_safe(r) for r in report.rows],
-        "options": json_safe(report.options),
+        "rows": report.rows,
+        "options": report.options,
     }
     if config_echo is not None:
-        payload["config"] = json_safe(config_echo)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        payload["config"] = config_echo
+    write_json(path, payload)

@@ -88,6 +88,14 @@ def test_strategy_flag_keeps_the_config_strategy_fields(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["run"]["strategy"] == {"kind": "greedy", "restarts": 3}
     assert report["options"]["strategy"] == {"restarts": 3, "seed": 0}
+    # a strategy that is not an object is replaced by the flag's kind
+    cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1, "mesh": CIRCLE32,
+                                              "run": {"k_max": 2, "strategy": "brute-force"},
+                                              "output_dir": str(out)})
+    assert main(["tdiam", "--config", cfg, "--strategy", "greedy"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["run"]["strategy"] == {"kind": "greedy"}
+    assert report["options"]["strategy"] == {"restarts": 4, "seed": 0}
 
 
 def test_body_check_unbounded_exit_2(tmp_path, capsys):
@@ -321,10 +329,13 @@ def test_missing_config_is_validation_error(capsys):
     assert main(["tdiam", "--config", "/nonexistent.json"]) == 2
 
 
-def test_invalid_json_is_validation_error(tmp_path):
+def test_invalid_json_is_validation_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["tdiam", "--config", str(path)]) == 2
+    path.write_text("[1, 2]")
+    assert main(["tdiam", "--config", str(path)]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
 
 
 
@@ -418,11 +429,17 @@ TORUS4 = {"kind": "torus", "counts": [4, 4]}
      "theta: not an exact rational: 'abc'"),
     ("cheb", {"body": SIMPLEX2, "run": {"k": 2}}, ["--alpha", "1"],
      "mesh dimension 1 != body dimension 2"),
+    ("tdiam", {"run": [2]}, [], "config 'run' must be a JSON object"),
+    ("tdiam", {"mesh": None}, [], "config has no 'mesh' section"),
+    ("cheb", {"run": {"k": 2}}, [], "cheb needs run.k and run.alpha"),
+    ("cheb", {"run": {"alpha": [1]}}, [], "cheb needs run.k and run.alpha"),
+    ("tdiam", {"mesh": {"kind": "csv", "path": "mesh.csv"}}, [], "mesh.dim"),
 ], ids=["alpha-flag", "schedule-flag", "alpha-not-a-list", "k-max-not-int", "k-max-infinity",
         "k-max-nan", "k-max-fractional", "csv-mesh-no-path", "nan-mesh-point", "infinite-log-weight",
         "count-fractional", "count-not-int", "count-missing", "radius-not-real", "sigma-not-real",
         "factor-count-fractional", "alpha-minus-1-0", "alpha-minus-1-1", "theta-not-rational",
-        "mesh-body-dimension-mismatch"])
+        "mesh-body-dimension-mismatch", "run-not-an-object", "no-mesh", "cheb-without-alpha",
+        "cheb-without-k", "csv-mesh-no-dim"])
 def test_bad_scalar_input_exit_2(tmp_path, capsys, subcommand, config, flags, message):
     cfg = write_config(tmp_path, "bad.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
                                               "output_dir": str(tmp_path / "out"), **config})

@@ -24,6 +24,10 @@ def test_circle_fourth_roots():
 def test_interval_uniform():
     mesh = build_mesh({"kind": "interval", "a": -1, "b": 1, "count": 5, "spacing": "uniform"})
     np.testing.assert_allclose(mesh.points.ravel().real, [-1, -0.5, 0, 0.5, 1], atol=1e-15)
+    # one point is the midpoint, whatever the spacing
+    for spacing in ("uniform", "chebyshev-nodes"):
+        mesh = build_mesh({"kind": "interval", "a": -1, "b": 2, "count": 1, "spacing": spacing})
+        assert mesh.points.tolist() == [[0.5]]
 
 
 def test_chebyshev_nodes_contain_extrema(cheb401):
@@ -63,6 +67,25 @@ def test_explicit_and_csv_roundtrip(tmp_path):
     back = mesh_from_csv(path, 2)
     np.testing.assert_allclose(back.points, mesh.points, atol=1e-15)
     np.testing.assert_allclose(back.log_weights, mesh.log_weights, atol=1e-15)
+
+
+def test_build_mesh_reads_a_csv_mesh(tmp_path):
+    path = tmp_path / "mesh.csv"
+    path.write_text("# re, im, log w\n0.5,0,-1\n-1,0.25,-inf\n2,0\n")
+    spec = {"kind": "csv", "path": str(path), "dim": 1}
+    direct = mesh_from_csv(path, 1)
+    built = build_mesh(spec)
+    assert built.points.tobytes() == direct.points.tobytes()
+    assert built.log_weights.tobytes() == direct.log_weights.tobytes()
+    assert built.provenance == direct.provenance == f"csv:{path}"
+    # as a product factor, and under a weight block, the file's weights are kept
+    prod = build_mesh({"kind": "product", "factors": [spec, {"kind": "interval", "a": 0, "b": 1, "count": 2}]})
+    assert prod.points.tolist() == [[0.5, 0], [0.5, 1], [-1 + 0.25j, 0], [-1 + 0.25j, 1], [2, 0], [2, 1]]
+    assert prod.log_weights.tolist() == [-1, -1, -math.inf, -math.inf, 0, 0]
+    assert prod.provenance == f"csv:{path} x interval([0, 1], count=2, uniform)"
+    weighted = build_mesh({**spec, "weight": {"kind": "table", "log_weights": [0.5, 0.5, -2]}})
+    assert weighted.log_weights.tolist() == [-0.5, -math.inf, -2]
+    assert weighted.points.tobytes() == direct.points.tobytes()
 
 
 def test_csv_mesh_rejects_non_numeric_cell(tmp_path):
@@ -137,11 +160,28 @@ def test_product_weight_on_unweighted_factors_is_the_weight():
     ({"kind": "circle", "count": True}, "mesh.count"),
     ({"kind": "circle", "count": 4, "radius": True}, "mesh.radius"),
     ({"kind": "circle", "count": 4, "center": False}, "mesh.center"),
+    ({"count": 4}, "mesh"),
+    ({"kind": "torus", "counts": [4, 4], "radii": [1]}, "mesh.radii"),
+    ({"kind": "torus", "counts": [4, 4], "centers": [0, 0, 0]}, "mesh.centers"),
+    ({"kind": "product", "factors": []}, "mesh.factors"),
+    ({"kind": "explicit", "points": [[0, 0, 1]]}, "mesh.points"),
+    ({"kind": "explicit", "points": [[0, 0, 1, 0]], "dim": 1}, "mesh.dim"),
+    ({"kind": "interval", "a": 0, "b": 1, "count": 3, "spacing": "random"}, "mesh.spacing"),
+    ({"kind": "interval", "a": 0, "b": 1, "count": 0}, "mesh.count"),
+    ({"kind": "torus", "counts": [4, 0]}, "mesh.counts"),
+    ({"kind": "circle", "count": 4, "weight": {"kind": "radial-gaussian", "sigma": 0}}, "mesh.weight.sigma"),
+    ({"kind": "circle", "count": 4, "weight": {"kind": "flat"}}, "mesh.weight.kind"),
+    ({"kind": "csv", "path": "mesh.csv"}, "mesh.dim"),
+    ({"kind": "product", "factors": [{"kind": "csv", "path": "mesh.csv", "dim": "one"}]},
+     "mesh.factors[0].dim"),
 ], ids=["count-fractional", "count-not-int", "count-missing", "radius-not-real", "center-not-a-pair",
         "a-missing", "y-not-a-pair", "counts-fractional", "counts-not-a-list", "radii-not-real",
         "centers-not-complex", "factors-missing", "factor-count-missing", "ragged-points",
         "point-not-real", "dim-fractional", "weight-not-a-mapping", "sigma-not-real",
-        "log-weight-not-real", "log-weights-missing", "count-true", "radius-true", "center-false"])
+        "log-weight-not-real", "log-weights-missing", "count-true", "radius-true", "center-false",
+        "kind-missing", "radii-short", "centers-long", "factors-empty", "odd-columns", "dim-mismatch",
+        "spacing-unknown", "count-zero", "counts-zero", "sigma-zero", "weight-kind-unknown",
+        "csv-dim-missing", "csv-factor-dim-not-int"])
 def test_malformed_field_is_named(spec, field):
     with pytest.raises(ValidationError) as exc:
         build_mesh(spec)
@@ -212,13 +252,17 @@ def test_zero_dimensional_mesh_rejected(tmp_path):
         mesh_from_csv(path, 0)
 
 
-def test_empty_specs_rejected():
+def test_empty_specs_rejected(tmp_path):
     with pytest.raises(EmptySpec):
         build_mesh({"kind": "circle", "center": 0, "radius": 1, "count": 0})
     with pytest.raises(EmptySpec):
         build_mesh({"kind": "explicit", "points": []})
     with pytest.raises(ValidationError):
         build_mesh({"kind": "moebius"})
+    path = tmp_path / "mesh.csv"
+    path.write_text("# re, im\n# no rows\n")
+    with pytest.raises(EmptySpec, match="no mesh rows in"):
+        mesh_from_csv(path, 1)
 
 
 def test_polynomial_drops_zero_terms():
@@ -309,3 +353,7 @@ def test_monomial_values_shape(torus16):
 def test_mesh_requires_point(circle64):
     with pytest.raises(EmptySpec):
         Mesh(1, np.zeros((0, 1), dtype=complex), np.zeros(0))
+    with pytest.raises(DimensionMismatch, match="points have dimension 2, mesh declared 1"):
+        Mesh(1, [[0, 1], [1, 0]], np.zeros(2))
+    with pytest.raises(WeightLengthMismatch, match="3 weights for 2 points"):
+        Mesh(1, [[0], [1]], np.zeros(3))

@@ -121,6 +121,16 @@ def test_polygon_below_three_phases_rejected_before_any_cell(monkeypatch, circle
         calls[entry]()
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda mesh, body: build_report(mesh, body, 0), "k_max"),
+    (lambda mesh, body: final_delta(mesh, body, 0), "k"),
+    (lambda mesh, body: final_delta(mesh, body, -1, route="transform"), "k"),
+], ids=["build_report", "final_delta_vdm", "final_delta_transform"])
+def test_level_below_one_names_the_callers_parameter(mesh7, simplex1, call, name):
+    with pytest.raises(ValidationError, match=f"^{name} must be >= 1$"):
+        call(mesh7, simplex1)
+
+
 @pytest.mark.parametrize("entry", ["build_report", "final_delta", "max_vdm", "vandermonde_det",
                                    "leja_sequence", "leja_diameter", "transform_grid"])
 @pytest.mark.parametrize("mesh_dim, body_dim", [(2, 1), (1, 2)], ids=["mesh-wider", "mesh-narrower"])
