@@ -90,8 +90,8 @@ def _run_bool(run: dict, name: str, default: bool) -> bool:
 def _orderings(run: dict) -> tuple[str, ...]:
     """run.orderings as a tuple of names from ORDERINGS; both orders when absent."""
     value = run.get("orderings", list(ORDERINGS))
-    if not isinstance(value, list) or not all(name in ORDERINGS for name in value):
-        raise ValidationError(f"run.orderings must be a list of names from {list(ORDERINGS)}, "
+    if not isinstance(value, list) or not value or not all(name in ORDERINGS for name in value):
+        raise ValidationError(f"run.orderings must be a non-empty list of names from {list(ORDERINGS)}, "
                               f"got {value!r}")
     return tuple(value)
 
@@ -198,7 +198,7 @@ def _run_cheb(config, artifacts: _Artifacts):
     k = as_int(run["k"], "run.k")
     alpha = tuple(_as_ints(run["alpha"], "run.alpha"))
     m_phases = _run_int(run, "polygon_m", default=32)
-    thetas = run.get("theta") or []
+    thetas = [] if run.get("theta") is None else run["theta"]
     if not isinstance(thetas, list) or not all(isinstance(theta, list) for theta in thetas):
         raise ValidationError(f"run.theta must be a list of directions, each a list of rationals, "
                               f"got {thetas!r}")
@@ -300,15 +300,17 @@ def _run_tdiam(config, artifacts: _Artifacts):
     artifacts.add("report.json")
 
 
+# each subcommand's handler and the flags it reads besides --config and --output
 _HANDLERS = {
-    "body-check": _run_body_check,
-    "enumerate": _run_enumerate,
-    "cheb": _run_cheb,
-    "transform": _run_transform,
-    "vdm": _run_vdm,
-    "fekete": lambda config, artifacts: _run_vdm(config, artifacts, name="fekete.json"),
-    "leja": _run_leja,
-    "tdiam": _run_tdiam,
+    "body-check": (_run_body_check, ("k_max",)),
+    "enumerate": (_run_enumerate, ("k_max", "k")),
+    "cheb": (_run_cheb, ("k", "alpha", "polygon_m", "ordering", "theta", "schedule")),
+    "transform": (_run_transform, ("k", "k_max", "polygon_m", "ordering", "emit_plot_data")),
+    "vdm": (_run_vdm, ("k", "k_max", "strategy")),
+    "fekete": (lambda config, artifacts: _run_vdm(config, artifacts, name="fekete.json"),
+               ("k", "k_max", "strategy")),
+    "leja": (_run_leja, ("k_max",)),
+    "tdiam": (_run_tdiam, ("k_max", "polygon_m", "ordering", "strategy", "resolution")),
 }
 
 
@@ -334,10 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(subcommand: str, config_path: str | None, overrides: argparse.Namespace) -> int:
+    handler, flags = _HANDLERS[subcommand]
+    for name, value in vars(overrides).items():
+        # an absent flag reads None, or False for --emit-plot-data; --k 0 is given
+        if (name not in ("subcommand", "config", "output", *flags)
+                and value is not None and value is not False):
+            raise ValidationError(f"{subcommand} does not read --{name.replace('_', '-')}")
     config = _load_config(config_path, overrides)
     artifacts = _Artifacts(Path(config["output_dir"]))
     try:
-        _HANDLERS[subcommand](config, artifacts)
+        handler(config, artifacts)
     except BaseException as exc:
         artifacts.finish(_exit_code(exc))
         raise

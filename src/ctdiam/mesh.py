@@ -211,30 +211,6 @@ def _as_complex(value, field: str) -> complex:
         raise ValidationError(f"{field} must be a number or [re, im], got {value!r}") from None
 
 
-def _weight_for(points: np.ndarray, spec, field: str) -> np.ndarray:
-    n = points.shape[0]
-    if spec is None:
-        return np.zeros(n)
-    if not isinstance(spec, dict):
-        raise ValidationError(f"{field} must be a mapping with a 'kind', got {spec!r}")
-    kind = spec.get("kind")
-    if kind == "one":
-        return np.zeros(n)
-    if kind == "radial-gaussian":
-        sigma = _as_real(spec.get("sigma", 1.0), f"{field}.sigma")
-        if sigma <= 0:
-            raise ValidationError(f"{field}.sigma must be > 0, got {sigma}")
-        sq = np.sum(np.abs(points) ** 2, axis=1)
-        return -sq / (2.0 * sigma**2)
-    if kind == "table":
-        table = [_as_real(v, f"{field}.log_weights")
-                 for v in _as_list(spec.get("log_weights"), f"{field}.log_weights")]
-        if len(table) != n:
-            raise WeightLengthMismatch(f"{len(table)} weights for {n} points")
-        return np.array(table)
-    raise ValidationError(f"{field}.kind must be 'one', 'radial-gaussian' or 'table', got {kind!r}")
-
-
 def _check_size(counts, field: str) -> None:
     """Refuse a count below 1 or a grid of more than _MAX_GRID points, naming `field`,
     before it is built."""
@@ -280,10 +256,9 @@ def build_mesh(spec: dict) -> Mesh:
     Kinds: circle{center, radius, count}, interval{a, b, count, spacing},
     box2d{x, y, counts}, torus{radii, counts[, centers]},
     product{factors}, explicit{points[, dim]}, csv{path, dim} (read by
-    `mesh_from_csv`).  An optional weight block
-    {'kind': 'one' | 'radial-gaussian' | 'table', ...} applies to the
-    final point list; on a product or a csv mesh it adds to the log
-    weights they already carry.
+    `mesh_from_csv`).  Every kind carries log weights: zeros, a csv
+    file's weight column, or a product's factor sums.  An optional weight
+    block {'kind': 'one' | 'radial-gaussian' | 'table', ...} adds to them.
     A malformed field raises ValidationError naming it, e.g.
     `mesh.factors[1].count`.
     """
@@ -294,13 +269,13 @@ def _build(spec, path: str) -> Mesh:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValidationError(f"{path} spec must be a mapping with a 'kind'")
     kind = spec["kind"]
-    weight_spec = spec.get("weight")
     if kind == "circle":
         count = as_int(spec.get("count"), f"{path}.count")
         _check_size([count], f"{path}.count")
         pts = _circle_points(_as_complex(spec.get("center", 0), f"{path}.center"),
                              _as_real(spec.get("radius", 1), f"{path}.radius"), count)
-        prov = f"circle(center={spec.get('center', 0)}, radius={spec.get('radius', 1)}, count={spec['count']})"
+        mesh = Mesh(1, pts, np.zeros(count), provenance=f"circle(center={spec.get('center', 0)}, "
+                    f"radius={spec.get('radius', 1)}, count={spec['count']})")
     elif kind == "interval":
         count = as_int(spec.get("count"), f"{path}.count")
         _check_size([count], f"{path}.count")
@@ -309,7 +284,8 @@ def _build(spec, path: str) -> Mesh:
             raise ValidationError(f"{path}.spacing must be 'uniform' or 'chebyshev-nodes', got {spacing!r}")
         pts = _interval_points(_as_real(spec.get("a"), f"{path}.a"), _as_real(spec.get("b"), f"{path}.b"),
                                count, spacing)
-        prov = f"interval([{spec['a']}, {spec['b']}], count={spec['count']}, {spacing})"
+        mesh = Mesh(1, pts, np.zeros(count),
+                    provenance=f"interval([{spec['a']}, {spec['b']}], count={spec['count']}, {spacing})")
     elif kind == "box2d":
         xa, xb = (_as_real(v, f"{path}.x") for v in _as_list(spec.get("x"), f"{path}.x", 2))
         ya, yb = (_as_real(v, f"{path}.y") for v in _as_list(spec.get("y"), f"{path}.y", 2))
@@ -317,8 +293,7 @@ def _build(spec, path: str) -> Mesh:
         _check_size([nx, ny], f"{path}.counts")
         mx = Mesh(1, _interval_points(xa, xb, nx, "uniform"), np.zeros(nx))
         my = Mesh(1, _interval_points(ya, yb, ny, "uniform"), np.zeros(ny))
-        out = _cartesian([mx, my], f"box2d({nx}x{ny})")
-        pts, prov = out.points, out.provenance
+        mesh = _cartesian([mx, my], f"box2d({nx}x{ny})")
     elif kind == "torus":
         counts = [as_int(c, f"{path}.counts") for c in _as_list(spec.get("counts"), f"{path}.counts")]
         radii = [_as_real(r, f"{path}.radii")
@@ -328,8 +303,7 @@ def _build(spec, path: str) -> Mesh:
                                      len(counts))]
         _check_size(counts, f"{path}.counts")
         factors = [Mesh(1, _circle_points(c, r, n), np.zeros(n)) for c, r, n in zip(centers, radii, counts)]
-        out = _cartesian(factors, f"torus({'x'.join(map(str, counts))})")
-        pts, prov = out.points, out.provenance
+        mesh = _cartesian(factors, f"torus({'x'.join(map(str, counts))})")
     elif kind == "product":
         factors = []
         for i, f in enumerate(_as_list(spec.get("factors"), f"{path}.factors")):
@@ -338,13 +312,11 @@ def _build(spec, path: str) -> Mesh:
             _check_size([len(m) for m in factors], f"{path}.factors")
         if not factors:
             raise EmptySpec(f"{path}.factors must list at least one factor")
-        return _add_weight(_cartesian(factors, " x ".join(m.provenance for m in factors)),
-                           weight_spec, path)
+        mesh = _cartesian(factors, " x ".join(m.provenance for m in factors))
     elif kind == "csv":
         if "path" not in spec:
             raise ValidationError("csv mesh needs a 'path'")
-        return _add_weight(mesh_from_csv(spec["path"], as_int(spec.get("dim"), f"{path}.dim")),
-                           weight_spec, path)
+        mesh = mesh_from_csv(spec["path"], as_int(spec.get("dim"), f"{path}.dim"))
     elif kind == "explicit":
         raw = _as_list(spec.get("points"), f"{path}.points")
         if not raw:
@@ -358,19 +330,36 @@ def _build(spec, path: str) -> Mesh:
         if dim * 2 != width:
             raise ValidationError(f"{path}.dim {dim} is inconsistent with {width} point columns")
         arr = np.array(flat)
-        pts = (arr[:, 0::2] + 1j * arr[:, 1::2]).astype(complex)
-        prov = f"explicit({len(raw)} points)"
+        mesh = Mesh(dim, arr[:, 0::2] + 1j * arr[:, 1::2], np.zeros(len(raw)),
+                    provenance=f"explicit({len(raw)} points)")
     else:
         raise ValidationError(f"unknown mesh kind {kind!r}")
-    return Mesh(pts.shape[1], pts, _weight_for(pts, weight_spec, f"{path}.weight"), provenance=prov)
+    return _add_weight(mesh, spec.get("weight"), f"{path}.weight")
 
 
-def _add_weight(mesh: Mesh, weight_spec, path: str) -> Mesh:
-    """`mesh` with the weight block added to the log weights it carries."""
-    if weight_spec is None:
+def _add_weight(mesh: Mesh, spec, field: str) -> Mesh:
+    """`mesh` with the weight block `spec` added to the log weights it carries."""
+    if spec is None:
         return mesh
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{field} must be a mapping with a 'kind', got {spec!r}")
+    kind = spec.get("kind")
+    if kind == "one":
+        block = np.zeros(len(mesh))
+    elif kind == "radial-gaussian":
+        sigma = _as_real(spec.get("sigma", 1.0), f"{field}.sigma")
+        if sigma <= 0:
+            raise ValidationError(f"{field}.sigma must be > 0, got {sigma}")
+        block = -np.sum(np.abs(mesh.points) ** 2, axis=1) / (2.0 * sigma**2)
+    elif kind == "table":
+        block = np.array([_as_real(v, f"{field}.log_weights")
+                          for v in _as_list(spec.get("log_weights"), f"{field}.log_weights")])
+        if len(block) != len(mesh):
+            raise WeightLengthMismatch(f"{len(block)} weights for {len(mesh)} points")
+    else:
+        raise ValidationError(f"{field}.kind must be 'one', 'radial-gaussian' or 'table', got {kind!r}")
     with np.errstate(invalid="ignore"):  # -inf + inf is NaN, which Mesh rejects
-        lw = mesh.log_weights + _weight_for(mesh.points, weight_spec, f"{path}.weight")
+        lw = mesh.log_weights + block
     return Mesh(mesh.dim, mesh.points, lw, provenance=mesh.provenance)
 
 

@@ -99,26 +99,23 @@ def vandermonde_det(mesh: Mesh, body: ConvexBody, k: int, point_indices) -> VdmV
     if k > 0 and not np.all(np.isfinite(logw)):
         return VdmValue(-math.inf, indices, k, s)
     mat = monomial_values(mesh.points[list(indices)], basis[:s])
-    log_det = log_abs_det(mat)
-    weight_term = float(k * logw.sum()) if k > 0 else 0.0
-    return VdmValue(log_det + weight_term, indices, k, s)
+    value = selection_value(mat, logw if k > 0 else np.zeros(s), k, list(range(s)))
+    return VdmValue(value, indices, k, s)
 
 
 def _support_data(mesh: Mesh, body: ConvexBody, k: int):
     basis = body.lattice_points(k)
-    m_k = len(basis)
     support = mesh.support
-    if support.size < m_k:
+    if support.size < len(basis):
         raise InsufficientSupport(
-            f"need {m_k} positively weighted points, mesh has {support.size}"
+            f"need {len(basis)} positively weighted points, mesh has {support.size}"
         )
-    z = monomial_values(mesh.points[support], basis)
-    logw = mesh.log_weights[support]
-    return basis, m_k, support, z, logw
+    return support, monomial_values(mesh.points[support], basis), mesh.log_weights[support]
 
 
 def _brute_force(mesh, body, k, strategy: BruteForce):
-    basis, m_k, support, z, logw = _support_data(mesh, body, k)
+    support, z, logw = _support_data(mesh, body, k)
+    m_k = z.shape[0]
     ns = support.size
     n_subsets = math.comb(ns, m_k)
     if n_subsets > strategy.cap:
@@ -270,7 +267,8 @@ def _exchange_passes(z, logw, k, sel: list[int], m_k: int):
 
 
 def _greedy(mesh, body, k, strategy: Greedy):
-    basis, m_k, support, z, logw = _support_data(mesh, body, k)
+    support, z, logw = _support_data(mesh, body, k)
+    m_k = z.shape[0]
     ns = support.size
     seeds = sorted(range(ns), key=lambda i: (-logw[i], i))[: min(strategy.restarts, ns)]
     best_val = -math.inf

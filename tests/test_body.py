@@ -226,6 +226,26 @@ def test_quadrature_rejects_subsamples_below_one(skew_body, subsamples):
         body_quadrature(skew_body, Fraction(1, 8), subsamples)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: rational_lp_max([[Fraction(1)]], [Fraction(-1)], [Fraction(1)]), ValueError,
+     "^rational_lp_max requires nonnegative right-hand sides$"),
+    (lambda: validate_body([(("1",), "1")], 2), DimensionMismatch,
+     r"^halfspace normal \(Fraction\(1, 1\),\) does not have dimension 2$"),
+    (lambda: box_body(2).lattice_points(-1), ValidationError, "^k must be nonnegative$"),
+    (lambda: box_body(2).counts(0), ValidationError, r"^counts requires k >= 1$"),
+    (lambda: body_quadrature(box_body(2), 0), ValidationError, "^resolution must be positive$"),
+    (lambda: body_quadrature(box_body(2), "-1/32"), ValidationError, "^resolution must be positive$"),
+    # one cell of side 10 whose single midpoint (5) lies outside [0, 1]
+    (lambda: average_total_degree(box_body(1), 10, 1), ValidationError,
+     "^quadrature produced nonpositive volume; refine the resolution$"),
+    (lambda: check_dagger(box_body(2), 0), ValidationError, r"^k_max must be >= 1$"),
+], ids=["lp-negative-rhs", "normal-wrong-length", "lattice-level-negative", "counts-level-zero",
+        "resolution-zero", "resolution-negative", "no-sample-kept", "dagger-level-zero"])
+def test_out_of_range_arguments_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 @pytest.mark.parametrize("resolution, subsamples, message", [
     (Fraction(1, 32), 3000, "subsamples 3000"),
     (Fraction(1, 5000), 32, "resolution 1/5000"),

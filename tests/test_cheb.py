@@ -392,6 +392,20 @@ def test_directional_raises_solver_failure(cheb401, simplex1, monkeypatch):
         directional_constant(cheb401, simplex1, ("1/2",), [4, 8])
 
 
+@pytest.mark.parametrize("theta, schedule, message", [
+    (("1/3", "1/3"), [2, 4], "^theta has dimension 2, body has 1$"),
+    (("1/3",), [6, 3], "^schedule must be a strictly increasing list of positive levels$"),
+], ids=["theta-wrong-length", "schedule-decreasing"])
+def test_directional_refuses_a_malformed_direction_or_schedule(mesh7, simplex1, theta, schedule, message):
+    with pytest.raises(ValidationError, match=message):
+        directional_constant(mesh7, simplex1, theta, schedule)
+
+
+def test_transform_grid_refuses_a_level_below_one(mesh7, simplex1):
+    with pytest.raises(ValidationError, match=r"^transform grid needs k >= 1$"):
+        transform_grid(mesh7, simplex1, 0)
+
+
 def test_directional_names_theta_in_rational_errors(cheb401, simplex1):
     with pytest.raises(ValidationError, match="^theta: not an exact rational: 'abc'"):
         directional_constant(cheb401, simplex1, ("abc",), [4, 8])

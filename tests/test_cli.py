@@ -434,12 +434,23 @@ TORUS4 = {"kind": "torus", "counts": [4, 4]}
     ("cheb", {"run": {"k": 2}}, [], "cheb needs run.k and run.alpha"),
     ("cheb", {"run": {"alpha": [1]}}, [], "cheb needs run.k and run.alpha"),
     ("tdiam", {"mesh": {"kind": "csv", "path": "mesh.csv"}}, [], "mesh.dim"),
+    ("cheb", {"run": {"k": 2, "alpha": [1], "orderings": []}}, [], "run.orderings"),
+    ("cheb", {"run": {"k": 2, "alpha": [1], "theta": 0}}, [], "run.theta"),
+    ("cheb", {"run": {"k": 2, "alpha": [1], "theta": False}}, [], "run.theta"),
+    ("cheb", {"run": {"k": 2, "alpha": [1], "theta": ""}}, [], "run.theta"),
+    ("cheb", {"run": {"k": 2, "alpha": [1], "theta": {}}}, [], "run.theta"),
+    ("cheb", {"body": SIMPLEX2, "mesh": TORUS4, "run": {"k": 2, "alpha": [1, 0]}},
+     ["--theta", "1/3,1/3", "--schedule", "6,3"], "schedule must be a strictly increasing list"),
+    ("body-check", {}, ["--k-max", "0"], "k_max must be >= 1"),
+    ("tdiam", {}, ["--resolution=-1/32"], "resolution must be positive"),
 ], ids=["alpha-flag", "schedule-flag", "alpha-not-a-list", "k-max-not-int", "k-max-infinity",
         "k-max-nan", "k-max-fractional", "csv-mesh-no-path", "nan-mesh-point", "infinite-log-weight",
         "count-fractional", "count-not-int", "count-missing", "radius-not-real", "sigma-not-real",
         "factor-count-fractional", "alpha-minus-1-0", "alpha-minus-1-1", "theta-not-rational",
         "mesh-body-dimension-mismatch", "run-not-an-object", "no-mesh", "cheb-without-alpha",
-        "cheb-without-k", "csv-mesh-no-dim"])
+        "cheb-without-k", "csv-mesh-no-dim", "cheb-orderings-empty", "theta-zero", "theta-false",
+        "theta-empty-string", "theta-mapping", "schedule-decreasing", "body-check-k-max-zero",
+        "resolution-negative"])
 def test_bad_scalar_input_exit_2(tmp_path, capsys, subcommand, config, flags, message):
     cfg = write_config(tmp_path, "bad.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
                                               "output_dir": str(tmp_path / "out"), **config})
@@ -576,13 +587,56 @@ def test_non_boolean_switch_exit_2(tmp_path, capsys, subcommand, field, value):
 
 
 @pytest.mark.parametrize("subcommand", ["tdiam", "transform"])
-@pytest.mark.parametrize("orderings", [["grevlx"], "cgrevlex"], ids=["misspelt", "string"])
+@pytest.mark.parametrize("orderings", [["grevlx"], "cgrevlex", []], ids=["misspelt", "string", "empty"])
 def test_bad_orderings_exit_2(tmp_path, capsys, subcommand, orderings):
     cfg = write_config(tmp_path, "bad.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
                                               "run": {"k_max": 2, "orderings": orderings},
                                               "output_dir": str(tmp_path / "out")})
     assert main([subcommand, "--config", cfg]) == 2
     assert "run.orderings" in capsys.readouterr().err
+
+
+FLAG_VALUES = {"--k": ["1"], "--k-max": ["1"], "--alpha": ["1"], "--polygon-m": ["8"],
+               "--ordering": ["grevlex"], "--strategy": ["greedy"], "--theta": ["1/2"],
+               "--schedule": ["2,4"], "--resolution": ["1/8"], "--emit-plot-data": []}
+FLAGS_READ = {
+    "body-check": {"--k-max"},
+    "enumerate": {"--k-max", "--k"},
+    "cheb": {"--k", "--alpha", "--polygon-m", "--ordering", "--theta", "--schedule"},
+    "transform": {"--k", "--k-max", "--polygon-m", "--ordering", "--emit-plot-data"},
+    "vdm": {"--k", "--k-max", "--strategy"},
+    "fekete": {"--k", "--k-max", "--strategy"},
+    "leja": {"--k-max"},
+    "tdiam": {"--k-max", "--polygon-m", "--ordering", "--strategy", "--resolution"},
+}
+
+
+@pytest.mark.parametrize("subcommand, flag", [(sub, flag) for sub, read in FLAGS_READ.items()
+                                              for flag in FLAG_VALUES if flag not in read])
+def test_unread_flag_exit_2(tmp_path, capsys, subcommand, flag):
+    # tdiam --k 1 used to run levels 1 to 4 and exit 0
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1, "mesh": INTERVAL9, "run": {"k": 2},
+                                              "output_dir": str(out)})
+    assert main([subcommand, "--config", cfg, flag, *FLAG_VALUES[flag]]) == 2
+    assert capsys.readouterr().err == f"validation error: {subcommand} does not read {flag}\n"
+    assert not (out / "MANIFEST.json").exists()
+
+
+def test_cheb_null_theta_means_no_direction(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1, "mesh": INTERVAL9, "output_dir": str(out),
+                                              "run": {"k": 2, "alpha": [1], "theta": None}})
+    assert main(["cheb", "--config", cfg]) == 0
+    assert "directional" not in json.loads((out / "cheb.json").read_text())
+
+
+def test_leja_notes_a_weighted_mesh(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "body": SIMPLEX1, "mesh": {**INTERVAL9, "weight": {"kind": "radial-gaussian", "sigma": 2}},
+        "run": {"k_max": 2}, "output_dir": str(tmp_path / "out")})
+    assert main(["leja", "--config", cfg]) == 0
+    assert capsys.readouterr().out.endswith("note: weighted mesh; normalized values are heuristic\n")
 
 
 def test_count_flag_is_rejected(tmp_path, capsys):

@@ -147,6 +147,8 @@ def test_leja_insufficient_points(mesh5, simplex1):
         leja_diameter(mesh5, simplex1, 5)
     with pytest.raises(ValidationError):
         leja_sequence(mesh5, simplex1, 0)
+    with pytest.raises(ValidationError, match=r"^k_max must be >= 1$"):
+        leja_diameter(mesh5, simplex1, 0)
 
 
 def test_leja_weighted_flagged_heuristic(simplex1):

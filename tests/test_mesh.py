@@ -133,6 +133,21 @@ def test_product_weight_on_unweighted_factors_is_the_weight():
     assert prod.log_weights.tobytes() == torus.log_weights.tobytes()
 
 
+@pytest.mark.parametrize("weight", [
+    {"kind": "radial-gaussian", "sigma": 0.5},
+    {"kind": "table", "log_weights": [-0.0, -1, -2, -3, -0.0, -5, -6, -7, -8]},
+], ids=["gaussian", "table"])
+def test_box2d_is_the_product_of_its_intervals(weight):
+    # one weight rule for every kind: the block adds to the zeros a box2d
+    # carries as it adds to a product's factor sums, down to the sign of 0
+    side = {"kind": "interval", "a": -1, "b": 1, "count": 3}
+    box = build_mesh({"kind": "box2d", "x": [-1, 1], "y": [-1, 1], "counts": [3, 3], "weight": weight})
+    prod = build_mesh({"kind": "product", "factors": [side, side], "weight": weight})
+    assert box.dim == prod.dim == 2
+    assert box.points.tobytes() == prod.points.tobytes()
+    assert box.log_weights.tobytes() == prod.log_weights.tobytes()
+
+
 @pytest.mark.parametrize("spec, field", [
     ({"kind": "circle", "count": 9.7}, "mesh.count"),
     ({"kind": "circle", "count": "abc"}, "mesh.count"),
@@ -270,6 +285,29 @@ def test_polynomial_drops_zero_terms():
     assert (1, 0) not in p.terms
     assert p.is_monic_for((0, 1)) is False
     assert Polynomial({(2,): 1.0}).is_monic_for((2,))
+
+
+@pytest.mark.parametrize("terms, error, message", [
+    ({(1, -1): 1.0}, ValidationError, r"^negative exponent \(1, -1\)$"),
+    ({(1,): 1.0, (1, 0): 1.0}, DimensionMismatch, "^mixed exponent dimensions in one polynomial$"),
+], ids=["negative-exponent", "mixed-dimensions"])
+def test_polynomial_rejects_malformed_exponents(terms, error, message):
+    with pytest.raises(error, match=message):
+        Polynomial(terms)
+
+
+def test_one_dimensional_point_arrays_are_one_column():
+    mesh = Mesh(1, [0, 1j, 2], np.zeros(3))
+    assert mesh.points.shape == (3, 1)
+    np.testing.assert_array_equal(Polynomial({(2,): 1.0}).evaluate(np.array([1, 1j, 2])), [1, -1, 4])
+
+
+def test_sup_norm_at_level_zero_ignores_the_weights():
+    # w^0 = 1 even where w = 0, so a zero-weight point still counts
+    mesh = Mesh(1, [[0.5], [3], [1]], [0.0, -math.inf, -2.0])
+    z = Polynomial({(1,): 1.0})
+    assert weighted_sup_norm(mesh, z, 0) == math.log(3)
+    assert weighted_sup_norm(mesh, z, 1) == math.log(0.5)
 
 
 def test_polynomial_product():

@@ -243,6 +243,15 @@ def test_nonpositive_strategy_counts_are_rejected(mesh5, simplex1, strategy, fie
         max_vdm(mesh5, simplex1, 2, strategy)
 
 
+@pytest.mark.parametrize("k, strategy, message", [
+    (0, None, r"^max_vdm needs k >= 1$"),
+    (1, object(), "^unknown strategy <object object at "),
+], ids=["level-zero", "unknown-strategy"])
+def test_max_vdm_refuses_a_level_below_one_or_an_unknown_strategy(mesh5, simplex1, k, strategy, message):
+    with pytest.raises(ValidationError, match=message):
+        max_vdm(mesh5, simplex1, k, strategy)
+
+
 def test_fekete_to_dict(mesh5, simplex1):
     result = max_vdm(mesh5, simplex1, 2, BruteForce())
     payload = fekete_to_dict(mesh5, result)
