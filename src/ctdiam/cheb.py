@@ -15,20 +15,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .body import ConvexBody, Exponent, _dagger_verdict, as_fraction
 from .errors import CtdiamError, ThetaNotInterior, ValidationError
-from .lp import is_real_instance, lp_entries, solve_minimax
+from .lp import check_m_phases, solve_minimax
 from .mesh import Mesh, Polynomial, check_dimensions, monomial_values
 from .order import CGREVLEX, GREVLEX, order_key
 from .serialize import fmt, write_csv
-
-# float64 entries of the one tableau of a min-max LP (256 MB; F is written
-# into the tableau's memory after the simplex): about 100 times the largest
-# benchmark instance (torus 16x16 at level 5, 0.34 M), above a torus 64x64
-# at level 14 (31.4 M entries) and below one at level 15 (35.6 M, 285 MB)
-_MAX_LP_ENTRIES = 2**25
 
 
 @dataclass
@@ -83,12 +75,6 @@ def lower_monomials(body: ConvexBody, k: int, alpha: Exponent, ordering: str) ->
     return [beta for beta in body.lattice_points(k) if key(beta) < cut]
 
 
-def check_m_phases(m_phases: int) -> None:
-    """Reject a polygon relaxation with fewer than 3 phases."""
-    if m_phases < 3:
-        raise ValidationError(f"the polygon relaxation needs m_phases >= 3, got {m_phases}")
-
-
 def _check_instance(mesh: Mesh, body: ConvexBody, m_phases: int) -> None:
     """The checks of a min-max instance that do not depend on k, alpha or the ordering."""
     check_dimensions(mesh, body)
@@ -99,8 +85,10 @@ def chebyshev_constant(mesh: Mesh, body: ConvexBody, k: int, alpha: Exponent,
                        ordering: str = CGREVLEX, m_phases: int = 32) -> ChebyshevRecord:
     """Solve the monic min-max for (k, alpha) on the mesh.
 
-    An instance whose LP would hold more than _MAX_LP_ENTRIES floats
-    raises ValidationError before the LP allocates anything.
+    `solve_minimax` makes the checks of the LP itself: an instance whose
+    tableau would hold more than `lp._MAX_LP_ENTRIES` floats, or whose
+    weight power w^k is not finite at a supported point, raises
+    ValidationError before the LP allocates anything.
     """
     alpha = tuple(int(a) for a in alpha)
     _check_instance(mesh, body, m_phases)
@@ -110,14 +98,8 @@ def chebyshev_constant(mesh: Mesh, body: ConvexBody, k: int, alpha: Exponent,
     # alpha = 0 may have an empty class tail
     assert lower or alpha == (0,) * body.dim
     pts = mesh.points[support]
-    low_vals = monomial_values(pts, lower) if lower else np.zeros((0, pts.shape[0]), dtype=complex)
-    tgt_vals = monomial_values(pts, [alpha])[0]
-    entries = lp_entries(len(lower), pts.shape[0], m_phases, is_real_instance(low_vals, tgt_vals))
-    if entries > _MAX_LP_ENTRIES:
-        raise ValidationError(
-            f"the min-max LP for k={k}, alpha={alpha} on {pts.shape[0]} mesh points with "
-            f"polygon_m={m_phases} needs {entries} float64 entries, more than {_MAX_LP_ENTRIES}")
-    result = solve_minimax(low_vals, tgt_vals, k * mesh.log_weights[support], m_phases)
+    result = solve_minimax(monomial_values(pts, lower), monomial_values(pts, [alpha])[0],
+                           k * mesh.log_weights[support], m_phases)
     return ChebyshevRecord(
         k=k,
         alpha=alpha,

@@ -25,13 +25,19 @@ each entry receives the one product an outer-product update would
 subtract.  Every solve is verified against its optimality certificate
 before the result is returned.
 
+Every check of an instance is made here, each a ValidationError raised
+before anything is allocated: m_phases >= 3, a finite log w^k at every
+point, and a tableau of at most _MAX_LP_ENTRIES floats.
+
 Memory: a solve makes one tableau-sized array, the tableau
-[F^T; 1 | I | e_last].  The constraint rows are written straight into
-its F^T block, one phase at a time, and never exist elsewhere.  The
-right-hand side is the tableau's last column, so a pivot eliminates it
-with every other entry.  After the simplex the tableau is spent: F is
-written again into the first n_rows * n_x entries of its buffer, and the
-multipliers and the optimality certificate are read from there.
+[F^T; 1 | I | e_last] of shape (n_x + 1, n_rows + n_x + 2), which is
+also the shape the size cap reads.  The
+constraint rows are written straight into its F^T block, one phase at a
+time, and never exist elsewhere.  The right-hand side is the tableau's
+last column, so a pivot eliminates it with every other entry.  After
+the simplex the tableau is spent: F is written again into the first
+n_rows * n_x entries of its buffer, and the multipliers and the
+optimality certificate are read from there.
 """
 
 from __future__ import annotations
@@ -41,12 +47,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverFailure
+from .errors import SolverFailure, ValidationError
 
 _RC_TOL = 1e-9  # reduced-cost threshold
 _PIV_TOL = 1e-9  # smallest acceptable pivot
 _MAX_ITER = 50000  # per simplex phase; the largest solve seen takes a few hundred
 _BLOCK = 2**15  # float64 entries of the pivot's block buffer: 256 KB, fits in L2
+# float64 entries of the one tableau of a solve (256 MB; F is written into
+# the tableau's memory after the simplex): about 100 times the largest
+# benchmark instance (torus 16x16 at level 5, 0.34 M), above a torus 64x64
+# at level 14 (31.4 M entries) and below one at level 15 (35.6 M, 285 MB)
+_MAX_LP_ENTRIES = 2**25
 
 
 def _pivot(tab, basis, row, col):
@@ -194,22 +205,18 @@ class MinimaxResult:
         return self.log_value + math.log(self.bracket_factor)
 
 
-def is_real_instance(lower_vals, target_vals) -> bool:
-    """True when every value is real; `solve_minimax` then takes the exact two-sided path."""
-    return bool(np.all(lower_vals.imag == 0) and np.all(target_vals.imag == 0))
-
-
-def lp_entries(d: int, npts: int, m_phases: int, real_path: bool) -> int:
-    """float64 entries of the one tableau of a `solve_minimax` instance, d lower monomials."""
-    n_rows, n_x = (2 * npts, d) if real_path else (m_phases * npts, 2 * d)
-    return (n_x + 1) * (n_rows + n_x + 2)
+def check_m_phases(m_phases: int) -> None:
+    """Reject a polygon relaxation with fewer than 3 phases."""
+    if m_phases < 3:
+        raise ValidationError(f"the polygon relaxation needs m_phases >= 3, got {m_phases}")
 
 
 def solve_minimax(lower_vals, target_vals, log_weight_pow, m_phases: int = 32) -> MinimaxResult:
     """Minimize max_zeta w^k |target(zeta) + sum_b a_b lower_b(zeta)| over complex a.
 
     `lower_vals` is (d, npts), `target_vals` (npts,), `log_weight_pow`
-    the per-point log of w^k (finite; drop zero-weight points first).
+    the per-point log of w^k; an instance that fails a check of the
+    module docstring raises ValidationError.
     Real-valued instances are solved exactly with two-sided constraints;
     otherwise the modulus is relaxed to a regular m_phases-gon, giving
     the certified bracket [t*, t*/cos(pi/m)].
@@ -217,15 +224,21 @@ def solve_minimax(lower_vals, target_vals, log_weight_pow, m_phases: int = 32) -
     lower_vals = np.asarray(lower_vals, dtype=complex)
     target_vals = np.asarray(target_vals, dtype=complex)
     log_weight_pow = np.asarray(log_weight_pow, dtype=float)
-    d, npts = lower_vals.shape if lower_vals.size else (0, target_vals.shape[0])
+    d, npts = lower_vals.shape
+    check_m_phases(m_phases)
     if not np.all(np.isfinite(log_weight_pow)):
-        raise ValueError("zero-weight points must be removed before solving")
-    if m_phases < 3:
-        raise ValueError("the polygon relaxation needs at least 3 phases")
+        raise ValidationError("log w^k is not finite at every mesh point "
+                              "(a zero weight, or a power w^k beyond float range)")
+    real_path = bool(np.all(lower_vals.imag == 0) and np.all(target_vals.imag == 0))
+    n_rows, n_x = (2 * npts, d) if real_path else (m_phases * npts, 2 * d)
+    shape = (n_x + 1, n_rows + n_x + 2)
+    if math.prod(shape) > _MAX_LP_ENTRIES:
+        raise ValidationError(
+            f"the min-max LP for {d} lower monomials on {npts} mesh points with polygon_m={m_phases} "
+            f"needs {math.prod(shape)} float64 entries, more than {_MAX_LP_ENTRIES}")
 
     shift = float(log_weight_pow.max())
     W = np.exp(log_weight_pow - shift)
-    real_path = is_real_instance(lower_vals, target_vals)
 
     target_scale = float(np.max(W * np.abs(target_vals)))
     if d == 0 or target_scale == 0.0:
@@ -243,16 +256,14 @@ def solve_minimax(lower_vals, target_vals, log_weight_pow, m_phases: int = 32) -
         phases = None
         g = np.concatenate([W * tgt_scaled.real, -(W * tgt_scaled.real)])
         bracket = 1.0
-        n_rows, n_x = 2 * npts, d
     else:
         phases = np.exp(2j * np.pi * np.arange(m_phases) / m_phases)
         rot_tgt = phases[:, None] * tgt_scaled[None, :]  # (m, npts)
         g = (rot_tgt.real * W[None, :]).reshape(-1)
         bracket = 1.0 / math.cos(math.pi / m_phases)
-        n_rows, n_x = m_phases * npts, 2 * d
 
     # the standard form [F^T; 1] lam = e_last, lam >= 0, in one tableau [F^T; 1 | I | e_last]
-    tab = np.zeros((n_x + 1, n_rows + n_x + 2))
+    tab = np.zeros(shape)
     _fill_constraints(tab[:n_x, :n_rows].T, low_scaled, W, phases)
     tab[n_x, :n_rows] = 1.0
     tab[:, n_rows:-1] = np.eye(n_x + 1)

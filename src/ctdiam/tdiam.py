@@ -21,11 +21,12 @@ from fractions import Fraction
 import numpy as np
 
 from .body import ConvexBody, as_fraction, average_total_degree, check_dagger
-from .cheb import TransformTable, check_m_phases, transform_grid
+from .cheb import TransformTable, transform_grid
 from .errors import CtdiamError, InsufficientSupport, ValidationError
 from .leja import leja_diameter
+from .lp import check_m_phases
 from .mesh import Mesh, check_dimensions
-from .order import CGREVLEX, GREVLEX
+from .order import CGREVLEX, GREVLEX, ORDERINGS
 from .serialize import fmt, write_csv, write_json
 from .vdm import Greedy, MaxVdmResult, max_vdm, strategy_from_config
 
@@ -147,18 +148,15 @@ def _level_row(mesh: Mesh, body: ConvexBody, k: int, strategy, options: ReportOp
         errors["vdm"] = f"{type(exc).__name__}: {exc}"
     d_transform: dict[str, float] = {}
     sum_log_nu: dict[str, float] = {}
-    try:
-        table = transform_grid(mesh, body, k, orderings=options.orderings,
-                               m_phases=options.m_phases, cache=cache)
-        for ordering in options.orderings:
-            try:
-                mean_log = transform_mean_log(table, ordering)
-                d_transform[ordering] = math.exp(mean_log)
-                sum_log_nu[ordering] = mean_log * k * m_k
-            except ValidationError as exc:
-                errors[f"transform:{ordering}"] = str(exc)
-    except CtdiamError as exc:
-        errors["transform"] = f"{type(exc).__name__}: {exc}"
+    table = transform_grid(mesh, body, k, orderings=options.orderings,
+                           m_phases=options.m_phases, cache=cache)
+    for ordering in options.orderings:
+        try:
+            mean_log = transform_mean_log(table, ordering)
+            d_transform[ordering] = math.exp(mean_log)
+            sum_log_nu[ordering] = mean_log * k * m_k
+        except ValidationError as exc:
+            errors[f"transform:{ordering}"] = str(exc)
     sandwich = None
     if exact and CGREVLEX in sum_log_nu and math.isfinite(log_vdm):
         slack = 1e-6 * m_k
@@ -173,6 +171,9 @@ def build_report(mesh: Mesh, body: ConvexBody, k_max: int, options: ReportOption
     """Assemble per-level rows for k = 1..k_max; row-level failures never abort."""
     options = options or ReportOptions()
     _check_inputs(mesh, body, k_max, "k_max", options.m_phases)
+    if not options.orderings or not set(options.orderings) <= set(ORDERINGS):
+        raise ValidationError(f"orderings must be a non-empty sequence of names from {list(ORDERINGS)}, "
+                              f"got {options.orderings!r}")
     strategy = strategy_from_config(options.strategy)
     dagger = check_dagger(body, k_max)
     a_n = average_total_degree(body, options.resolution, options.subsamples)

@@ -411,43 +411,50 @@ def test_directional_names_theta_in_rational_errors(cheb401, simplex1):
         directional_constant(cheb401, simplex1, ("abc",), [4, 8])
 
 
-def test_oversized_lp_is_refused_before_solving(torus16, simplex2, monkeypatch, count_solves):
-    import ctdiam.cheb as cheb_mod
-    from ctdiam.lp import lp_entries
+def _lp_entries(d, npts, m_phases, real_path):
+    """float64 entries of the tableau of a min-max LP with d lower monomials."""
+    n_rows, n_x = (2 * npts, d) if real_path else (m_phases * npts, 2 * d)
+    return (n_x + 1) * (n_rows + n_x + 2)
+
+
+def test_oversized_lp_is_refused_before_solving(torus16, simplex2, monkeypatch):
+    import ctdiam.lp as lp_mod
 
     # a complex LP of 32 * 256 rows
-    needed = lp_entries(len(lower_monomials(simplex2, 2, (2, 0), CGREVLEX)), 256, 32, False)
-    calls = count_solves()
-    monkeypatch.setattr(cheb_mod, "_MAX_LP_ENTRIES", needed - 1)
+    needed = _lp_entries(len(lower_monomials(simplex2, 2, (2, 0), CGREVLEX)), 256, 32, False)
+    calls = []
+    two_phase = lp_mod._two_phase
+    monkeypatch.setattr(lp_mod, "_two_phase", lambda *args: calls.append(1) or two_phase(*args))
+    monkeypatch.setattr(lp_mod, "_MAX_LP_ENTRIES", needed - 1)
     with pytest.raises(ValidationError) as exc:
         chebyshev_constant(torus16, simplex2, 2, (2, 0), CGREVLEX)
     assert calls == []
     message = str(exc.value)
-    assert "k=2" in message and "256 mesh points" in message and "polygon_m=32" in message
-    monkeypatch.setattr(cheb_mod, "_MAX_LP_ENTRIES", needed)
+    assert "5 lower monomials" in message and "256 mesh points" in message and "polygon_m=32" in message
+    assert f"needs {needed} float64 entries, more than {needed - 1}" in message
+    monkeypatch.setattr(lp_mod, "_MAX_LP_ENTRIES", needed)
     chebyshev_constant(torus16, simplex2, 2, (2, 0), CGREVLEX)
     assert len(calls) == 1
 
 
 def test_oversized_lp_is_a_row_error_in_the_grid(cheb401, simplex1, monkeypatch):
-    import ctdiam.cheb as cheb_mod
+    import ctdiam.lp as lp_mod
 
-    monkeypatch.setattr(cheb_mod, "_MAX_LP_ENTRIES", 0)
+    monkeypatch.setattr(lp_mod, "_MAX_LP_ENTRIES", 0)
     table = transform_grid(cheb401, simplex1, 2)
     assert all(row.errors and not row.records for row in table.rows)
     assert "polygon_m=32" in table.rows[1].errors[CGREVLEX]
 
 
 def test_lp_limit_sits_between_benchmark_and_oversized_instances():
-    import ctdiam.cheb as cheb_mod
-    from ctdiam.lp import lp_entries
+    import ctdiam.lp as lp_mod
 
     # torus 16x16, simplex N=2, level 5: at most 20 lower monomials on 256 points
-    assert lp_entries(20, 256, 32, False) * 50 < cheb_mod._MAX_LP_ENTRIES
+    assert _lp_entries(20, 256, 32, False) * 50 < lp_mod._MAX_LP_ENTRIES
     # torus 64x64, simplex N=2: level 14 (119 lower monomials on 4096 points,
     # 31.4 M entries) is admitted, level 15 (135, 35.6 M entries) is refused
-    assert lp_entries(119, 4096, 32, False) <= cheb_mod._MAX_LP_ENTRIES
-    assert lp_entries(135, 4096, 32, False) > cheb_mod._MAX_LP_ENTRIES
+    assert _lp_entries(119, 4096, 32, False) <= lp_mod._MAX_LP_ENTRIES
+    assert _lp_entries(135, 4096, 32, False) > lp_mod._MAX_LP_ENTRIES
 
 
 def test_chebyshev_constant_keeps_only_nonzero_terms(simplex1):

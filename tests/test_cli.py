@@ -249,18 +249,21 @@ def test_cheb_solver_failure_exit_3(tmp_path, capsys, monkeypatch):
     assert (manifest["status"], manifest["exit_code"]) == ("failed", 3)
 
 
-def test_cheb_oversized_lp_exit_2(tmp_path, capsys, monkeypatch, count_solves):
-    import ctdiam.cheb as cheb_mod
-    from ctdiam.lp import lp_entries
+def test_cheb_oversized_lp_exit_2(tmp_path, capsys, monkeypatch):
+    import ctdiam.lp as lp_mod
 
-    # the real LP of x^2 against 1, x on 9 points, one entry over the cap
-    monkeypatch.setattr(cheb_mod, "_MAX_LP_ENTRIES", lp_entries(2, 9, 32, True) - 1)
-    calls = count_solves()
+    # the real LP of x^2 against 1, x on 9 points, one entry over the cap:
+    # 3 tableau rows of 2 * 9 + 2 + 2 entries
+    monkeypatch.setattr(lp_mod, "_MAX_LP_ENTRIES", 3 * 22 - 1)
+    calls = []
+    two_phase = lp_mod._two_phase
+    monkeypatch.setattr(lp_mod, "_two_phase", lambda *args: calls.append(1) or two_phase(*args))
     cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
                                               "output_dir": str(tmp_path / "out")})
     assert main(["cheb", "--config", cfg, "--k", "2", "--alpha", "2"]) == 2
     err = capsys.readouterr().err
-    assert "k=2" in err and "9 mesh points" in err and "polygon_m=32" in err
+    assert "2 lower monomials" in err and "9 mesh points" in err and "polygon_m=32" in err
+    assert "needs 66 float64 entries, more than 65" in err
     assert calls == []
 
 
@@ -425,6 +428,7 @@ TORUS4 = {"kind": "torus", "counts": [4, 4]}
      "alpha=(-1, 0) is not a lattice point of level 2"),
     ("cheb", {"body": SIMPLEX2, "mesh": TORUS4, "run": {"k": 2}}, ["--alpha=-1,1"],
      "alpha=(-1, 1) is not a lattice point of level 2"),
+    ("cheb", {}, ["--k", "2", "--alpha=-1"], "alpha=(-1,) is not a lattice point of level 2"),
     ("cheb", {"run": {"k": 2, "alpha": [1], "theta": [["abc"]]}}, [],
      "theta: not an exact rational: 'abc'"),
     ("cheb", {"body": SIMPLEX2, "run": {"k": 2}}, ["--alpha", "1"],
@@ -446,7 +450,8 @@ TORUS4 = {"kind": "torus", "counts": [4, 4]}
 ], ids=["alpha-flag", "schedule-flag", "alpha-not-a-list", "k-max-not-int", "k-max-infinity",
         "k-max-nan", "k-max-fractional", "csv-mesh-no-path", "nan-mesh-point", "infinite-log-weight",
         "count-fractional", "count-not-int", "count-missing", "radius-not-real", "sigma-not-real",
-        "factor-count-fractional", "alpha-minus-1-0", "alpha-minus-1-1", "theta-not-rational",
+        "factor-count-fractional", "alpha-minus-1-0", "alpha-minus-1-1", "alpha-minus-1",
+        "theta-not-rational",
         "mesh-body-dimension-mismatch", "run-not-an-object", "no-mesh", "cheb-without-alpha",
         "cheb-without-k", "csv-mesh-no-dim", "cheb-orderings-empty", "theta-zero", "theta-false",
         "theta-empty-string", "theta-mapping", "schedule-decreasing", "body-check-k-max-zero",
@@ -456,6 +461,38 @@ def test_bad_scalar_input_exit_2(tmp_path, capsys, subcommand, config, flags, me
                                               "output_dir": str(tmp_path / "out"), **config})
     assert main([subcommand, "--config", cfg, *flags]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, flags", [
+    ("tdiam", ["--resolution", "-1/32"]),
+    ("cheb", ["--k", "2", "--alpha", "-1,0"]),
+], ids=["resolution", "alpha"])
+def test_negative_rational_as_a_separate_argument_stops_in_argparse(tmp_path, capsys, subcommand, flags):
+    # argparse takes a value that is not a plain negative number, such as
+    # -1/32 or -1,0, for an option, so the flag has no argument; the
+    # --flag=value form reaches the package's check (test_bad_scalar_input_exit_2)
+    cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
+                                              "output_dir": str(tmp_path / "out")})
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--config", cfg, *flags])
+    assert exc.value.code == 2
+    assert f"argument {flags[-2]}: expected one argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_tdiam_infinite_weight_power_is_a_cell_error(tmp_path):
+    # log w = -1e308 makes k * log w = -inf at levels 2 and 3: their transform
+    # cells carry the error, and the run still ends ok
+    weight = {"kind": "table", "log_weights": [0] * 4 + [-1e308] + [0] * 4}
+    cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1, "mesh": {**INTERVAL9, "weight": weight},
+                                              "run": {"k_max": 3}, "output_dir": str(tmp_path / "out")})
+    assert main(["tdiam", "--config", cfg]) == 0
+    manifest = json.loads((tmp_path / "out" / "MANIFEST.json").read_text())
+    assert (manifest["status"], manifest["exit_code"]) == ("ok", 0)
+    rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+    assert [sorted(row["errors"]) for row in rows] == [[], *[["transform:cgrevlex", "transform:grevlex"]] * 2]
+    assert all(row["d_vdm"] is not None for row in rows)
 
 
 @pytest.mark.parametrize("subcommand", ["tdiam", "vdm", "leja", "transform"])

@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 from ctdiam import ReportOptions, build_report, lp, parse_body_spec
 from ctdiam.body import simplex_body
 from ctdiam.cheb import lower_monomials
-from ctdiam.errors import SolverFailure
+from ctdiam.errors import SolverFailure, ValidationError
 from ctdiam.lp import MinimaxResult, solve_minimax
 from ctdiam.mesh import build_mesh, monomial_values
 from ctdiam.order import CGREVLEX
@@ -102,13 +102,13 @@ def test_minimax_interpolation_reaches_zero():
 
 
 def test_minimax_rejects_infinite_weights():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match=r"^log w\^k is not finite at every mesh point "):
         solve_minimax(np.zeros((0, 2), dtype=complex), np.ones(2, dtype=complex),
                       np.array([0.0, -math.inf]))
 
 
 def test_minimax_rejects_degenerate_polygon():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="^the polygon relaxation needs m_phases >= 3, got 2$"):
         solve_minimax(np.ones((1, 3), dtype=complex), np.ones(3) + 1j, np.zeros(3), m_phases=2)
 
 
@@ -439,9 +439,10 @@ def test_lp_entries_counts_f_and_the_tableau(monkeypatch, kind):
     monkeypatch.setattr(lp, "_two_phase", spy_two_phase)
     monkeypatch.setattr(lp, "_multipliers", spy_multipliers)
     res = solve_minimax(lower, target, np.zeros(target.shape[0]), m_phases=8)
-    assert res.real_path == (kind == "real") == lp.is_real_instance(lower, target)
-    entries = lp.lp_entries(lower.shape[0], target.shape[0], 8, res.real_path)
-    assert [tab.size for tab in tableaux] == [entries]
+    assert res.real_path == (kind == "real")
+    d, npts = lower.shape
+    n_rows, n_x = (2 * npts, d) if res.real_path else (8 * npts, 2 * d)
+    assert [tab.size for tab in tableaux] == [(n_x + 1) * (n_rows + n_x + 2)]
     assert shared == [True]
 
 

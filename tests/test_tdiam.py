@@ -242,6 +242,36 @@ def test_build_report_records_overflowing_monomial_as_cell_error(simplex1):
     assert "degree 2" in second.errors["leja"]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_build_report_records_an_infinite_weight_power_as_cell_error(simplex1):
+    # log w = -1e308 is finite, but k * log w is -inf from level 2 on: the LP
+    # refuses those instances, and only the transform cells carry the error
+    log_weights = [0.0] * 4 + [-1e308] + [0.0] * 4
+    mesh = build_mesh({"kind": "interval", "a": -1, "b": 1, "count": 9,
+                       "weight": {"kind": "table", "log_weights": log_weights}})
+    report = build_report(mesh, simplex1, 3, ReportOptions(include_leja=True))
+    assert report.rows[0].errors == {} and CGREVLEX in report.rows[0].d_transform
+    for row in report.rows[1:]:
+        assert set(row.errors) == {"transform:grevlex", "transform:cgrevlex"}
+        assert row.d_transform == {}
+        assert row.d_vdm is not None and row.leja_value is not None
+    cell = transform_grid(mesh, simplex1, 2).rows[0].errors[CGREVLEX]
+    assert cell.startswith("ValidationError: log w^k is not finite at every mesh point")
+
+
+@pytest.mark.parametrize("orderings", [("lex",), (GREVLEX, "lex"), ()],
+                         ids=["unknown", "one-unknown", "empty"])
+def test_build_report_refuses_bad_orderings_before_any_level(monkeypatch, count_solves, mesh7, simplex1,
+                                                             orderings):
+    # an unknown name would fill every transform cell with its error, and an
+    # empty tuple would report no transform route at all
+    monkeypatch.setattr("ctdiam.tdiam.max_vdm", lambda *args: pytest.fail("max_vdm ran"))
+    calls = count_solves()
+    with pytest.raises(ValidationError, match=r"^orderings must be a non-empty sequence of names from "):
+        build_report(mesh7, simplex1, 2, ReportOptions(orderings=orderings))
+    assert calls == []
+
+
 def test_build_report_propagates_programming_errors(mesh5, simplex1, monkeypatch):
     import ctdiam.tdiam as tdiam_mod
 
