@@ -18,7 +18,7 @@ from functools import lru_cache
 from .body import ConvexBody, Exponent, _dagger_verdict, as_fraction
 from .errors import CtdiamError, ThetaNotInterior, ValidationError
 from .lp import check_m_phases, solve_minimax
-from .mesh import Mesh, Polynomial, check_dimensions, monomial_values
+from .mesh import Mesh, Polynomial, check_dimensions, exp_or_inf, log_weight_power, monomial_values
 from .order import CGREVLEX, GREVLEX, order_key
 from .serialize import fmt, write_csv
 
@@ -88,7 +88,8 @@ def chebyshev_constant(mesh: Mesh, body: ConvexBody, k: int, alpha: Exponent,
     `solve_minimax` makes the checks of the LP itself: an instance whose
     tableau would hold more than `lp._MAX_LP_ENTRIES` floats, or whose
     weight power w^k is not finite at a supported point, raises
-    ValidationError before the LP allocates anything.
+    ValidationError before the LP allocates anything, and an optimum of 0
+    while w^k underflows at a supported point raises it after the solve.
     """
     alpha = tuple(int(a) for a in alpha)
     _check_instance(mesh, body, m_phases)
@@ -99,7 +100,7 @@ def chebyshev_constant(mesh: Mesh, body: ConvexBody, k: int, alpha: Exponent,
     assert lower or alpha == (0,) * body.dim
     pts = mesh.points[support]
     result = solve_minimax(monomial_values(pts, lower), monomial_values(pts, [alpha])[0],
-                           k * mesh.log_weights[support], m_phases)
+                           log_weight_power(mesh.log_weights[support], k), m_phases)
     return ChebyshevRecord(
         k=k,
         alpha=alpha,
@@ -307,9 +308,9 @@ def directional_constant(mesh: Mesh, body: ConvexBody, theta, schedule,
             if not isinstance(rec, ChebyshevRecord):
                 raise rec
             steps[ordering].append(DirectionalStep(k=k, alpha=alpha, log_T=rec.log_T))
-    final = {o: math.exp(s[-1].log_T) for o, s in steps.items()}
+    final = {o: exp_or_inf(s[-1].log_T) for o, s in steps.items()}
     proxy = {
-        o: abs(math.exp(s[-1].log_T) - math.exp(s[-2].log_T)) if len(s) > 1 else math.inf
+        o: abs(final[o] - exp_or_inf(s[-2].log_T)) if len(s) > 1 else math.inf
         for o, s in steps.items()
     }
     guaranteed = {

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from .body import as_fraction, as_int, check_dagger, parse_body_spec
 from .cheb import ChebyshevRecord, directional_constant, solve_distinct, transform_grid, transform_rows
 from .errors import SolverFailure, ValidationError
 from .leja import leja_diameter, leja_to_csv
-from .mesh import build_mesh
+from .mesh import build_mesh, exp_or_inf
 from .order import CGREVLEX, ORDERINGS
 from .serialize import write_csv, write_json
 from .tdiam import ReportOptions, build_report, report_to_csv, report_to_json
@@ -215,7 +214,7 @@ def _run_cheb(config, artifacts: _Artifacts):
             "alpha": list(alpha),
             "log_nu": rec.log_nu,
             "log_T": rec.log_T,
-            "T": math.exp(rec.log_T) if math.isfinite(rec.log_T) else 0.0,
+            "T": exp_or_inf(rec.log_T),
             "bracket_factor": rec.bracket_factor,
             "real_path": rec.real_path,
             "iterations": rec.iterations,
@@ -223,7 +222,7 @@ def _run_cheb(config, artifacts: _Artifacts):
                 " ".join(map(str, b)): [c.real, c.imag] for b, c in rec.coefficients.terms.items()
             },
         }
-        nu = math.exp(rec.log_nu) if math.isfinite(rec.log_nu) else 0.0
+        nu = exp_or_inf(rec.log_nu)
         print(f"k={k} alpha={alpha} {ordering}: nu-opt={nu:.12g} T={records[ordering]['T']:.12g}")
     for theta in thetas:
         res = directional_constant(mesh, body, theta, schedule, m_phases=m_phases)

@@ -11,14 +11,13 @@ value is recomputed from scratch for robustness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .body import ConvexBody, Exponent
 from .errors import InsufficientSupport, ValidationError
-from .mesh import Mesh, check_dimensions, monomial_values
+from .mesh import Mesh, check_dimensions, exp_or_inf, monomial_values
 from .order import monomial_sequence
 from .serialize import fmt, write_csv
 from .vdm import greedy_grow, selection_value
@@ -98,7 +97,7 @@ def leja_diameter(mesh: Mesh, body: ConvexBody, k_max: int) -> LejaDiameterRepor
         m_k, _, l_k = body.counts(k)
         log_vdm = seq.log_values[m_k - 1]
         rows.append(LejaDiameterRow(k=k, m_k=m_k, l_k=l_k, log_vdm=log_vdm,
-                                    value=math.exp(log_vdm / l_k)))
+                                    value=exp_or_inf(log_vdm / l_k)))
     return LejaDiameterReport(rows=rows, sequence=seq, heuristic=not mesh.is_unweighted)
 
 

@@ -27,7 +27,10 @@ before the result is returned.
 
 Every check of an instance is made here, each a ValidationError raised
 before anything is allocated: m_phases >= 3, a finite log w^k at every
-point, and a tableau of at most _MAX_LP_ENTRIES floats.
+point, and a tableau of at most _MAX_LP_ENTRIES floats.  One more check
+reads the optimum: the weights enter as W = w^k / max w^k, and a point
+whose W underflows to 0 drops out of the LP, so an optimum of 0 while
+some W is 0 may stand for a positive one and is refused too.
 
 Memory: a solve makes one tableau-sized array, the tableau
 [F^T; 1 | I | e_last] of shape (n_x + 1, n_rows + n_x + 2), which is
@@ -211,6 +214,16 @@ def check_m_phases(m_phases: int) -> None:
         raise ValidationError(f"the polygon relaxation needs m_phases >= 3, got {m_phases}")
 
 
+def _check_zero_optimum(value: float, W: np.ndarray, log_weight_pow: np.ndarray) -> None:
+    """Raise ValidationError when the optimum `value` is 0 but some W underflowed to 0."""
+    if value <= 0 and not W.all():
+        spread = float(log_weight_pow.max() - log_weight_pow.min())
+        raise ValidationError(
+            f"the min-max optimum reads 0, but w^k underflows to 0 relative to its maximum at "
+            f"{W.size - np.count_nonzero(W)} of {W.size} mesh points (log w^k spreads over "
+            f"{spread:.6g}), so the optimum may be positive")
+
+
 def solve_minimax(lower_vals, target_vals, log_weight_pow, m_phases: int = 32) -> MinimaxResult:
     """Minimize max_zeta w^k |target(zeta) + sum_b a_b lower_b(zeta)| over complex a.
 
@@ -244,6 +257,7 @@ def solve_minimax(lower_vals, target_vals, log_weight_pow, m_phases: int = 32) -
     if d == 0 or target_scale == 0.0:
         # the class is {target} itself, or the target vanishes on the mesh
         # (then interpolation by zero coefficients is already optimal)
+        _check_zero_optimum(target_scale, W, log_weight_pow)
         value = target_scale
         log_value = math.log(value) + shift if value > 0 else -math.inf
         return MinimaxResult(log_value, np.zeros(d, dtype=complex), 1.0, 0, real_path, 0.0, 0.0)
@@ -296,6 +310,7 @@ def solve_minimax(lower_vals, target_vals, log_weight_pow, m_phases: int = 32) -
     else:
         coeffs = (u[:d] + 1j * u[d:]) / col_scale * target_scale
     raw = max(t_poly, 0.0) * target_scale
+    _check_zero_optimum(raw, W, log_weight_pow)
     log_value = math.log(raw) + shift if raw > 0 else -math.inf
     return MinimaxResult(log_value, coeffs, bracket, iters, real_path,
                          feasibility_residual=feas, duality_gap=gap)

@@ -4,6 +4,10 @@ A compact set enters every computation only through a finite mesh of
 points with log-domain weights, so each sup-norm statement becomes an
 exactly checkable finite max.  Weights are stored as log w (with -inf
 for w = 0) because w^k under- and overflows for quite moderate k.
+The rules at the edges of that log domain live here, in two helpers:
+`log_weight_power` forms every log w^k (0 at k = 0, and +-inf past the
+float range), and `exp_or_inf` turns every reported log back into a
+value (inf past the float range).
 """
 
 from __future__ import annotations
@@ -79,6 +83,25 @@ class Mesh:
         """Mesh with every point multiplied by `factor` (weights unchanged)."""
         return Mesh(self.dim, self.points * factor, self.log_weights.copy(),
                     provenance=f"{self.provenance} * {factor}")
+
+
+def log_weight_power(log_w, k: int):
+    """log w^k from log w, elementwise: 0 at k = 0, because w^0 = 1 for zero
+    weights too; otherwise k * log w, where a product past the float range
+    reads +-inf, without a numpy warning."""
+    if k == 0:
+        return np.zeros_like(log_w, dtype=float)
+    with np.errstate(over="ignore"):
+        return k * log_w
+
+
+def exp_or_inf(x: float) -> float:
+    """The value e^x of a reported log x: math.exp(x), or inf where e^x is
+    past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def check_dimensions(mesh: Mesh, body: ConvexBody) -> None:
@@ -171,11 +194,7 @@ def weighted_sup_norm(mesh: Mesh, poly: Polynomial, k: int) -> float:
     values = poly.evaluate(mesh.points)
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(values))
-    if k == 0:
-        return float(np.max(log_abs))
-    # k * (-inf) must stay -inf, never NaN
-    weighted = np.where(np.isfinite(mesh.log_weights), k * mesh.log_weights, -np.inf) + log_abs
-    return float(np.max(weighted))
+    return float(np.max(log_weight_power(mesh.log_weights, k) + log_abs))
 
 
 # ---------------------------------------------------------------------------

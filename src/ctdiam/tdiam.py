@@ -25,7 +25,7 @@ from .cheb import TransformTable, transform_grid
 from .errors import CtdiamError, InsufficientSupport, ValidationError
 from .leja import leja_diameter
 from .lp import check_m_phases
-from .mesh import Mesh, check_dimensions
+from .mesh import Mesh, check_dimensions, exp_or_inf
 from .order import CGREVLEX, GREVLEX, ORDERINGS
 from .serialize import fmt, write_csv, write_json
 from .vdm import Greedy, MaxVdmResult, max_vdm, strategy_from_config
@@ -35,14 +35,14 @@ def delta_k(mesh: Mesh, body: ConvexBody, k: int, strategy=None) -> float:
     """k-th order diameter: max |VDM| to the power 1/L_k."""
     result = max_vdm(mesh, body, k, strategy)
     _, _, l_k = body.counts(k)
-    return math.exp(result.value.log_abs / l_k)
+    return exp_or_inf(result.value.log_abs / l_k)
 
 
 def d_estimate_vdm(mesh: Mesh, body: ConvexBody, k: int, strategy=None) -> float:
     """Size estimate from the determinant route: max |VDM| to the power 1/(k M_k)."""
     result = max_vdm(mesh, body, k, strategy)
     m_k, _, _ = body.counts(k)
-    return math.exp(result.value.log_abs / (k * m_k))
+    return exp_or_inf(result.value.log_abs / (k * m_k))
 
 
 def transform_mean_log(table: TransformTable, ordering: str) -> float:
@@ -57,7 +57,7 @@ def d_estimate_transform(mesh: Mesh, body: ConvexBody, k: int, ordering: str = C
                          m_phases: int = 32) -> float:
     """Size estimate from the Chebyshev route: exp of the level-k lattice mean of log T_k."""
     table = transform_grid(mesh, body, k, orderings=(ordering,), m_phases=m_phases)
-    return math.exp(transform_mean_log(table, ordering))
+    return exp_or_inf(transform_mean_log(table, ordering))
 
 
 def final_delta(mesh: Mesh, body: ConvexBody, k: int, strategy=None, route: str = "vdm",
@@ -129,7 +129,11 @@ def _check_inputs(mesh: Mesh, body: ConvexBody, k: int, k_name: str, m_phases: i
 
 
 def _length_scaled(d_value: float | None, a_n: float) -> float | None:
-    return d_value ** (1.0 / a_n) if d_value is not None else None
+    """D ** (1/A_N), or inf where that power of a finite D is past the float range."""
+    try:
+        return d_value ** (1.0 / a_n) if d_value is not None else None
+    except OverflowError:
+        return math.inf
 
 
 def _level_row(mesh: Mesh, body: ConvexBody, k: int, strategy, options: ReportOptions,
@@ -142,8 +146,8 @@ def _level_row(mesh: Mesh, body: ConvexBody, k: int, strategy, options: ReportOp
         result: MaxVdmResult = max_vdm(mesh, body, k, strategy)
         log_vdm = result.value.log_abs
         exact = result.exact
-        delta = math.exp(log_vdm / l_k)
-        d_vdm = math.exp(log_vdm / (k * m_k))
+        delta = exp_or_inf(log_vdm / l_k)
+        d_vdm = exp_or_inf(log_vdm / (k * m_k))
     except CtdiamError as exc:
         errors["vdm"] = f"{type(exc).__name__}: {exc}"
     d_transform: dict[str, float] = {}
@@ -153,7 +157,7 @@ def _level_row(mesh: Mesh, body: ConvexBody, k: int, strategy, options: ReportOp
     for ordering in options.orderings:
         try:
             mean_log = transform_mean_log(table, ordering)
-            d_transform[ordering] = math.exp(mean_log)
+            d_transform[ordering] = exp_or_inf(mean_log)
             sum_log_nu[ordering] = mean_log * k * m_k
         except ValidationError as exc:
             errors[f"transform:{ordering}"] = str(exc)

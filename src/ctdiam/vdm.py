@@ -3,9 +3,9 @@
 The level-k basis is always the graded monomial stream restricted to the
 level-k lattice; permuting it only flips the determinant's sign, which is
 discarded.  Weight powers w^k are folded in as k * sum(log w) over the
-chosen points, so the monomial matrix itself never under- or overflows
-through the weights; a monomial that overflows on the mesh raises
-ValidationError.
+chosen points (`mesh.log_weight_power`), so the monomial matrix itself
+never under- or overflows through the weights; a monomial that overflows
+on the mesh raises ValidationError.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
     TooManyPoints,
     ValidationError,
 )
-from .mesh import Mesh, check_dimensions, monomial_values
+from .mesh import Mesh, check_dimensions, log_weight_power, monomial_values
 
 
 def log_abs_det(matrix) -> float:
@@ -95,11 +95,8 @@ def vandermonde_det(mesh: Mesh, body: ConvexBody, k: int, point_indices) -> VdmV
         raise TooManyPoints(f"{s} points exceed the level-{k} dimension {len(basis)}")
     if len(set(indices)) < s:
         return VdmValue(-math.inf, indices, k, s)
-    logw = mesh.log_weights[list(indices)]
-    if k > 0 and not np.all(np.isfinite(logw)):
-        return VdmValue(-math.inf, indices, k, s)
     mat = monomial_values(mesh.points[list(indices)], basis[:s])
-    value = selection_value(mat, logw if k > 0 else np.zeros(s), k, list(range(s)))
+    value = selection_value(mat, mesh.log_weights[list(indices)], k, list(range(s)))
     return VdmValue(value, indices, k, s)
 
 
@@ -143,14 +140,14 @@ def _brute_force(mesh, body, k, strategy: BruteForce):
 
 def selection_value(z, logw, k, sel) -> float:
     """log |VDM| of the columns `sel` of z: the first len(sel) rows, weight power k."""
-    return log_abs_det(z[: len(sel), sel]) + float(k * logw[sel].sum())
+    return log_abs_det(z[: len(sel), sel]) + float(log_weight_power(logw[sel].sum(), k))
 
 
 def _selection_values(z, logw, k, selections) -> np.ndarray:
     """`selection_value` for each row of a 2-D stack of selections, batched."""
     sel = np.asarray(selections)
     sign, ld = np.linalg.slogdet(z[: sel.shape[1]][:, sel].transpose(1, 0, 2))  # (n, s, s)
-    return np.where(sign == 0, -np.inf, ld) + k * logw[sel].sum(axis=1)
+    return np.where(sign == 0, -np.inf, ld) + log_weight_power(logw[sel].sum(axis=1), k)
 
 
 def greedy_grow(z, logw, powers, start: int) -> list[int]:
@@ -171,7 +168,7 @@ def greedy_grow(z, logw, powers, start: int) -> list[int]:
         try:
             y = np.linalg.solve(z[:s, cols].T, z[s, cols])
             with np.errstate(divide="ignore", invalid="ignore"):
-                scores = np.log(np.abs(z[s] - y @ z[:s])) + k * logw
+                scores = np.log(np.abs(z[s] - y @ z[:s])) + log_weight_power(logw, k)
         except np.linalg.LinAlgError:
             scores = _selection_values(z, logw, k, [sel + [c] for c in range(ns)])
         scores[cols] = -np.inf
@@ -236,6 +233,7 @@ def _exchange_passes(z, logw, k, sel: list[int], m_k: int):
     every swap instead.
     """
     ns = z.shape[1]
+    log_wk = log_weight_power(logw, k)
     val = selection_value(z, logw, k, sel)
     ratios = _swap_ratios(z, sel, m_k) if val > -math.inf else None
     col = np.empty(m_k, dtype=z.dtype)
@@ -251,7 +249,7 @@ def _exchange_passes(z, logw, k, sel: list[int], m_k: int):
                 continue
             if ratios is not None:
                 with np.errstate(divide="ignore"):
-                    scores = np.log(np.abs(ratios[pos, cands])) + k * logw[cands]
+                    scores = np.log(np.abs(ratios[pos, cands])) + log_wk[cands]
                 cands = cands[scores >= scores.max() - _RATIO_TIE]
             trials = np.tile(np.array(sel), (cands.size, 1))
             trials[:, pos] = cands

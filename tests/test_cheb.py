@@ -306,6 +306,18 @@ def test_directional_interval(cheb401, simplex1):
     assert res.limit_guaranteed[CGREVLEX] and res.dagger_verdict == "holds-simplex"
 
 
+def test_directional_iterates_past_the_float_range_read_inf(simplex1):
+    # log w = 1000 everywhere: log T_k is near 1000, finite, but T_k is not;
+    # the error proxy of two infinite iterates is inf - inf = nan
+    mesh = build_mesh({"kind": "interval", "a": -1, "b": 1, "count": 9,
+                       "weight": {"kind": "table", "log_weights": [1000] * 9}})
+    res = directional_constant(mesh, simplex1, ("1/2",), [2, 4])
+    for ordering in (GREVLEX, CGREVLEX):
+        assert all(math.isfinite(step.log_T) and step.log_T > 710 for step in res.steps[ordering])
+        assert res.final[ordering] == math.inf
+        assert math.isnan(res.error_proxy[ordering])
+
+
 def test_directional_circle(circle256, simplex1):
     res = directional_constant(circle256, simplex1, ("1/2",), [4, 8, 12])
     assert res.final[CGREVLEX] == pytest.approx(1.0, abs=1e-2)

@@ -480,19 +480,55 @@ def test_negative_rational_as_a_separate_argument_stops_in_argparse(tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
-def test_tdiam_infinite_weight_power_is_a_cell_error(tmp_path):
+def _middle_log_weight(value):
+    return {**INTERVAL9, "weight": {"kind": "table", "log_weights": [0] * 4 + [value] + [0] * 4}}
+
+
+def test_tdiam_infinite_weight_power_is_a_cell_error(tmp_path, capsys):
     # log w = -1e308 makes k * log w = -inf at levels 2 and 3: their transform
-    # cells carry the error, and the run still ends ok
-    weight = {"kind": "table", "log_weights": [0] * 4 + [-1e308] + [0] * 4}
-    cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1, "mesh": {**INTERVAL9, "weight": weight},
+    # cells carry the error, and the run still ends ok, with nothing on stderr
+    cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1, "mesh": _middle_log_weight(-1e308),
                                               "run": {"k_max": 3}, "output_dir": str(tmp_path / "out")})
     assert main(["tdiam", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
     manifest = json.loads((tmp_path / "out" / "MANIFEST.json").read_text())
     assert (manifest["status"], manifest["exit_code"]) == ("ok", 0)
     rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
     assert [sorted(row["errors"]) for row in rows] == [[], *[["transform:cgrevlex", "transform:grevlex"]] * 2]
     assert all(row["d_vdm"] is not None for row in rows)
+
+
+@pytest.mark.parametrize("log_weight", [1e308, 1000], ids=["1e308", "1000"])
+def test_tdiam_writes_inf_where_a_value_leaves_the_float_range(tmp_path, capsys, log_weight):
+    # a large finite log weight makes delta_k and the Leja value at level 1
+    # (and everything from level 2 on at 1e308) past the float range: they
+    # read inf, written "inf", and the run ends ok with nothing on stderr
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1, "mesh": _middle_log_weight(log_weight),
+                                              "run": {"k_max": 3}, "output_dir": str(out)})
+    assert main(["tdiam", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((out / "MANIFEST.json").read_text())
+    assert (manifest["status"], manifest["exit_code"]) == ("ok", 0)
+    first = json.loads((out / "report.json").read_text())["rows"][0]
+    assert first["delta"] == first["leja_value"] == "inf"
+    header, first_csv = (out / "diameter.csv").read_text().splitlines()[:2]
+    cells = dict(zip(header.split(","), first_csv.split(",")))
+    assert cells["delta_k"] == cells["leja_value"] == "inf"
+
+
+@pytest.mark.parametrize("subcommand, flags, artifact, text", [
+    ("leja", ["--k-max", "3"], "leja.csv", ",inf\n"),
+    ("cheb", ["--k", "1", "--alpha", "0"], "cheb.json", '"T": "inf"'),
+], ids=["leja", "cheb"])
+def test_values_past_the_float_range_read_inf(tmp_path, capsys, subcommand, flags, artifact, text):
+    # log w = 1000: the level-1 Leja value and the constant's T = e^1000 are inf
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1, "mesh": _middle_log_weight(1000),
+                                              "output_dir": str(out)})
+    assert main([subcommand, "--config", cfg, *flags]) == 0
+    assert capsys.readouterr().err == ""
+    assert text in (out / artifact).read_text()
 
 
 @pytest.mark.parametrize("subcommand", ["tdiam", "vdm", "leja", "transform"])

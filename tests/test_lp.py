@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 
 from ctdiam import ReportOptions, build_report, lp, parse_body_spec
 from ctdiam.body import simplex_body
-from ctdiam.cheb import lower_monomials
+from ctdiam.cheb import chebyshev_constant, lower_monomials
 from ctdiam.errors import SolverFailure, ValidationError
 from ctdiam.lp import MinimaxResult, solve_minimax
 from ctdiam.mesh import build_mesh, monomial_values
@@ -534,3 +534,32 @@ def test_report_lps_lie_within_their_exact_bounds(monkeypatch, workload, solves)
         assert lo - Fraction(slack) <= Fraction(t_poly) <= hi + Fraction(slack)
         assert 0 < lo <= hi
         assert (hi - lo) / lo < 1e-11
+
+
+@pytest.mark.parametrize("target", [[0, 0, 5], [1, 1, 5]], ids=["target-vanishes", "after-simplex"])
+def test_zero_optimum_on_underflowed_weights_is_refused(target):
+    # W = exp(log w^k - max) underflows to 0 at the third point, so it drops
+    # out of the LP; on the other two the target vanishes (shortcut) or the
+    # constant interpolates it (simplex), and the optimum reads 0 though the
+    # true one is positive, about e^-800 times the third point's residual
+    with pytest.raises(ValidationError, match=r"^the min-max optimum reads 0, but w\^k underflows to 0 "
+                                              r"relative to its maximum at 1 of 3 mesh points "
+                                              r"\(log w\^k spreads over 800\)"):
+        solve_minimax([[1, 1, 1]], target, [0.0, 0.0, -800.0])
+
+
+def test_small_weights_that_do_not_underflow_keep_a_positive_optimum():
+    result = solve_minimax([[1, 1, 1]], [1, 1, 5], [0.0, 0.0, -700.0])
+    assert result.log_value == pytest.approx(math.log(4) - 700, rel=1e-12)
+
+
+def test_chebyshev_constant_refuses_a_zero_optimum_on_underflowed_weights():
+    # log w = 400 at the middle of 9 points: at k = 2 the other 8 points' W
+    # underflow, z vanishes at the middle, and the optimum used to read -inf
+    # although those 8 points keep weight 1
+    mesh = build_mesh({"kind": "interval", "a": -1, "b": 1, "count": 9,
+                       "weight": {"kind": "table", "log_weights": [0] * 4 + [400] + [0] * 4}})
+    body = simplex_body(1)
+    assert math.isfinite(chebyshev_constant(mesh, body, 1, (1,)).log_nu)
+    with pytest.raises(ValidationError, match=r"at 8 of 9 mesh points \(log w\^k spreads over 800\)"):
+        chebyshev_constant(mesh, body, 2, (1,))

@@ -12,7 +12,7 @@ from ctdiam.errors import (
     ValidationError,
     WeightLengthMismatch,
 )
-from ctdiam.mesh import mesh_to_csv, monomial_values
+from ctdiam.mesh import exp_or_inf, log_weight_power, mesh_to_csv, monomial_values
 
 
 def test_circle_fourth_roots():
@@ -308,6 +308,22 @@ def test_sup_norm_at_level_zero_ignores_the_weights():
     z = Polynomial({(1,): 1.0})
     assert weighted_sup_norm(mesh, z, 0) == math.log(3)
     assert weighted_sup_norm(mesh, z, 1) == math.log(0.5)
+
+
+def test_log_weight_power_rules():
+    # w^0 = 1 at zero weights too; a power past the float range is +-inf,
+    # which the suite's error::RuntimeWarning would turn into a failure if warned
+    log_w = np.array([0.0, -math.inf, 2.0, 1e308, -1e308])
+    assert log_weight_power(log_w, 0).tolist() == [0.0] * 5
+    assert log_weight_power(log_w, 3).tolist() == [0.0, -math.inf, 6.0, math.inf, -math.inf]
+    assert log_weight_power(np.float64(-1e308), 2) == -math.inf
+    assert log_weight_power(np.float64(-math.inf), 0) == 0.0
+
+
+def test_exp_or_inf_reads_inf_past_the_float_range():
+    assert exp_or_inf(1.0) == math.exp(1.0)
+    assert exp_or_inf(1000.0) == math.inf and exp_or_inf(math.inf) == math.inf
+    assert exp_or_inf(-math.inf) == 0.0
 
 
 def test_polynomial_product():

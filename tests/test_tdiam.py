@@ -242,7 +242,6 @@ def test_build_report_records_overflowing_monomial_as_cell_error(simplex1):
     assert "degree 2" in second.errors["leja"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 def test_build_report_records_an_infinite_weight_power_as_cell_error(simplex1):
     # log w = -1e308 is finite, but k * log w is -inf from level 2 on: the LP
     # refuses those instances, and only the transform cells carry the error
@@ -257,6 +256,35 @@ def test_build_report_records_an_infinite_weight_power_as_cell_error(simplex1):
         assert row.d_vdm is not None and row.leja_value is not None
     cell = transform_grid(mesh, simplex1, 2).rows[0].errors[CGREVLEX]
     assert cell.startswith("ValidationError: log w^k is not finite at every mesh point")
+
+
+def _interval9_with_middle_log_weight(value):
+    return build_mesh({"kind": "interval", "a": -1, "b": 1, "count": 9,
+                       "weight": {"kind": "table", "log_weights": [0.0] * 4 + [value] + [0.0] * 4}})
+
+
+def test_build_report_records_a_zero_optimum_on_underflowed_weights_as_cell_error(simplex1):
+    # log w = 400 at the middle point: from level 2 on, the other points' w^k
+    # underflow against the middle one's, where z^alpha vanishes, so the LP
+    # optimum reads 0 (it used to report D_transform = 0); the LP refuses it
+    mesh = _interval9_with_middle_log_weight(400.0)
+    report = build_report(mesh, simplex1, 3, ReportOptions(include_leja=True))
+    assert report.rows[0].errors == {} and CGREVLEX in report.rows[0].d_transform
+    for row in report.rows[1:]:
+        assert set(row.errors) == {"transform:grevlex", "transform:cgrevlex"}
+        assert row.d_transform == {}
+        assert row.d_vdm is not None and row.leja_value is not None
+    cells = {row.alpha: row.errors.get(CGREVLEX) for row in transform_grid(mesh, simplex1, 2).rows}
+    assert cells[(0,)] is None
+    assert cells[(1,)].startswith("ValidationError: the min-max optimum reads 0, but w^k underflows")
+
+
+def test_final_delta_reads_inf_where_the_length_scaled_power_overflows(simplex1):
+    # log w = 1000 at the middle point: D = e^500.3 at level 1 is finite, and
+    # D ** (1/A_N) with A_N = 1/2 is past the float range
+    value, row = final_delta(_interval9_with_middle_log_weight(1000.0), simplex1, 1)
+    assert math.isfinite(row.d_vdm) and row.d_vdm > 1e217
+    assert value == math.inf
 
 
 @pytest.mark.parametrize("orderings", [("lex",), (GREVLEX, "lex"), ()],
