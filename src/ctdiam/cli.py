@@ -302,12 +302,12 @@ def _run_tdiam(config, artifacts: _Artifacts):
 # each subcommand's handler and the flags it reads besides --config and --output
 _HANDLERS = {
     "body-check": (_run_body_check, ("k_max",)),
-    "enumerate": (_run_enumerate, ("k_max", "k")),
+    "enumerate": (_run_enumerate, ("k_max",)),
     "cheb": (_run_cheb, ("k", "alpha", "polygon_m", "ordering", "theta", "schedule")),
-    "transform": (_run_transform, ("k", "k_max", "polygon_m", "ordering", "emit_plot_data")),
-    "vdm": (_run_vdm, ("k", "k_max", "strategy")),
+    "transform": (_run_transform, ("k", "polygon_m", "ordering", "emit_plot_data")),
+    "vdm": (_run_vdm, ("k", "strategy")),
     "fekete": (lambda config, artifacts: _run_vdm(config, artifacts, name="fekete.json"),
-               ("k", "k_max", "strategy")),
+               ("k", "strategy")),
     "leja": (_run_leja, ("k_max",)),
     "tdiam": (_run_tdiam, ("k_max", "polygon_m", "ordering", "strategy", "resolution")),
 }

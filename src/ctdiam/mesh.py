@@ -4,9 +4,12 @@ A compact set enters every computation only through a finite mesh of
 points with log-domain weights, so each sup-norm statement becomes an
 exactly checkable finite max.  Weights are stored as log w (with -inf
 for w = 0) because w^k under- and overflows for quite moderate k.
-The rules at the edges of that log domain live here, in two helpers:
-`log_weight_power` forms every log w^k (0 at k = 0, and +-inf past the
-float range), and `exp_or_inf` turns every reported log back into a
+The rules at the edges of that log domain live here:
+`log_weight_power` forms the log w^k of each point (0 at k = 0, and
++-inf past the float range), `log_weighted` adds a log w^k to a
+log-magnitude log|v| (a nan reads -inf, so 0 * inf is 0),
+`log_weighted_selection` does so for the weight k * sum(log w) of a
+point selection, and `exp_or_inf` turns every reported log back into a
 value (inf past the float range).
 """
 
@@ -93,6 +96,22 @@ def log_weight_power(log_w, k: int):
         return np.zeros_like(log_w, dtype=float)
     with np.errstate(over="ignore"):
         return k * log_w
+
+
+def log_weighted(log_abs, log_wk):
+    """log(w^k |v|) from log|v| and log w^k, elementwise: their sum, a nan
+    reading -inf, so a zero value under an infinite weight power (-inf + inf)
+    is 0 and an uncomputable magnitude never wins an argmax.  numpy flags
+    -inf + inf as invalid: callers add under np.errstate(invalid="ignore")."""
+    return np.fmax(np.add(log_abs, log_wk), -np.inf)
+
+
+def log_weighted_selection(log_abs, log_w, k: int):
+    """`log_weighted` for point selections, their log weights on the last axis
+    of log_w: log w^k is k * sum(log w), by the rules of `log_weight_power`,
+    a sum past the float range reading +-inf too, without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return log_weighted(log_abs, 0.0 if k == 0 else k * log_w.sum(axis=-1))
 
 
 def exp_or_inf(x: float) -> float:
@@ -192,9 +211,9 @@ def weighted_sup_norm(mesh: Mesh, poly: Polynomial, k: int) -> float:
     if poly.dim is not None and poly.dim != mesh.dim:
         raise DimensionMismatch(f"polynomial dimension {poly.dim} != mesh dimension {mesh.dim}")
     values = poly.evaluate(mesh.points)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_abs = np.log(np.abs(values))
-    return float(np.max(log_weight_power(mesh.log_weights, k) + log_abs))
+        return float(np.max(log_weighted(log_abs, log_weight_power(mesh.log_weights, k))))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 The level-k basis is always the graded monomial stream restricted to the
 level-k lattice; permuting it only flips the determinant's sign, which is
 discarded.  Weight powers w^k are folded in as k * sum(log w) over the
-chosen points (`mesh.log_weight_power`), so the monomial matrix itself
-never under- or overflows through the weights; a monomial that overflows
-on the mesh raises ValidationError.
+chosen points, added to log |det| by `mesh.log_weighted_selection`, so the
+monomial matrix itself never under- or overflows through the weights,
+and a singular selection under an infinite weight power reads -inf; a
+monomial that overflows on the mesh raises ValidationError.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .errors import (
     TooManyPoints,
     ValidationError,
 )
-from .mesh import Mesh, check_dimensions, log_weight_power, monomial_values
+from .mesh import (Mesh, check_dimensions, log_weight_power, log_weighted, log_weighted_selection,
+                   monomial_values)
 
 
 def log_abs_det(matrix) -> float:
@@ -140,14 +142,15 @@ def _brute_force(mesh, body, k, strategy: BruteForce):
 
 def selection_value(z, logw, k, sel) -> float:
     """log |VDM| of the columns `sel` of z: the first len(sel) rows, weight power k."""
-    return log_abs_det(z[: len(sel), sel]) + float(log_weight_power(logw[sel].sum(), k))
+    return float(log_weighted_selection(log_abs_det(z[: len(sel), sel]), logw[sel], k))
 
 
 def _selection_values(z, logw, k, selections) -> np.ndarray:
     """`selection_value` for each row of a 2-D stack of selections, batched."""
     sel = np.asarray(selections)
-    sign, ld = np.linalg.slogdet(z[: sel.shape[1]][:, sel].transpose(1, 0, 2))  # (n, s, s)
-    return np.where(sign == 0, -np.inf, ld) + log_weight_power(logw[sel].sum(axis=1), k)
+    # slogdet reads log|det| = -inf where det = 0, as log_abs_det does
+    _, ld = np.linalg.slogdet(z[: sel.shape[1]][:, sel].transpose(1, 0, 2))  # (n, s, s)
+    return log_weighted_selection(ld, logw[sel], k)
 
 
 def greedy_grow(z, logw, powers, start: int) -> list[int]:
@@ -168,11 +171,10 @@ def greedy_grow(z, logw, powers, start: int) -> list[int]:
         try:
             y = np.linalg.solve(z[:s, cols].T, z[s, cols])
             with np.errstate(divide="ignore", invalid="ignore"):
-                scores = np.log(np.abs(z[s] - y @ z[:s])) + log_weight_power(logw, k)
+                scores = log_weighted(np.log(np.abs(z[s] - y @ z[:s])), log_weight_power(logw, k))
         except np.linalg.LinAlgError:
             scores = _selection_values(z, logw, k, [sel + [c] for c in range(ns)])
         scores[cols] = -np.inf
-        scores[np.isnan(scores)] = -np.inf  # inf - inf residuals must not win the argmax
         nxt = int(np.argmax(scores))
         if scores[nxt] == -np.inf:
             nxt = min(set(range(ns)).difference(sel))
@@ -248,8 +250,8 @@ def _exchange_passes(z, logw, k, sel: list[int], m_k: int):
             if cands.size == 0:
                 continue
             if ratios is not None:
-                with np.errstate(divide="ignore"):
-                    scores = np.log(np.abs(ratios[pos, cands])) + log_wk[cands]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    scores = log_weighted(np.log(np.abs(ratios[pos, cands])), log_wk[cands])
                 cands = cands[scores >= scores.max() - _RATIO_TIE]
             trials = np.tile(np.array(sel), (cands.size, 1))
             trials[:, pos] = cands

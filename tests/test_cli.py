@@ -674,11 +674,11 @@ FLAG_VALUES = {"--k": ["1"], "--k-max": ["1"], "--alpha": ["1"], "--polygon-m": 
                "--schedule": ["2,4"], "--resolution": ["1/8"], "--emit-plot-data": []}
 FLAGS_READ = {
     "body-check": {"--k-max"},
-    "enumerate": {"--k-max", "--k"},
+    "enumerate": {"--k-max"},
     "cheb": {"--k", "--alpha", "--polygon-m", "--ordering", "--theta", "--schedule"},
-    "transform": {"--k", "--k-max", "--polygon-m", "--ordering", "--emit-plot-data"},
-    "vdm": {"--k", "--k-max", "--strategy"},
-    "fekete": {"--k", "--k-max", "--strategy"},
+    "transform": {"--k", "--polygon-m", "--ordering", "--emit-plot-data"},
+    "vdm": {"--k", "--strategy"},
+    "fekete": {"--k", "--strategy"},
     "leja": {"--k-max"},
     "tdiam": {"--k-max", "--polygon-m", "--ordering", "--strategy", "--resolution"},
 }
@@ -694,6 +694,24 @@ def test_unread_flag_exit_2(tmp_path, capsys, subcommand, flag):
     assert main([subcommand, "--config", cfg, flag, *FLAG_VALUES[flag]]) == 2
     assert capsys.readouterr().err == f"validation error: {subcommand} does not read {flag}\n"
     assert not (out / "MANIFEST.json").exists()
+
+
+@pytest.mark.parametrize("subcommand, run, flag, artifact", [
+    ("enumerate", {"k": 5}, "--k-max", "lattice.csv"),
+    ("transform", {"k_max": 3}, "--k", "transform.csv"),
+    ("vdm", {"k_max": 3}, "--k", "vdm.json"),
+    ("fekete", {"k_max": 3}, "--k", "fekete.json"),
+])
+def test_the_level_flag_beats_the_other_level_field(tmp_path, capsys, subcommand, run, flag, artifact):
+    # each subcommand reads one level flag, stored in the field its handler reads first
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "cfg.json", {"body": SIMPLEX1, "mesh": INTERVAL9, "run": run,
+                                              "output_dir": str(out)})
+    assert main([subcommand, "--config", cfg, flag, "2"]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("k=1:" if subcommand == "enumerate" else "k=2:")
+    assert "k=2:" in printed and "k=3:" not in printed
+    assert (out / artifact).exists()
 
 
 def test_cheb_null_theta_means_no_direction(tmp_path):

@@ -185,3 +185,19 @@ def test_leja_overflowing_monomial_is_a_validation_error(simplex1):
     mesh = Mesh(1, [[-1], [0], [1], [2], [3], [1e200]], np.zeros(6))
     with pytest.raises(ValidationError, match="degree 2"):
         leja_diameter(mesh, simplex1, 2)
+
+
+def test_leja_under_infinite_weight_powers_reads_no_nan():
+    # points 0 and 1 coincide and every log weight is 1e308: every weight
+    # power from degree 1 on is inf, and a singular prefix reads -inf, not nan
+    mesh = Mesh(1, [[0], [0], [1], [2]], [1e308] * 4)
+    seq = leja_sequence(mesh, simplex_body(1), 3)
+    assert seq.indices == [0, 2, 3]
+    assert seq.log_values == [0.0, math.inf, math.inf]
+    assert [row.value for row in leja_diameter(mesh, simplex_body(1), 2).rows] == [math.inf, math.inf]
+    # on a 4 x 4 torus every weight power ties, so the lowest indices are taken;
+    # the level-2 prefix is singular there and reads -inf (a value of 0)
+    torus = build_mesh({"kind": "torus", "counts": [4, 4],
+                        "weight": {"kind": "table", "log_weights": [1e308] * 16}})
+    rows = leja_diameter(torus, simplex_body(2), 2).rows
+    assert [(row.log_vdm, row.value) for row in rows] == [(math.inf, math.inf), (-math.inf, 0.0)]

@@ -12,7 +12,14 @@ from ctdiam.errors import (
     ValidationError,
     WeightLengthMismatch,
 )
-from ctdiam.mesh import exp_or_inf, log_weight_power, mesh_to_csv, monomial_values
+from ctdiam.mesh import (
+    exp_or_inf,
+    log_weight_power,
+    log_weighted,
+    log_weighted_selection,
+    mesh_to_csv,
+    monomial_values,
+)
 
 
 def test_circle_fourth_roots():
@@ -318,6 +325,37 @@ def test_log_weight_power_rules():
     assert log_weight_power(log_w, 3).tolist() == [0.0, -math.inf, 6.0, math.inf, -math.inf]
     assert log_weight_power(np.float64(-1e308), 2) == -math.inf
     assert log_weight_power(np.float64(-math.inf), 0) == 0.0
+
+
+def test_log_weighted_reads_zero_times_inf_as_zero():
+    # -inf + inf (a zero value under an infinite weight power) and a nan
+    # magnitude read -inf; every other sum is the plain sum. The caller
+    # silences numpy's invalid flag, as every caller in the package does
+    log_abs = np.array([-math.inf, 0.5, math.nan, -math.inf, 2.0])
+    log_wk = np.array([math.inf, math.inf, 1.0, 3.0, -1.0])
+    with np.errstate(invalid="ignore"):
+        assert log_weighted(log_abs, log_wk).tolist() == [-math.inf, math.inf, -math.inf, -math.inf, 1.0]
+        assert log_weighted(-math.inf, math.inf) == -math.inf
+    assert log_weighted(0.25, 0.5) == 0.75
+
+
+def test_log_weighted_selection_rules():
+    # a selection's weight is the product of its points' weights: k * the sum
+    # over the last axis, +-inf past the float range without a warning, and
+    # w^0 = 1 for every selection; a singular selection under an infinite
+    # weight power is -inf, not nan
+    log_abs = np.array([1.0, 1.0, 1.0, -math.inf])
+    log_w = np.array([[0.5, 1.0], [1e308, 1e308], [-1e308, -1e308], [1e308, 1e308]])
+    assert log_weighted_selection(log_abs, log_w, 2).tolist() == [4.0, math.inf, -math.inf, -math.inf]
+    assert log_weighted_selection(log_abs, log_w, 0).tolist() == [1.0, 1.0, 1.0, -math.inf]
+    assert log_weighted_selection(-math.inf, log_w[1], 1) == -math.inf
+    assert log_weighted_selection(0.0, np.array([-math.inf, 1.0]), 0) == 0.0
+
+
+def test_sup_norm_where_an_infinite_weight_power_meets_a_zero():
+    # w^k |p| = inf * 0 = 0 at the origin, so the max is the other point's
+    mesh = Mesh(1, [[0.0], [0.5]], [1e308, 0.0])
+    assert weighted_sup_norm(mesh, Polynomial({(1,): 1.0}), 2) == math.log(0.5)
 
 
 def test_exp_or_inf_reads_inf_past_the_float_range():

@@ -258,6 +258,25 @@ def test_build_report_records_an_infinite_weight_power_as_cell_error(simplex1):
     assert cell.startswith("ValidationError: log w^k is not finite at every mesh point")
 
 
+@pytest.mark.parametrize("spec, body", [
+    ({"kind": "interval", "a": -1, "b": 1, "count": 9}, simplex_body(1)),
+    ({"kind": "torus", "counts": [4, 4]}, simplex_body(2)),
+], ids=["interval9", "torus4x4"])
+def test_build_report_on_infinite_weight_powers_holds_no_nan(tmp_path, spec, body):
+    # every log weight 1e308: selection sums, weight powers and the level-1
+    # mean of log T leave the float range upward and read inf, without a
+    # warning; a singular Vandermonde or Leja pick under them reads -inf
+    size = math.prod(spec.get("counts", [spec.get("count")]))
+    mesh = build_mesh({**spec, "weight": {"kind": "table", "log_weights": [1e308] * size}})
+    report = build_report(mesh, body, 2, ReportOptions(include_leja=True))
+    report_to_json(report, tmp_path / "report.json")
+    report_to_csv(report, tmp_path / "diameter.csv")
+    for name in ("report.json", "diameter.csv"):
+        assert "nan" not in (tmp_path / name).read_text()
+    assert [row.log_vdm for row in report.rows] == [math.inf, math.inf]
+    assert report.final_delta_vdm == math.inf
+
+
 def _interval9_with_middle_log_weight(value):
     return build_mesh({"kind": "interval", "a": -1, "b": 1, "count": 9,
                        "weight": {"kind": "table", "log_weights": [0.0] * 4 + [value] + [0.0] * 4}})

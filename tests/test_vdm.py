@@ -450,3 +450,27 @@ def test_max_vdm_overflowing_monomial_is_a_validation_error(simplex1):
     assert math.isfinite(max_vdm(mesh, simplex1, 1).value.log_abs)
     with pytest.raises(ValidationError, match="degree 2"):
         max_vdm(mesh, simplex1, 2)
+
+
+def _repeated_point_mesh():
+    # points 0 and 1 coincide; every log weight is 1e308, so w^k is inf and
+    # every selection's weight power reads inf
+    return Mesh(1, [[0], [0], [1], [2]], [1e308] * 4)
+
+
+@pytest.mark.parametrize("strategy", [BruteForce(), Greedy()], ids=["brute-force", "greedy"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_max_vdm_under_infinite_weight_powers_skips_the_repeated_point(simplex1, strategy, k):
+    # a singular selection is 0 * inf = 0 (log -inf), not nan: brute force
+    # used to pick (0, 1) with log_abs nan, and greedy at k = 2 emptied its
+    # swap shortlist on a nan ratio score and raised ValueError
+    result = max_vdm(_repeated_point_mesh(), simplex1, k, strategy)
+    assert result.value.log_abs == math.inf
+    assert not {0, 1} <= set(result.value.point_indices)
+    # every unisolvent selection ties at inf, so the lowest indices win
+    assert result.value.point_indices == (0, 2, 3)[: k + 1]
+
+
+def test_vandermonde_det_of_a_singular_selection_under_infinite_weight_powers(simplex1):
+    assert vandermonde_det(_repeated_point_mesh(), simplex1, 2, [0, 1, 2]).log_abs == -math.inf
+    assert vandermonde_det(_repeated_point_mesh(), simplex1, 2, [0, 2, 3]).log_abs == math.inf
