@@ -12,12 +12,12 @@ gauge is the exact fraction max(0, max_i G_i . alpha) / D.  Order
 comparisons downstream depend on exact gauge ties.  Lattice membership,
 the gauge and its ties, cell classification and the test of each
 quadrature sample all read the integer rows, exact and vectorized;
-floating point enters only the sample sums of `body_quadrature`.
+`body_quadrature` sums its samples as integers too, and floating point
+enters only where it rounds each exact mean once and adds the cells.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -329,9 +329,8 @@ def _lattice_points(body: ConvexBody, k: int) -> tuple[Exponent, ...]:
 #
 # The grid is classified _CELL_BLOCK consecutive cells at a time, in C
 # order, so no table spans the whole grid.  A block leaves only its
-# inside cells' midpoints and its boundary cells with their keys.  The
-# midpoints are joined in cell order and summed once: the pairwise sum
-# of the same array, whatever the block size.
+# inside count, the sum of 2c + 1 over its inside cells, and its
+# boundary cells' coordinate sums with their keys.
 #
 # Samples are tested exactly, also with the integer rows.  With p/q the
 # resolution, the samples of cell c are (c + w/(2*sub)) * p/q for the
@@ -346,17 +345,14 @@ def _lattice_points(body: ConvexBody, k: int) -> tuple[Exponent, ...]:
 # where no sample reaches the bound.  A class whose mask keeps no sample
 # gives (0.0, 0.0) to every member.
 #
-# Exact grids.  Every sample coordinate is an odd multiple of the
-# half-sample step h = resolution/(2*sub), and every corner a multiple
-# of 2*sub*h.  When h has a power-of-two denominator q and
-# sub^N * sum_j (coordinate_max_j + resolution) * q < 2**53, every
-# sample, every sum (x + y) + z and every partial sum of the kept sums
-# in a cell is a multiple of 1/q below 2**53/q: exact in float64, in any
-# order.  The default (1/32, 32) grid is exact.  The kept sums of a
-# member then total K * corner_sum + T, K kept samples and T the sum of
-# their offset sums, itself exact and reduced once per class, so the
-# quotient by K is the one `np.add.reduce(sums.take(idx)) / K` gives.
-# Other grids sum the kept samples cell by cell.
+# The sums are exact integers too.  A sample of cell c at offset w has
+# coordinate sum p * (2*sub * sum(c) + sum(w)) / (2*sub*q), and an inside
+# cell's midpoint p * sum(2c + 1) / (2q).  A class keeps K samples whose
+# offset sums total T, so a member's mean is
+#     p * (2*sub * K * sum(c) + T) / (2*sub*q*K).
+# That mean and the inside cells' total are each one Python int true
+# division: the correctly rounded value of the exact rational, whatever
+# the grid.
 # ---------------------------------------------------------------------------
 
 def _grid_counts(body: ConvexBody, resolution: Fraction) -> list[int]:
@@ -384,20 +380,6 @@ def _classify_cells(body: ConvexBody, resolution: Fraction, counts, start: int, 
     return cells, status, highest
 
 
-def _outer_sum(u, v):
-    """fl(u_i + v_j) for every pair, in row-major order.
-
-    A matrix product computes it: each entry is u_i * 1 + 1 * v_j, two
-    exact terms and one rounded addition in any kernel, and gemm writes
-    the table several times faster than a broadcast addition.
-    """
-    left = np.ones((u.size, 2))
-    left[:, 0] = u
-    right = np.ones((2, v.size))
-    right[1] = v
-    return (left @ right).ravel()
-
-
 def _offset_products(a_int, p: int, subsamples: int):
     """p * (A_i . w) for every odd offset w, one row per row of `a_int`, offsets in row-major order.
 
@@ -420,41 +402,6 @@ def _class_keep(products, limits):
     return np.all(products <= limits[:, None], axis=0)
 
 
-def _exact_grid(body: ConvexBody, resolution: Fraction, subsamples: int) -> bool:
-    """True if every sample, sample sum and partial sum of kept sums is exact in float64.
-
-    They are all multiples of 1/q, q the denominator of the half-sample
-    step, and at most subsamples**N * sum_j (coordinate_max_j + resolution).
-    """
-    q = (resolution / (2 * subsamples)).denominator
-    reach = sum(body.coordinate_max(j) + resolution for j in range(body.dim))
-    return (q & (q - 1)) == 0 and subsamples ** body.dim * reach * q < 2**53
-
-
-def _class_cells(corners, offs, keep, offset_sums):
-    """(fraction, mean coordinate sum) of the kept samples, per cell of one class of translates.
-
-    The samples of a cell are the tensor product of the per-axis values
-    `corner[d] + offs` in row-major order.  The sums add the coordinates
-    in the order of a row sum, (x + y) + z, and their mean is
-    `sums[keep].mean()`'s.  `offset_sums` holds the sums of the offsets
-    on an exact grid, else None.
-    """
-    idx = np.flatnonzero(keep)
-    k = idx.size
-    if not k:
-        return [(0.0, 0.0)] * len(corners)
-    if offset_sums is not None:
-        # every sum is exact, so the kept sums total K * corner_sum + T
-        total = np.add.reduce(offset_sums.take(idx))
-        return [(k / offset_sums.size, float((k * row + total) / k)) for row in corners.sum(axis=1)]
-    out = []
-    for corner in corners:
-        sums = functools.reduce(_outer_sum, offs + corner[:, None])
-        out.append((k / sums.size, float(np.add.reduce(sums.take(idx)) / k)))
-    return out
-
-
 def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: int = 32):
     """(volume, integral of theta_1+...+theta_N over C) by midpoint quadrature.
 
@@ -471,53 +418,44 @@ def body_quadrature(body: ConvexBody, resolution=Fraction(1, 32), subsamples: in
                               f"more than {_MAX_GRID}")
     counts = _grid_counts(body, resolution)
     n_cells = math.prod(counts)
-    res_f = float(resolution)
-    cell_vol = res_f ** body.dim
-    mids, boundary, keys = [], [], []
+    n_inside = inside_sum = 0  # the inside cells and their sum of 2c + 1
+    corner_sums, keys = [], []  # sum(c) and the key of each boundary cell
     cutting = np.zeros(len(body.halfspaces), dtype=bool)
     for start in range(0, n_cells, _CELL_BLOCK):
         cells, status, highest = _classify_cells(body, resolution, counts, start,
                                                  min(start + _CELL_BLOCK, n_cells))
+        inside = cells[status == 1]
+        n_inside += inside.shape[0]
+        inside_sum += 2 * int(inside.sum()) + inside.size
         on_boundary = status == 0
-        mids.append((cells[status == 1] + 0.5) * res_f)
-        boundary.append(cells[on_boundary])
+        corner_sums.extend(cells[on_boundary].sum(axis=1).tolist())
         # the key holds the exact excess of each cutting halfspace, 0 elsewhere, as Python ints
         excess = highest[on_boundary]
         excess = np.where(excess > 0, excess, 0)
         cutting |= np.any(excess > 0, axis=0)
         keys.extend(map(tuple, excess.tolist()))
-    # the inside midpoints joined in cell order: one pairwise sum, whatever the blocks
-    mids = np.concatenate(mids)
-    volume = 0.0
-    integral = 0.0
-    if len(mids):
-        volume += cell_vol * len(mids)
-        integral += cell_vol * float(mids.sum())
-    del mids  # the largest array of the call, freed before the sample tables are built
-    boundary = np.concatenate(boundary)
-    classes = {}
-    for i, key in enumerate(keys):
-        classes.setdefault(key, []).append(i)
+    p, q = resolution.numerator, resolution.denominator
+    cell_vol = float(resolution) ** body.dim
+    volume = cell_vol * n_inside
+    integral = cell_vol * (p * inside_sum / (2 * q))
     # the table holds only the halfspaces that cut some cell
     rows = np.flatnonzero(cutting)
     a_int = _integer_rows(body)[0][rows]
-    p = resolution.numerator
     products = _offset_products(a_int, p, subsamples)
     up = np.where(a_int > 0, a_int, 0).sum(axis=1)
-    offs = (np.arange(subsamples) + 0.5) * (res_f / subsamples)
-    # float(c * resolution) for every cell index c: int true division rounds the exact quotient once
-    q = resolution.denominator
-    edges = np.fromiter((c * p / q for c in range(max(counts))), float, max(counts))
-    corners = edges[boundary]
-    exact = _exact_grid(body, resolution, subsamples)
-    offset_sums = functools.reduce(_outer_sum, [offs] * body.dim) if exact else None
-    sampled = [None] * len(boundary)
-    for key, members in classes.items():
-        limits = 2 * subsamples * (p * up - np.array(key, dtype=object)[rows])
-        keep = _class_keep(products, limits.astype(products.dtype))
-        for i, cell in zip(members, _class_cells(corners[members], offs, keep, offset_sums)):
-            sampled[i] = cell
-    for frac, mean_sum in sampled:
+    # sum(w) for every offset, in the mask's column order
+    offset_sums = _offset_products(np.ones((1, body.dim), dtype=np.int64), 1, subsamples)[0]
+    n_samples = offset_sums.size
+    class_sums = {}  # key -> (K, T)
+    for key, corner_sum in zip(keys, corner_sums):
+        if key not in class_sums:
+            limits = 2 * subsamples * (p * up - np.array(key, dtype=object)[rows])
+            keep = _class_keep(products, limits.astype(products.dtype))
+            class_sums[key] = int(np.count_nonzero(keep)), int(offset_sums[keep].sum())
+        kept, total = class_sums[key]
+        frac = kept / n_samples
+        mean_sum = (p * (2 * subsamples * kept * corner_sum + total) / (2 * subsamples * q * kept)
+                    if kept else 0.0)
         volume += cell_vol * frac
         integral += cell_vol * frac * mean_sum
     return volume, integral

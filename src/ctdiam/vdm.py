@@ -145,12 +145,17 @@ def selection_value(z, logw, k, sel) -> float:
     return float(log_weighted_selection(log_abs_det(z[: len(sel), sel]), logw[sel], k))
 
 
+def _selection_log_dets(z, sel) -> np.ndarray:
+    """log |det| of the columns of each row of a 2-D stack of selections, unweighted."""
+    # slogdet reads log|det| = -inf where det = 0, as log_abs_det does
+    _, ld = np.linalg.slogdet(z[: sel.shape[1]][:, sel].transpose(1, 0, 2))  # (n, s, s)
+    return ld
+
+
 def _selection_values(z, logw, k, selections) -> np.ndarray:
     """`selection_value` for each row of a 2-D stack of selections, batched."""
     sel = np.asarray(selections)
-    # slogdet reads log|det| = -inf where det = 0, as log_abs_det does
-    _, ld = np.linalg.slogdet(z[: sel.shape[1]][:, sel].transpose(1, 0, 2))  # (n, s, s)
-    return log_weighted_selection(ld, logw[sel], k)
+    return log_weighted_selection(_selection_log_dets(z, sel), logw[sel], k)
 
 
 def greedy_grow(z, logw, powers, start: int) -> list[int]:
@@ -162,21 +167,33 @@ def greedy_grow(z, logw, powers, start: int) -> list[int]:
     as the residual of row s against the prefix rows; a singular prefix
     falls back to the full bordered determinants.  When every candidate
     scores -inf the lowest unselected column is taken, so no column repeats.
+    When infinite weight powers make the best score +inf, the columns that
+    score +inf are ranked by their unweighted magnitude, log |residual| or
+    log |det| (lowest index on ties).  Each distinct power's log w^k is
+    formed once.
     """
     ns = z.shape[1]
     sel = [start]
+    log_wk = {}
     for s in range(1, len(powers)):
         k = powers[s]
+        if k not in log_wk:
+            log_wk[k] = log_weight_power(logw, k)
         cols = np.array(sel)
         try:
             y = np.linalg.solve(z[:s, cols].T, z[s, cols])
             with np.errstate(divide="ignore", invalid="ignore"):
-                scores = log_weighted(np.log(np.abs(z[s] - y @ z[:s])), log_weight_power(logw, k))
+                magnitude = np.log(np.abs(z[s] - y @ z[:s]))
+                scores = log_weighted(magnitude, log_wk[k])
         except np.linalg.LinAlgError:
-            scores = _selection_values(z, logw, k, [sel + [c] for c in range(ns)])
+            trials = np.array([sel + [c] for c in range(ns)])
+            magnitude = _selection_log_dets(z, trials)
+            scores = log_weighted_selection(magnitude, logw[trials], k)
         scores[cols] = -np.inf
         nxt = int(np.argmax(scores))
-        if scores[nxt] == -np.inf:
+        if scores[nxt] == np.inf:
+            nxt = int(np.argmax(np.where(scores == np.inf, magnitude, -np.inf)))
+        elif scores[nxt] == -np.inf:
             nxt = min(set(range(ns)).difference(sel))
         sel.append(nxt)
     return sel

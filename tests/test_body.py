@@ -14,13 +14,11 @@ from ctdiam.body import (
     _class_keep,
     _classify_cells,
     _dagger_verdict,
-    _exact_grid,
     _gauge_numerators,
     _grid_counts,
     _integer_rows,
     _lattice_points,
     _offset_products,
-    _outer_sum,
     body_quadrature,
     box_body,
     is_simplex,
@@ -362,12 +360,14 @@ def test_gauge_rejects_float_coordinates(skew_body):
         skew_body.gauge((0.5, Fraction(1, 3)))
 
 
-def _reference_quadrature(body, resolution, subsamples, keep_ties=True):
+def _reference_quadrature(body, resolution, subsamples, keep_ties=True, exact_sums=True):
     # body_quadrature as it was before boundary cells tested only their
-    # cutting halfspaces: every sample against every halfspace, row sums.
+    # cutting halfspaces: every sample against every halfspace.
     # A sample (c + w/(2*sub)) * p/q, w odd, satisfies a.x <= b iff
     # p * a'.(2*sub*c + w) <= 2*sub*q*b' for a', b' the row scaled to
-    # integers; keep_ties=False drops the samples on a plane.
+    # integers; keep_ties=False drops the samples on a plane.  The sums are
+    # exact Fractions, each mean rounded once; exact_sums=False adds float
+    # samples instead, row sums and their mean, as the quadrature once did.
     cells, status, _ = _whole_grid(body, resolution)
     res_f = float(resolution)
     cell_vol = res_f ** body.dim
@@ -375,9 +375,11 @@ def _reference_quadrature(body, resolution, subsamples, keep_ties=True):
     integral = 0.0
     inside = status == 1
     if inside.any():
-        mids = (cells[inside] + 0.5) * res_f
         volume += cell_vol * int(inside.sum())
-        integral += cell_vol * float(mids.sum())
+        if exact_sums:
+            integral += cell_vol * float(Fraction(int((2 * cells[inside] + 1).sum()), 2) * resolution)
+        else:
+            integral += cell_vol * float(((cells[inside] + 0.5) * res_f).sum())
     offs = (np.arange(subsamples) + 0.5) * (res_f / subsamples)
     offsets = np.stack([g.ravel() for g in np.meshgrid(*([offs] * body.dim), indexing="ij")], axis=1)
     odd = np.arange(1, 2 * subsamples, 2)
@@ -391,15 +393,31 @@ def _reference_quadrature(body, resolution, subsamples, keep_ties=True):
     a_int = a_int.astype(np.int64 if exact_int64 else object)
     bounds = np.array(bounds, dtype=a_int.dtype)
     for idx in np.flatnonzero(status == 0):
-        pts = offsets + np.array([float(c * resolution) for c in cells[idx].tolist()])
         ticks = (odd + 2 * subsamples * cells[idx]).astype(a_int.dtype)
         lhs = resolution.numerator * (ticks @ a_int.T)
         keep = np.all(lhs <= bounds if keep_ties else lhs < bounds, axis=1)
         frac = keep.mean()
-        mean_sum = float(pts[keep].sum(axis=1).mean()) if keep.any() else 0.0
+        if not keep.any():
+            mean_sum = 0.0
+        elif exact_sums:
+            # every kept sample coordinate is tick/(2*sub) * resolution
+            total = Fraction(int(ticks[keep].sum()), 2 * subsamples) * resolution
+            mean_sum = float(total / int(keep.sum()))
+        else:
+            pts = offsets + np.array([float(c * resolution) for c in cells[idx].tolist()])
+            mean_sum = float(pts[keep].sum(axis=1).mean())
         volume += cell_vol * frac
         integral += cell_vol * frac * mean_sum
     return volume, integral
+
+
+def _exact_grid(body, resolution, subsamples):
+    # the predicate under which the float sample sums were exact: every
+    # sample, sample sum and partial sum of kept sums is a multiple of 1/q,
+    # q the power-of-two denominator of the half-sample step, below 2**53/q
+    q = (resolution / (2 * subsamples)).denominator
+    reach = sum(body.coordinate_max(j) + resolution for j in range(body.dim))
+    return (q & (q - 1)) == 0 and subsamples ** body.dim * reach * q < 2**53
 
 
 PENTAGON = [(("1", "0"), "1"), (("0", "1"), "1"), (("1", "1"), "3/2")]
@@ -442,12 +460,12 @@ TIE_CASES = [
 @example(case=(validate_body(CUBE3, 3), Fraction(1, 7)), subsamples=5)
 @example(case=(validate_body(CUBE3, 3), Fraction(2, 9)), subsamples=8)
 @example(case=(validate_body(SKEW_3D, 3), Fraction(1, 12)), subsamples=3)
-# exact (dyadic) grids, summed in closed form per class: cube3, several skew
-# classes with a negative coefficient, and ties decided by one product per class
+# exact (dyadic) grids, where float sums equal the exact ones: cube3, several
+# skew classes with a negative coefficient, and ties decided by one product per class
 @example(case=(validate_body(CUBE3, 3), Fraction(1, 16)), subsamples=8)
 @example(case=(validate_body(SKEW_3D, 3), Fraction(1, 8)), subsamples=4)
 @example(case=(validate_body(TIE_9764, 3), Fraction(1, 16)), subsamples=4)
-# a dyadic grid past the 2**53 bound, which keeps the per-cell sums
+# a dyadic grid past the 2**53 bound, where float sums may round
 @example(case=(validate_body([(("1",), "8191/2")], 1), Fraction(1)), subsamples=2**20)
 # integer rows past 2**62, so the sample tests run on Python ints
 @example(case=(validate_body(WIDE_ROWS, 2), Fraction(1, 4)), subsamples=4)
@@ -456,6 +474,10 @@ def test_quadrature_matches_all_halfspace_reference(case, subsamples):
     got = body_quadrature(body, resolution, subsamples)
     want = _reference_quadrature(body, resolution, subsamples)
     assert [x.hex() for x in got] == [x.hex() for x in want]
+    if _exact_grid(body, resolution, subsamples):
+        # where float sums were exact, the exact sums keep their bits
+        floats = _reference_quadrature(body, resolution, subsamples, exact_sums=False)
+        assert [x.hex() for x in floats] == [x.hex() for x in want]
 
 
 @pytest.mark.parametrize("body, resolution, subsamples", TIE_CASES)
@@ -508,37 +530,35 @@ def test_quadrature_rows_beyond_int64_test_python_ints():
     ([(("1",), "8191/2")], Fraction(1), 2**20, False),
 ])
 def test_exact_grid_needs_a_dyadic_step_and_the_bound(halfspaces, resolution, subsamples, exact):
+    # the test module's predicate, which decides where the float reference must keep the exact bits
     body = validate_body(halfspaces, len(halfspaces[0][0]))
     assert _exact_grid(body, resolution, subsamples) is exact
 
 
 def _count_quadrature_calls(body, resolution, subsamples):
-    with mock.patch("ctdiam.body._class_keep", wraps=_class_keep) as masks, \
-            mock.patch("ctdiam.body._outer_sum", wraps=_outer_sum) as outer:
+    with mock.patch("ctdiam.body._class_keep", wraps=_class_keep) as masks:
         body_quadrature(body, resolution, subsamples)
     boundary = int(np.count_nonzero(_whole_grid(body, resolution)[1] == 0))
-    return boundary, masks.call_count, outer.call_count
+    return boundary, masks.call_count
 
 
 def test_quadrature_certifies_each_class_once(cube3):
-    # cube3's 1489 boundary cells at resolution 1/32 are translates of 3 cells,
-    # one exact mask each; on this exact grid one offset table (N - 1 outer
-    # sums) serves every class, so no cell builds its own samples
-    assert _count_quadrature_calls(cube3, Fraction(1, 32), 32) == (1489, 3, cube3.dim - 1)
+    # cube3's 1489 boundary cells at resolution 1/32 are translates of 3 cells, one exact mask each
+    assert _count_quadrature_calls(cube3, Fraction(1, 32), 32) == (1489, 3)
 
 
 def test_quadrature_exact_products_test_one_cell_per_class():
     # all 992 boundary cells have samples on x + y = 97/64, in 2 classes: one mask each
-    boundary, masks, _ = _count_quadrature_calls(validate_body(TIE_9764, 3), Fraction(1, 32), 32)
-    assert (boundary, masks) == (992, 2)
+    assert _count_quadrature_calls(validate_body(TIE_9764, 3), Fraction(1, 32), 32) == (992, 2)
 
 
 def test_quadrature_non_dyadic_grid_sums_each_cell(cube3):
-    # h = 1/70: the 64 boundary cells in 3 classes take 3 masks but still
-    # build one sample table per cell with a kept sample, N - 1 outer sums each
-    boundary, masks, outer = _count_quadrature_calls(cube3, Fraction(1, 7), 5)
-    assert (boundary, masks) == (64, 3)
-    assert outer > 64
+    # h = 1/70: the 64 boundary cells in 3 classes take 3 masks, and each cell's
+    # mean comes from its class's sums; the only sample tables are the call's
+    # two, the cutting rows' products and the offset sums
+    with mock.patch("ctdiam.body._offset_products", wraps=_offset_products) as tables:
+        assert _count_quadrature_calls(cube3, Fraction(1, 7), 5) == (64, 3)
+    assert tables.call_count == 2
 
 
 def test_quadrature_classifies_in_bounded_memory(cube3):
@@ -551,27 +571,21 @@ def test_quadrature_classifies_in_bounded_memory(cube3):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5e6
+    assert peak < 2.0e6
 
 
-@pytest.mark.parametrize("resolution", [Fraction(1, 2**22), Fraction(1, 24), Fraction(2, 9),
-                                        Fraction(7, 10**18 + 9)])
-def test_cell_edges_round_like_fraction_products(simplex1, resolution):
-    # the quadrature's edge table takes c*p/q by int true division, one rounding of the
-    # exact quotient, where it took float(c * resolution), one Fraction product per cell;
-    # the grid is cut to its first 5000 cells, so every resolution runs
-    tables = []
-    fromiter = np.fromiter
-
-    def spy(*args, **kwargs):
-        tables.append(fromiter(*args, **kwargs))
-        return tables[-1]
-
-    with mock.patch("ctdiam.body._grid_counts", lambda body, resolution: [5000]), \
-            mock.patch.object(np, "fromiter", spy):
-        body_quadrature(simplex1, resolution, 1)
-    [edges] = tables
-    assert [x.hex() for x in edges] == [float(c * resolution).hex() for c in range(5000)]
+def test_quadrature_at_the_cell_cap_in_bounded_memory(pentagon):
+    # resolution 1/2048 makes exactly 2**22 cells; holding every inside
+    # midpoint as a float array made the call peak at 118 MB
+    assert math.prod(_grid_counts(pentagon, Fraction(1, 2048))) == 2**22
+    body_quadrature(pentagon, Fraction(1, 64), 32)  # fill the body's caches
+    tracemalloc.start()
+    try:
+        body_quadrature(pentagon, Fraction(1, 2048), 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 @settings(max_examples=40, deadline=None)

@@ -195,9 +195,24 @@ def test_leja_under_infinite_weight_powers_reads_no_nan():
     assert seq.indices == [0, 2, 3]
     assert seq.log_values == [0.0, math.inf, math.inf]
     assert [row.value for row in leja_diameter(mesh, simplex_body(1), 2).rows] == [math.inf, math.inf]
-    # on a 4 x 4 torus every weight power ties, so the lowest indices are taken;
-    # the level-2 prefix is singular there and reads -inf (a value of 0)
+    # on a 4 x 4 torus every weight power from degree 2 on is inf: the points
+    # that score inf are ranked by their residual, so the level-2 prefix is
+    # unisolvent and reads inf, where the lowest indices made it singular (-inf)
     torus = build_mesh({"kind": "torus", "counts": [4, 4],
                         "weight": {"kind": "table", "log_weights": [1e308] * 16}})
     rows = leja_diameter(torus, simplex_body(2), 2).rows
-    assert [(row.log_vdm, row.value) for row in rows] == [(math.inf, math.inf), (-math.inf, 0.0)]
+    assert [(row.log_vdm, row.value) for row in rows] == [(math.inf, math.inf), (math.inf, math.inf)]
+
+
+def test_leja_fallback_under_infinite_weight_powers_ranks_by_determinant(monkeypatch):
+    # with every residual solve refused, each step scores the full bordered
+    # determinants; the points that score inf are ranked by log |det|, so no
+    # prefix is singular, where the lowest indices read -inf from 5 points on
+    def refused(*args, **kwargs):
+        raise np.linalg.LinAlgError("refused")
+
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    torus = build_mesh({"kind": "torus", "counts": [4, 4],
+                        "weight": {"kind": "table", "log_weights": [1e308] * 16}})
+    seq = leja_sequence(torus, simplex_body(2), 10)
+    assert seq.log_values == [0.0] + [math.inf] * 9

@@ -16,6 +16,7 @@ from ctdiam import (
     build_report,
     chebyshev_constant,
     fekete_points,
+    leja_sequence,
     max_vdm,
     simplex_body,
     validate_body,
@@ -379,6 +380,20 @@ def test_exchange_scores_few_swaps_by_slogdet(monkeypatch, torus16, simplex2):
     assert 0 < sum(scored) < 1000
 
 
+def test_greedy_grow_forms_each_weight_power_once(monkeypatch, torus16, simplex2):
+    # log w^k is formed once per distinct power: per Fekete restart, once by
+    # the growth and once by its exchange passes; per Leja degree, once
+    calls = []
+    original = vdm_mod.log_weight_power
+    monkeypatch.setattr(vdm_mod, "log_weight_power", lambda logw, k: calls.append(k) or original(logw, k))
+    max_vdm(torus16, simplex2, 3, Greedy(restarts=3))
+    assert calls == [3] * 6
+    calls.clear()
+    seq = leja_sequence(torus16, simplex2, 10)
+    assert seq.k_values == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3]
+    assert calls == [1, 2, 3]
+
+
 def _spy_on_updates(monkeypatch):
     """Record (updated R, sel, z) after each rank-1 update that passes its gate."""
     updates = []
@@ -467,8 +482,11 @@ def test_max_vdm_under_infinite_weight_powers_skips_the_repeated_point(simplex1,
     result = max_vdm(_repeated_point_mesh(), simplex1, k, strategy)
     assert result.value.log_abs == math.inf
     assert not {0, 1} <= set(result.value.point_indices)
-    # every unisolvent selection ties at inf, so the lowest indices win
-    assert result.value.point_indices == (0, 2, 3)[: k + 1]
+    # every unisolvent selection ties at inf: brute force takes the lowest
+    # indices, and greedy ranks the points that score inf by their residual
+    # (w^1 is finite, so at k = 1 greedy's scores tie at a finite value)
+    want = (0, 3, 2) if (k, strategy) == (2, Greedy()) else (0, 2, 3)[: k + 1]
+    assert result.value.point_indices == want
 
 
 def test_vandermonde_det_of_a_singular_selection_under_infinite_weight_powers(simplex1):
