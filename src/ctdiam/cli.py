@@ -225,7 +225,7 @@ def _run_cheb(config, artifacts: _Artifacts):
         nu = exp_or_inf(rec.log_nu)
         print(f"k={k} alpha={alpha} {ordering}: nu-opt={nu:.12g} T={records[ordering]['T']:.12g}")
     for theta in thetas:
-        res = directional_constant(mesh, body, theta, schedule, m_phases=m_phases)
+        res = directional_constant(mesh, body, theta, schedule, orderings=orderings, m_phases=m_phases)
         records.setdefault("directional", []).append(res)
         for ordering, value in res.final.items():
             print(f"theta={','.join(map(str, theta))} {ordering}: "

@@ -5,8 +5,8 @@ the weight power w^k with k the graded degree of the newest monomial.
 Because the weight factors enter only through k * sum(log w) over the
 chosen points, the monomial part of each determinant is independent of
 k, so the sequence is `vdm.greedy_grow` (the kernel behind approximate
-Fekete search) run with the per-step weight powers k; every stored
-value is recomputed from scratch for robustness.
+Fekete search) run on the positively weighted points (`mesh.support`)
+with the per-step weight powers k; every stored value is recomputed.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .body import ConvexBody, Exponent
-from .errors import InsufficientSupport, ValidationError
-from .mesh import Mesh, check_dimensions, exp_or_inf, monomial_values
+from .errors import ValidationError
+from .mesh import Mesh, check_dimensions, check_support, exp_or_inf, monomial_values
 from .order import monomial_sequence
 from .serialize import fmt, write_csv
 from .vdm import greedy_grow, selection_value
@@ -47,23 +47,22 @@ def leja_sequence(mesh: Mesh, body: ConvexBody, count: int) -> LejaSequence:
     """Grow a sequence of `count` points, one determinant-maximizing point at a time.
 
     The first point maximizes the weight (lowest index on ties); every
-    later point maximizes the bordered determinant over the whole mesh
-    (again lowest index on ties).
+    later point maximizes the bordered determinant over the positively
+    weighted points (again lowest index on ties).
     """
     check_dimensions(mesh, body)
     if count < 1:
         raise ValidationError("count must be >= 1")
-    if count > len(mesh):
-        raise InsufficientSupport(f"count {count} exceeds mesh size {len(mesh)}")
+    support = check_support(mesh, count)
 
     exponents = monomial_sequence(body, count)
     k_values = [body.degree(alpha) for alpha in exponents]
-    z = monomial_values(mesh.points, exponents)
-    logw = mesh.log_weights
-    indices = greedy_grow(z, logw, k_values, int(np.argmax(logw)))
-    log_values = [selection_value(z, logw, k_values[s - 1], indices[:s])
+    z = monomial_values(mesh.points[support], exponents)
+    logw = mesh.log_weights[support]
+    picks = greedy_grow(z, logw, k_values, int(np.argmax(logw)))
+    log_values = [selection_value(z, logw, k_values[s - 1], picks[:s])
                   for s in range(1, count + 1)]
-    return LejaSequence(mesh=mesh, indices=indices, log_values=log_values,
+    return LejaSequence(mesh=mesh, indices=[int(support[i]) for i in picks], log_values=log_values,
                         k_values=k_values, exponents=exponents)
 
 
@@ -80,7 +79,7 @@ class LejaDiameterRow:
 class LejaDiameterReport:
     rows: list[LejaDiameterRow]
     sequence: LejaSequence
-    heuristic: bool  # True when the mesh is weighted: the limit statement is unweighted
+    heuristic: bool  # True when a supported weight is not 1: the limit statement is unweighted
 
 
 def leja_diameter(mesh: Mesh, body: ConvexBody, k_max: int) -> LejaDiameterReport:
@@ -88,10 +87,7 @@ def leja_diameter(mesh: Mesh, body: ConvexBody, k_max: int) -> LejaDiameterRepor
     check_dimensions(mesh, body)
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
-    m_last, _, _ = body.counts(k_max)
-    if len(mesh) < m_last:
-        raise InsufficientSupport(f"mesh has {len(mesh)} points, level {k_max} needs {m_last}")
-    seq = leja_sequence(mesh, body, m_last)
+    seq = leja_sequence(mesh, body, body.counts(k_max)[0])
     rows = []
     for k in range(1, k_max + 1):
         m_k, _, l_k = body.counts(k)

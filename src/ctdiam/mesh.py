@@ -26,6 +26,7 @@ from .errors import (
     DegenerateWeight,
     DimensionMismatch,
     EmptySpec,
+    InsufficientSupport,
     ValidationError,
     WeightLengthMismatch,
 )
@@ -80,7 +81,8 @@ class Mesh:
 
     @property
     def is_unweighted(self) -> bool:
-        return bool(np.all(self.log_weights == 0.0))
+        """Every supported weight is 1; a zero weight enters no LP, determinant or Leja step."""
+        return bool(np.all(self.log_weights[self.support] == 0.0))
 
     def scaled(self, factor: complex) -> "Mesh":
         """Mesh with every point multiplied by `factor` (weights unchanged)."""
@@ -127,6 +129,14 @@ def check_dimensions(mesh: Mesh, body: ConvexBody) -> None:
     """Raise DimensionMismatch unless the mesh and the body live in one C^N."""
     if mesh.dim != body.dim:
         raise DimensionMismatch(f"mesh dimension {mesh.dim} != body dimension {body.dim}")
+
+
+def check_support(mesh: Mesh, count: int) -> np.ndarray:
+    """`mesh.support`, or InsufficientSupport unless it holds at least `count` points."""
+    support = mesh.support
+    if support.size < count:
+        raise InsufficientSupport(f"{count} positively weighted points needed, the mesh has {support.size}")
+    return support
 
 
 def monomial_values(points: np.ndarray, exponents) -> np.ndarray:

@@ -22,10 +22,10 @@ import numpy as np
 
 from .body import ConvexBody, as_fraction, average_total_degree, check_dagger
 from .cheb import TransformTable, transform_grid
-from .errors import CtdiamError, InsufficientSupport, ValidationError
+from .errors import CtdiamError, ValidationError
 from .leja import leja_diameter
 from .lp import check_m_phases
-from .mesh import Mesh, check_dimensions, exp_or_inf
+from .mesh import Mesh, check_dimensions, check_support, exp_or_inf
 from .order import CGREVLEX, GREVLEX, ORDERINGS
 from .serialize import fmt, write_csv, write_json
 from .vdm import Greedy, MaxVdmResult, max_vdm, strategy_from_config
@@ -124,9 +124,7 @@ def _check_inputs(mesh: Mesh, body: ConvexBody, k: int, k_name: str, m_phases: i
     check_m_phases(m_phases)  # _level_row would record it as a row error
     if k < 1:
         raise ValidationError(f"{k_name} must be >= 1")
-    m_1, _, _ = body.counts(1)
-    if mesh.support.size < m_1:
-        raise InsufficientSupport(f"mesh supports {mesh.support.size} points; even level 1 needs {m_1}")
+    check_support(mesh, body.counts(1)[0])
 
 
 def _length_scaled(d_value: float | None, a_n: float) -> float | None:

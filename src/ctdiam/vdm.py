@@ -20,12 +20,11 @@ import numpy as np
 from .body import ConvexBody, as_int
 from .errors import (
     BruteForceCapExceeded,
-    InsufficientSupport,
     TooManyPoints,
     ValidationError,
 )
-from .mesh import (Mesh, check_dimensions, log_weight_power, log_weighted, log_weighted_selection,
-                   monomial_values)
+from .mesh import (Mesh, check_dimensions, check_support, log_weight_power, log_weighted,
+                   log_weighted_selection, monomial_values)
 
 
 def log_abs_det(matrix) -> float:
@@ -104,11 +103,7 @@ def vandermonde_det(mesh: Mesh, body: ConvexBody, k: int, point_indices) -> VdmV
 
 def _support_data(mesh: Mesh, body: ConvexBody, k: int):
     basis = body.lattice_points(k)
-    support = mesh.support
-    if support.size < len(basis):
-        raise InsufficientSupport(
-            f"need {len(basis)} positively weighted points, mesh has {support.size}"
-        )
+    support = check_support(mesh, len(basis))
     return support, monomial_values(mesh.points[support], basis), mesh.log_weights[support]
 
 

@@ -274,6 +274,20 @@ def test_criterion_10_torus_verified_behavior(torus16):
     assert d_tr - 1e-9 <= d_vdm <= d_tr * inflation + 1e-9
 
 
+def test_criterion_10_torus_inside_the_hadamard_bracket(torus16):
+    """D_vdm = 1.4855 misses the stated bound by the Hadamard factor M_k^(1/(2k)) alone."""
+    square = box_body(2)
+    d_vdm = d_estimate_vdm(torus16, square, 4, Greedy(restarts=2))
+    d_tr = d_estimate_transform(torus16, square, 4, ordering=CGREVLEX)
+    m_k, _, _ = square.counts(4)
+    # log V <= sum log_bracket_high + (M/2) log M, each bracket the 32-gon's 1/cos(pi/32)
+    upper = d_tr * m_k ** (1 / 8) * (1 / math.cos(math.pi / 32)) ** (1 / 4)
+    ok = d_tr - 1e-9 <= d_vdm <= upper + 1e-9
+    _line("10h", ok, f"D_vdm={d_vdm:.4f} in Hadamard bracket [{d_tr:.4f}, {upper:.4f}]")
+    assert (round(d_vdm, 4), round(d_tr, 4), round(upper, 4)) == (1.4855, 1.0, 1.4972)
+    assert ok
+
+
 def test_criterion_11_route_agreement(simplex1):
     """Gap between routes bounded by log(M_k!)/(k M_k) whenever V_k is exact."""
     meshes = [

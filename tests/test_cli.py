@@ -191,6 +191,22 @@ def test_cheb_theta_writes_directional_records(tmp_path, capsys):
     assert all(len(steps) == 2 for steps in directional["steps"].values())
 
 
+def test_cheb_ordering_flag_reaches_the_directional_estimates(tmp_path):
+    # --ordering selects the orders of the (k, alpha) records and of the directional steps alike
+    out = tmp_path / "out"
+    pentagon = {"dim": 2, "halfspaces": [{"a": ["1", "0"], "b": "1"}, {"a": ["0", "1"], "b": "1"},
+                                         {"a": ["1", "1"], "b": "3/2"}]}
+    cfg = write_config(tmp_path, "torus.json", {"body": pentagon, "mesh": {"kind": "torus", "counts": [8, 8]},
+                                                "output_dir": str(out)})
+    assert main(["cheb", "--config", cfg, "--k", "2", "--alpha", "1,1", "--ordering", "cgrevlex",
+                 "--theta", "1/3,1/3", "--schedule", "2,3"]) == 0
+    payload = json.loads((out / "cheb.json").read_text())
+    assert list(payload) == ["cgrevlex", "directional"]
+    [directional] = payload["directional"]
+    assert list(directional["steps"]) == list(directional["final"]) == ["cgrevlex"]
+    assert list(directional["limit_guaranteed"]) == list(directional["error_proxy"]) == ["cgrevlex"]
+
+
 def test_cheb_polygon_below_three_phases_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "circle.json", {
         "body": SIMPLEX1,

@@ -41,7 +41,7 @@ def weighted_cases(draw):
     log_weights = draw(st.lists(st.sampled_from([0.0, -0.5, 1.0, -math.inf]),
                                 min_size=n, max_size=n))
     log_weights[draw(st.integers(0, n - 1))] = 0.0  # keep the support nonempty
-    count = draw(st.integers(1, n))
+    count = draw(st.integers(1, sum(map(math.isfinite, log_weights))))  # at most the support
     return body, Mesh(body.dim, np.array(points), np.array(log_weights)), count
 
 
@@ -151,11 +151,28 @@ def test_leja_insufficient_points(mesh5, simplex1):
         leja_diameter(mesh5, simplex1, 0)
 
 
+def test_leja_needs_the_support_that_max_vdm_needs(simplex1):
+    # 3 of the 5 points are positively weighted: Leja and Fekete search both
+    # refuse a fourth point with the one message of mesh.check_support
+    mesh = build_mesh({"kind": "interval", "a": -1, "b": 1, "count": 5,
+                       "weight": {"kind": "table", "log_weights": [0, -math.inf, 0, -math.inf, 0]}})
+    assert leja_sequence(mesh, simplex1, 3).indices == [0, 4, 2]
+    message = r"^4 positively weighted points needed, the mesh has 3$"
+    for call in (lambda: leja_sequence(mesh, simplex1, 4), lambda: leja_diameter(mesh, simplex1, 3),
+                 lambda: max_vdm(mesh, simplex1, 3)):
+        with pytest.raises(InsufficientSupport, match=message):
+            call()
+
+
 def test_leja_weighted_flagged_heuristic(simplex1):
     mesh = build_mesh({"kind": "interval", "a": -1, "b": 1, "count": 9,
                        "weight": {"kind": "radial-gaussian", "sigma": 2.0}})
     report = leja_diameter(mesh, simplex1, 2)
     assert report.heuristic
+    # a zero-weight point is no candidate at all, so it does not make Leja heuristic
+    mesh = build_mesh({"kind": "interval", "a": -1, "b": 1, "count": 6,
+                       "weight": {"kind": "table", "log_weights": [0, 0, -math.inf, 0, 0, 0]}})
+    assert not leja_diameter(mesh, simplex1, 2).heuristic
 
 
 def test_leja_csv(tmp_path, mesh5, simplex1):
@@ -173,6 +190,7 @@ def test_leja_values_match_vandermonde_det(case):
     body, mesh, count = case
     seq = leja_sequence(mesh, body, count)
     assert len(set(seq.indices)) == count
+    assert all(math.isfinite(mesh.log_weights[i]) for i in seq.indices)
     for s in range(1, count + 1):
         expected = vandermonde_det(mesh, body, seq.k_values[s - 1], seq.indices[:s]).log_abs
         if expected == -math.inf:

@@ -17,6 +17,7 @@ from ctdiam import (
     d_estimate_vdm,
     delta_k,
     final_delta,
+    leja_sequence,
     simplex_body,
     validate_body,
 )
@@ -240,6 +241,37 @@ def test_build_report_records_overflowing_monomial_as_cell_error(simplex1):
     assert "vdm" not in first.errors and math.isfinite(first.log_vdm)
     assert "degree 2" in second.errors["vdm"] and second.log_vdm is None
     assert "degree 2" in second.errors["leja"]
+
+
+_FIVE = [[-1.0], [-0.5], [0.0], [0.5], [1.0]]
+
+
+def _five_and_a_zero_weight_point(far):
+    """The 5-point mesh of [-1, 1] plus the point `far` with weight 0."""
+    return Mesh(1, _FIVE + [[far]], [0.0] * 5 + [-math.inf])
+
+
+def test_report_reads_a_zero_weight_point_nowhere(simplex1):
+    # 1e200 squared overflows, but a zero-weight point is no Leja, Fekete or LP
+    # candidate: the report is the 5 supported points' report, bit for bit
+    mesh = _five_and_a_zero_weight_point(1e200)
+    report = build_report(mesh, simplex1, 3, ReportOptions(include_leja=True))
+    five = build_report(Mesh(1, _FIVE, np.zeros(5)), simplex1, 3, ReportOptions(include_leja=True))
+    assert all(row.errors == {} for row in report.rows)
+    assert [row.leja_value for row in report.rows] == [2.0, 1.2599210498948732, 0.9531842929969366]
+    assert report.rows == five.rows
+    assert 5 not in leja_sequence(mesh, simplex1, 5).indices
+
+
+def test_zero_weight_point_splits_no_problem_by_level(simplex1, count_solves):
+    # every supported weight is 1, so each exponent's problem is solved once for all
+    # levels, as on the unweighted 5 points; weighting the far point made it 14 solves
+    calls = count_solves()
+    report = build_report(_five_and_a_zero_weight_point(2.0), simplex1, 4)
+    assert len(calls) == 5
+    five = build_report(Mesh(1, _FIVE, np.zeros(5)), simplex1, 4)
+    assert len(calls) == 10
+    assert [row.d_transform for row in report.rows] == [row.d_transform for row in five.rows]
 
 
 def test_build_report_records_an_infinite_weight_power_as_cell_error(simplex1):
