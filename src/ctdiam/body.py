@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,17 +62,15 @@ def as_fraction(value, field: str) -> Fraction:
 
 
 def as_int(value, field: str) -> int:
-    """Coerce a config value to int, or raise ValidationError naming `field`.
-
-    Integral floats such as 4.0 are accepted; int() alone would truncate
-    2.9, overflow on JSON's Infinity and read true as 1.
+    """An integer, or a float that is one (4.0 reads 4), as an int; anything else raises
+    ValidationError naming `field`.  int() alone would truncate 2.9 and Fraction(5, 2),
+    overflow on JSON's Infinity, read true as 1 and parse the string "3".
     """
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{field} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{field} must be an integer, got {value!r}") from None
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .body import ConvexBody, Exponent, _dagger_verdict, as_fraction
+from .body import ConvexBody, Exponent, _dagger_verdict, as_fraction, as_int
 from .errors import CtdiamError, ThetaNotInterior, ValidationError
 from .lp import check_m_phases, solve_minimax
 from .mesh import Mesh, Polynomial, check_dimensions, exp_or_inf, log_weight_power, monomial_values
-from .order import CGREVLEX, GREVLEX, order_key
+from .order import CGREVLEX, GREVLEX, ORDERINGS, check_orderings, order_key
 from .serialize import fmt, write_csv
 
 
@@ -63,7 +63,8 @@ def lower_monomials(body: ConvexBody, k: int, alpha: Exponent, ordering: str) ->
     The lattice is sorted by the body-graded key, which no two exponents
     share, so under that order the answer is the prefix before alpha.
     """
-    alpha = tuple(int(a) for a in alpha)
+    k = as_int(k, "k")
+    alpha = tuple(as_int(a, "alpha") for a in alpha)
     # a negative level has no lattice points, so every alpha is rejected
     pos = _lattice_positions(body, k).get(alpha) if k >= 0 else None
     if pos is None:
@@ -91,7 +92,7 @@ def chebyshev_constant(mesh: Mesh, body: ConvexBody, k: int, alpha: Exponent,
     ValidationError before the LP allocates anything, and an optimum of 0
     while w^k underflows at a supported point raises it after the solve.
     """
-    alpha = tuple(int(a) for a in alpha)
+    k, alpha = as_int(k, "k"), tuple(as_int(a, "alpha") for a in alpha)
     _check_instance(mesh, body, m_phases)
     support = mesh.support
     lower = lower_monomials(body, k, alpha, ordering)
@@ -136,6 +137,7 @@ def solve_distinct(mesh: Mesh, body: ConvexBody, k: int, tasks: list, m_phases: 
     outcomes across calls with the same mesh, body and m_phases.
     """
     _check_instance(mesh, body, m_phases)
+    k = as_int(k, "k")
     cache = {} if cache is None else cache
     weight_power = None if mesh.is_unweighted else k
     keys = [(alpha, tuple(lower_monomials(body, k, alpha, ordering)), weight_power)
@@ -171,7 +173,7 @@ class TransformTable:
 
 
 def transform_grid(mesh: Mesh, body: ConvexBody, k: int,
-                   orderings=(GREVLEX, CGREVLEX), m_phases: int = 32,
+                   orderings=ORDERINGS, m_phases: int = 32,
                    workers: int = 1, cache: dict | None = None) -> TransformTable:
     """One ChebyshevRecord per lattice exponent of level k per ordering.
 
@@ -181,10 +183,10 @@ def transform_grid(mesh: Mesh, body: ConvexBody, k: int,
     `cache` (`build_report` passes one per report).  `workers` is ignored.
     """
     check_dimensions(mesh, body)
-    if k < 1:
+    if (k := as_int(k, "k")) < 1:
         raise ValidationError("transform grid needs k >= 1")
+    orderings = check_orderings(orderings)
     alphas = body.lattice_points(k)
-    orderings = tuple(orderings)
     tasks = [(alpha, ordering) for alpha in alphas for ordering in orderings]
     outcomes = iter(solve_distinct(mesh, body, k, tasks, m_phases, cache))
     rows = []
@@ -283,7 +285,7 @@ def select_direction_exponent(body: ConvexBody, theta, k: int) -> Exponent:
 
 
 def directional_constant(mesh: Mesh, body: ConvexBody, theta, schedule,
-                         orderings=(GREVLEX, CGREVLEX), m_phases: int = 32) -> DirectionalResult:
+                         orderings=ORDERINGS, m_phases: int = 32) -> DirectionalResult:
     """Estimate the directional constant T(theta) along increasing degree levels.
 
     The first failed solve is raised; each distinct problem is solved once.
@@ -293,10 +295,10 @@ def directional_constant(mesh: Mesh, body: ConvexBody, theta, schedule,
         raise ValidationError(f"theta has dimension {len(theta)}, body has {body.dim}")
     if any(t <= 0 for t in theta) or body.gauge(theta) >= 1:
         raise ThetaNotInterior(f"theta={theta} is not strictly inside the body")
-    schedule = tuple(int(k) for k in schedule)
+    schedule = tuple(as_int(k, "schedule") for k in schedule)
     if not schedule or any(k < 1 for k in schedule) or list(schedule) != sorted(set(schedule)):
         raise ValidationError("schedule must be a strictly increasing list of positive levels")
-
+    orderings = check_orderings(orderings)
     verdict = _dagger_verdict(body, max(schedule))
     steps: dict[str, list[DirectionalStep]] = {o: [] for o in orderings}
     cache: dict = {}

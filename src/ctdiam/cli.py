@@ -20,7 +20,7 @@ from .cheb import ChebyshevRecord, directional_constant, solve_distinct, transfo
 from .errors import SolverFailure, ValidationError
 from .leja import leja_diameter, leja_to_csv
 from .mesh import build_mesh, exp_or_inf
-from .order import CGREVLEX, ORDERINGS
+from .order import CGREVLEX, ORDERINGS, check_orderings
 from .serialize import write_csv, write_json
 from .tdiam import ReportOptions, build_report, report_to_csv, report_to_json
 from .vdm import fekete_to_dict, max_vdm, strategy_from_config
@@ -62,9 +62,12 @@ class _Artifacts:
 
 
 def _as_ints(values, field: str) -> list[int]:
-    """Integers from a JSON list or a comma-separated flag value."""
+    """Integers from a JSON list or a comma-separated flag value, read as JSON numbers."""
     if isinstance(values, str):
-        values = values.split(",")
+        try:
+            values = json.loads(f"[{values}]")
+        except json.JSONDecodeError:
+            raise ValidationError(f"{field} must be comma-separated integers, got {values!r}") from None
     if not isinstance(values, list):
         raise ValidationError(f"{field} must be a list of integers, got {values!r}")
     return [as_int(v, field) for v in values]
@@ -84,15 +87,6 @@ def _run_bool(run: dict, name: str, default: bool) -> bool:
     if not isinstance(value, bool):
         raise ValidationError(f"run.{name} must be true or false, got {value!r}")
     return value
-
-
-def _orderings(run: dict) -> tuple[str, ...]:
-    """run.orderings as a tuple of names from ORDERINGS; both orders when absent."""
-    value = run.get("orderings", list(ORDERINGS))
-    if not isinstance(value, list) or not value or not all(name in ORDERINGS for name in value):
-        raise ValidationError(f"run.orderings must be a non-empty list of names from {list(ORDERINGS)}, "
-                              f"got {value!r}")
-    return tuple(value)
 
 
 def _load_config(path: str | None, overrides: argparse.Namespace) -> dict:
@@ -204,7 +198,7 @@ def _run_cheb(config, artifacts: _Artifacts):
     thetas = [tuple(as_fraction(t, "run.theta") for t in theta) for theta in thetas]
     schedule = _as_ints(run.get("schedule", [4, 8, 12]), "run.schedule") if thetas else None
     records = {}
-    orderings = _orderings(run)
+    orderings = check_orderings(run.get("orderings", ORDERINGS), "run.orderings")
     outcomes = solve_distinct(mesh, body, k, [(alpha, o) for o in orderings], m_phases)
     for ordering, rec in zip(orderings, outcomes):
         if not isinstance(rec, ChebyshevRecord):
@@ -238,7 +232,7 @@ def _run_transform(config, artifacts: _Artifacts):
     k = _run_int(run, "k", "k_max", default=4)
     emit_plot_data = _run_bool(run, "emit_plot_data", default=False)
     table = transform_grid(mesh, body, k,
-                           orderings=_orderings(run),
+                           orderings=check_orderings(run.get("orderings", ORDERINGS), "run.orderings"),
                            m_phases=_run_int(run, "polygon_m", default=32))
     rows = transform_rows(table)
     artifacts.write_csv("transform.csv", rows)
@@ -276,7 +270,7 @@ def _run_tdiam(config, artifacts: _Artifacts):
     body, mesh, run = _inputs(config)
     options = ReportOptions(
         strategy=strategy_from_config(run.get("strategy")),
-        orderings=_orderings(run),
+        orderings=check_orderings(run.get("orderings", ORDERINGS), "run.orderings"),
         m_phases=_run_int(run, "polygon_m", default=32),
         include_leja=_run_bool(run, "include_leja", default=True),
         resolution=as_fraction(run.get("resolution", "1/32"), "run.resolution"),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import ConvexBody, Exponent
+from .body import ConvexBody, Exponent, as_int
 from .errors import ValidationError
 from .mesh import Mesh, check_dimensions, check_support, exp_or_inf, monomial_values
 from .order import monomial_sequence
@@ -51,7 +51,7 @@ def leja_sequence(mesh: Mesh, body: ConvexBody, count: int) -> LejaSequence:
     weighted points (again lowest index on ties).
     """
     check_dimensions(mesh, body)
-    if count < 1:
+    if (count := as_int(count, "count")) < 1:
         raise ValidationError("count must be >= 1")
     support = check_support(mesh, count)
 
@@ -85,7 +85,7 @@ class LejaDiameterReport:
 def leja_diameter(mesh: Mesh, body: ConvexBody, k_max: int) -> LejaDiameterReport:
     """Normalized running determinants at each level prefix M_k, k = 1..k_max."""
     check_dimensions(mesh, body)
-    if k_max < 1:
+    if (k_max := as_int(k_max, "k_max")) < 1:
         raise ValidationError("k_max must be >= 1")
     seq = leja_sequence(mesh, body, body.counts(k_max)[0])
     rows = []

@@ -26,8 +26,9 @@ subtract.  Every solve is verified against its optimality certificate
 before the result is returned.
 
 Every check of an instance is made here, each a ValidationError raised
-before anything is allocated: m_phases >= 3, a finite log w^k at every
-point, and a tableau of at most _MAX_LP_ENTRIES floats.  One more check
+before anything is allocated: an integer m_phases >= 3 (read by
+`check_m_phases`, which every caller that takes it calls first), a finite
+log w^k at every point, and a tableau of at most _MAX_LP_ENTRIES floats.  One more check
 reads the optimum: the weights enter as W = w^k / max w^k, and a point
 whose W underflows to 0 drops out of the LP, so an optimum of 0 while
 some W is 0 may stand for a positive one and is refused too.
@@ -50,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .body import as_int
 from .errors import SolverFailure, ValidationError
 
 _RC_TOL = 1e-9  # reduced-cost threshold
@@ -208,10 +210,11 @@ class MinimaxResult:
         return self.log_value + math.log(self.bracket_factor)
 
 
-def check_m_phases(m_phases: int) -> None:
-    """Reject a polygon relaxation with fewer than 3 phases."""
-    if m_phases < 3:
+def check_m_phases(m_phases) -> int:
+    """m_phases read by `as_int` (32.0 reads 32); ValidationError below 3 phases."""
+    if (m_phases := as_int(m_phases, "m_phases")) < 3:
         raise ValidationError(f"the polygon relaxation needs m_phases >= 3, got {m_phases}")
+    return m_phases
 
 
 def _check_zero_optimum(value: float, W: np.ndarray, log_weight_pow: np.ndarray) -> None:
@@ -238,7 +241,7 @@ def solve_minimax(lower_vals, target_vals, log_weight_pow, m_phases: int = 32) -
     target_vals = np.asarray(target_vals, dtype=complex)
     log_weight_pow = np.asarray(log_weight_pow, dtype=float)
     d, npts = lower_vals.shape
-    check_m_phases(m_phases)
+    m_phases = check_m_phases(m_phases)
     if not np.all(np.isfinite(log_weight_pow)):
         raise ValidationError("log w^k is not finite at every mesh point "
                               "(a zero weight, or a power w^k beyond float range)")

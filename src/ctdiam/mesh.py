@@ -175,7 +175,7 @@ class Polynomial:
         cleaned = {}
         dim = None
         for alpha, c in self.terms.items():
-            alpha = tuple(int(a) for a in alpha)
+            alpha = tuple(as_int(a, "exponent") for a in alpha)
             if any(a < 0 for a in alpha):
                 raise ValidationError(f"negative exponent {alpha}")
             if dim is None:

@@ -10,11 +10,13 @@ exponents.)  The body-graded order compares exact gauges first and
 falls back to the degree order on exact ties; it respects the grading
 by the body but is *not* compatible with exponent addition for
 non-simplex bodies -- see the test suite for a concrete violation.
+`check_orderings` is the one reader of a run's orderings, in the CLI
+and in every library call that takes them.
 """
 
 from __future__ import annotations
 
-from .body import ConvexBody, Exponent
+from .body import ConvexBody, Exponent, as_int
 from .errors import DimensionMismatch, ValidationError
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -53,6 +55,16 @@ def cgrevlex_cmp(body: ConvexBody, alpha: Exponent, beta: Exponent) -> int:
     return LESS if ka < kb else (GREATER if ka > kb else EQUAL)
 
 
+def check_orderings(orderings, field: str = "orderings") -> tuple[str, ...]:
+    """`orderings` as a tuple, or ValidationError naming `field` unless it is a
+    non-empty list or tuple of names from ORDERINGS (a string is refused)."""
+    if not isinstance(orderings, (list, tuple)) or not orderings or not all(
+            name in ORDERINGS for name in orderings):
+        raise ValidationError(f"{field} must be a non-empty sequence of names from {list(ORDERINGS)}, "
+                              f"got {orderings!r}")
+    return tuple(orderings)
+
+
 def order_key(body: ConvexBody, ordering: str):
     """Key function for one of the two orderings, validating the name."""
     if ordering == GREVLEX:
@@ -69,7 +81,7 @@ def monomial_sequence(body: ConvexBody, count: int) -> list[Exponent]:
     lattice points of kC, because membership at gauge level k is downward
     closed under the order.
     """
-    if count < 1:
+    if (count := as_int(count, "count")) < 1:
         raise ValidationError("count must be >= 1")
     k = 1
     pts = body.lattice_points(k)

@@ -15,18 +15,18 @@ volume-averaged coordinate sum of the body.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .body import ConvexBody, as_fraction, average_total_degree, check_dagger
+from .body import ConvexBody, as_fraction, as_int, average_total_degree, check_dagger
 from .cheb import TransformTable, transform_grid
 from .errors import CtdiamError, ValidationError
 from .leja import leja_diameter
 from .lp import check_m_phases
 from .mesh import Mesh, check_dimensions, check_support, exp_or_inf
-from .order import CGREVLEX, GREVLEX, ORDERINGS
+from .order import CGREVLEX, GREVLEX, ORDERINGS, check_orderings
 from .serialize import fmt, write_csv, write_json
 from .vdm import Greedy, MaxVdmResult, max_vdm, strategy_from_config
 
@@ -46,10 +46,12 @@ def d_estimate_vdm(mesh: Mesh, body: ConvexBody, k: int, strategy=None) -> float
 
 
 def transform_mean_log(table: TransformTable, ordering: str) -> float:
-    """Mean over the level lattice of log T_k; requires every row solved."""
-    failed = [row.alpha for row in table.rows if ordering not in row.records]
+    """Mean over the level lattice of log T_k; requires every row solved, else the
+    error names the failed exponents and quotes the first one's own error."""
+    failed = [row for row in table.rows if ordering not in row.records]
     if failed:
-        raise ValidationError(f"transform rows failed for {ordering}: {failed}")
+        raise ValidationError(f"transform rows failed for {ordering}: {[row.alpha for row in failed]}; "
+                              f"the first: {failed[0].errors.get(ordering, 'not solved')}")
     with np.errstate(over="ignore"):  # a mean past the float range reads inf
         return float(np.mean([row.records[ordering].log_T for row in table.rows]))
 
@@ -66,10 +68,9 @@ def final_delta(mesh: Mesh, body: ConvexBody, k: int, strategy=None, route: str 
     """Length-scaled diameter estimate D ** (1/A) plus its level-k report row."""
     if route not in ("vdm", "transform"):
         raise ValidationError(f"unknown route {route!r}")
-    _check_inputs(mesh, body, k, "k", m_phases)
+    k, options = _check_inputs(mesh, body, k, "k", ReportOptions(strategy, m_phases=m_phases))
     a_n = average_total_degree(body, as_fraction(resolution, "resolution"), subsamples)
-    row = _level_row(mesh, body, k, strategy_from_config(strategy),
-                     ReportOptions(m_phases=m_phases), {}, None, None)
+    row = _level_row(mesh, body, k, options, {}, None, None)
     d_value = row.d_vdm if route == "vdm" else row.d_transform.get(CGREVLEX)
     if d_value is None:
         raise ValidationError(f"route {route} unavailable: {row.errors}")
@@ -79,7 +80,7 @@ def final_delta(mesh: Mesh, body: ConvexBody, k: int, strategy=None, route: str 
 @dataclass
 class ReportOptions:
     strategy: object = field(default_factory=Greedy)
-    orderings: tuple[str, ...] = (GREVLEX, CGREVLEX)
+    orderings: tuple[str, ...] = ORDERINGS
     m_phases: int = 32
     include_leja: bool = False
     resolution: Fraction = Fraction(1, 32)
@@ -115,16 +116,18 @@ class DiameterReport:
     options: ReportOptions
 
 
-def _check_inputs(mesh: Mesh, body: ConvexBody, k: int, k_name: str, m_phases: int) -> None:
-    """The checks shared by `build_report` and `final_delta`, before any level is computed.
-
-    `k_name` is the caller's name for its level `k`, which an error names.
+def _check_inputs(mesh: Mesh, body: ConvexBody, k, k_name: str, options: ReportOptions):
+    """The checks shared by `build_report` and `final_delta`, in this order, before any
+    level is computed: dimensions, m_phases, the level `k` (named `k_name` in an error),
+    the support, the orderings, the strategy.  Returns k and `options` as their owners read them.
     """
     check_dimensions(mesh, body)
-    check_m_phases(m_phases)  # _level_row would record it as a row error
-    if k < 1:
+    m_phases = check_m_phases(options.m_phases)  # _level_row would record it as a row error
+    if (k := as_int(k, k_name)) < 1:
         raise ValidationError(f"{k_name} must be >= 1")
     check_support(mesh, body.counts(1)[0])
+    return k, replace(options, m_phases=m_phases, orderings=check_orderings(options.orderings),
+                      strategy=strategy_from_config(options.strategy))
 
 
 def _length_scaled(d_value: float | None, a_n: float) -> float | None:
@@ -135,14 +138,14 @@ def _length_scaled(d_value: float | None, a_n: float) -> float | None:
         return math.inf
 
 
-def _level_row(mesh: Mesh, body: ConvexBody, k: int, strategy, options: ReportOptions,
+def _level_row(mesh: Mesh, body: ConvexBody, k: int, options: ReportOptions,
                cache: dict, leja_value: float | None, leja_error: str | None) -> ReportRow:
     """Report row of level k: the vdm cell, the transform cells, the sandwich check."""
     m_k, h_k, l_k = body.counts(k)
     errors: dict[str, str] = {"leja": leja_error} if leja_error else {}
     log_vdm = exact = delta = d_vdm = None
     try:
-        result: MaxVdmResult = max_vdm(mesh, body, k, strategy)
+        result: MaxVdmResult = max_vdm(mesh, body, k, options.strategy)
         log_vdm = result.value.log_abs
         exact = result.exact
         delta = exp_or_inf(log_vdm / l_k)
@@ -172,12 +175,7 @@ def _level_row(mesh: Mesh, body: ConvexBody, k: int, strategy, options: ReportOp
 
 def build_report(mesh: Mesh, body: ConvexBody, k_max: int, options: ReportOptions | None = None) -> DiameterReport:
     """Assemble per-level rows for k = 1..k_max; row-level failures never abort."""
-    options = options or ReportOptions()
-    _check_inputs(mesh, body, k_max, "k_max", options.m_phases)
-    if not options.orderings or not set(options.orderings) <= set(ORDERINGS):
-        raise ValidationError(f"orderings must be a non-empty sequence of names from {list(ORDERINGS)}, "
-                              f"got {options.orderings!r}")
-    strategy = strategy_from_config(options.strategy)
+    k_max, options = _check_inputs(mesh, body, k_max, "k_max", options or ReportOptions())
     dagger = check_dagger(body, k_max)
     a_n = average_total_degree(body, options.resolution, options.subsamples)
 
@@ -191,7 +189,7 @@ def build_report(mesh: Mesh, body: ConvexBody, k_max: int, options: ReportOption
             leja_error = f"{type(exc).__name__}: {exc}"
 
     transform_cache: dict = {}  # one solve per distinct min-max problem of the report
-    rows = [_level_row(mesh, body, k, strategy, options, transform_cache,
+    rows = [_level_row(mesh, body, k, options, transform_cache,
                        leja_rows.get(k), leja_error)
             for k in range(1, k_max + 1)]
     return DiameterReport(rows=rows, a_n=a_n, dagger_verdict=dagger.verdict,

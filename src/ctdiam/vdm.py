@@ -89,7 +89,8 @@ class MaxVdmResult:
 def vandermonde_det(mesh: Mesh, body: ConvexBody, k: int, point_indices) -> VdmValue:
     """log |det [w(zeta_l)^k z^(alpha_j)(zeta_l)]| for the first s basis monomials."""
     check_dimensions(mesh, body)
-    indices = tuple(int(i) for i in point_indices)
+    k = as_int(k, "k")
+    indices = tuple(as_int(i, "point_indices") for i in point_indices)
     basis = body.lattice_points(k)
     s = len(indices)
     if s > len(basis):
@@ -300,17 +301,14 @@ def max_vdm(mesh: Mesh, body: ConvexBody, k: int, strategy=None) -> MaxVdmResult
 
     BruteForce is exact (subject to its subset cap); Greedy returns a
     certified lower bound that in practice reaches the optimum on the
-    mesh sizes this package targets.
+    mesh sizes this package targets.  `strategy_from_config` reads `strategy`.
     """
     check_dimensions(mesh, body)
-    if k < 1:
+    if (k := as_int(k, "k")) < 1:
         raise ValidationError("max_vdm needs k >= 1")
-    strategy = _checked(strategy if strategy is not None else Greedy())
-    if isinstance(strategy, BruteForce):
-        return _brute_force(mesh, body, k, strategy)
-    if isinstance(strategy, Greedy):
-        return _greedy(mesh, body, k, strategy)
-    raise ValidationError(f"unknown strategy {strategy!r}")
+    strategy = strategy_from_config(strategy)
+    search = _brute_force if isinstance(strategy, BruteForce) else _greedy
+    return search(mesh, body, k, strategy)
 
 
 def fekete_points(mesh: Mesh, body: ConvexBody, k: int, strategy=None) -> list[int]:
@@ -318,33 +316,30 @@ def fekete_points(mesh: Mesh, body: ConvexBody, k: int, strategy=None) -> list[i
     return list(max_vdm(mesh, body, k, strategy).value.point_indices)
 
 
-def _checked(strategy):
-    """`strategy` itself, or ValidationError naming a restart count or cap below 1."""
-    if isinstance(strategy, Greedy) and strategy.restarts < 1:
-        raise ValidationError(f"run.strategy.restarts must be >= 1, got {strategy.restarts}")
-    if isinstance(strategy, BruteForce) and strategy.cap < 1:
-        raise ValidationError(f"run.strategy.cap must be >= 1, got {strategy.cap}")
-    return strategy
-
-
 def strategy_from_config(raw) -> BruteForce | Greedy:
-    """Strategy object from its config form run.strategy = {'kind': 'brute-force' | 'greedy', ...}."""
+    """The one reader of a Fekete strategy: None (Greedy()), a BruteForce or Greedy object, or
+    its config form run.strategy = {'kind': 'brute-force' | 'greedy', ...}, an object read as
+    that form: every count by `as_int`, and a restart count or cap below 1 is refused."""
     if raw is None:
-        return Greedy()
+        raw = Greedy()
     if isinstance(raw, (BruteForce, Greedy)):
-        return _checked(raw)
+        raw = {"kind": "brute-force" if isinstance(raw, BruteForce) else "greedy", **vars(raw)}
     if not isinstance(raw, dict):
-        raise ValidationError(f"run.strategy must be a JSON object with a 'kind', got {raw!r}")
+        raise ValidationError(f"unknown strategy {raw!r}: run.strategy must be a JSON object with a 'kind'")
     kind = raw.get("kind")
     if kind == "brute-force":
         strategy = BruteForce(cap=as_int(raw.get("cap", BruteForce.cap), "run.strategy.cap"))
+        name, count = "cap", strategy.cap
     elif kind == "greedy":
         strategy = Greedy(
             restarts=as_int(raw.get("restarts", Greedy.restarts), "run.strategy.restarts"),
             seed=as_int(raw.get("seed", Greedy.seed), "run.strategy.seed"))
+        name, count = "restarts", strategy.restarts
     else:
         raise ValidationError(f"unknown run.strategy kind {kind!r}")
-    return _checked(strategy)
+    if count < 1:
+        raise ValidationError(f"run.strategy.{name} must be >= 1, got {count}")
+    return strategy
 
 
 def fekete_to_dict(mesh: Mesh, result: MaxVdmResult) -> dict:

@@ -463,6 +463,10 @@ TORUS4 = {"kind": "torus", "counts": [4, 4]}
      ["--theta", "1/3,1/3", "--schedule", "6,3"], "schedule must be a strictly increasing list"),
     ("body-check", {}, ["--k-max", "0"], "k_max must be >= 1"),
     ("tdiam", {}, ["--resolution=-1/32"], "resolution must be positive"),
+    ("tdiam", {"run": {"k_max": "2"}}, [], "run.k_max must be an integer, got '2'"),
+    ("tdiam", {"run": {"polygon_m": "32"}}, [], "run.polygon_m must be an integer, got '32'"),
+    ("tdiam", {"run": {"strategy": {"kind": "greedy", "restarts": "4"}}}, [],
+     "run.strategy.restarts must be an integer, got '4'"),
 ], ids=["alpha-flag", "schedule-flag", "alpha-not-a-list", "k-max-not-int", "k-max-infinity",
         "k-max-nan", "k-max-fractional", "csv-mesh-no-path", "nan-mesh-point", "infinite-log-weight",
         "count-fractional", "count-not-int", "count-missing", "radius-not-real", "sigma-not-real",
@@ -471,7 +475,7 @@ TORUS4 = {"kind": "torus", "counts": [4, 4]}
         "mesh-body-dimension-mismatch", "run-not-an-object", "no-mesh", "cheb-without-alpha",
         "cheb-without-k", "csv-mesh-no-dim", "cheb-orderings-empty", "theta-zero", "theta-false",
         "theta-empty-string", "theta-mapping", "schedule-decreasing", "body-check-k-max-zero",
-        "resolution-negative"])
+        "resolution-negative", "k-max-string", "polygon-m-string", "restarts-string"])
 def test_bad_scalar_input_exit_2(tmp_path, capsys, subcommand, config, flags, message):
     cfg = write_config(tmp_path, "bad.json", {"body": SIMPLEX1, "mesh": INTERVAL9,
                                               "output_dir": str(tmp_path / "out"), **config})

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ctdiam import (
     BruteForce,
     Greedy,
+    Polynomial,
     ReportOptions,
     build_mesh,
     build_report,
@@ -16,14 +17,20 @@ from ctdiam import (
     d_estimate_transform,
     d_estimate_vdm,
     delta_k,
+    directional_constant,
     final_delta,
+    leja_diameter,
     leja_sequence,
+    lower_monomials,
+    max_vdm,
+    monomial_sequence,
     simplex_body,
     validate_body,
+    vandermonde_det,
 )
 from ctdiam.errors import CtdiamError, DimensionMismatch, InsufficientSupport, SolverFailure, ValidationError
 from ctdiam.mesh import Mesh
-from ctdiam.order import CGREVLEX, GREVLEX
+from ctdiam.order import CGREVLEX, GREVLEX, ORDERINGS
 from ctdiam.tdiam import report_to_csv, report_to_json, transform_mean_log
 from ctdiam.cheb import transform_grid
 
@@ -351,6 +358,108 @@ def test_build_report_refuses_bad_orderings_before_any_level(monkeypatch, count_
     assert calls == []
 
 
+# each run option's malformed values, and the calls of each entry point that takes the option
+BAD_OPTIONS = {
+    "m_phases": [4.5, "32"],
+    "orderings": [(), "cgrevlex", ("lex",)],
+    "strategy": [Greedy(restarts=2.5), Greedy(restarts=True), BruteForce(cap="x")],
+}
+OPTION_CALLS = {
+    "build_report": {
+        "m_phases": lambda mesh, body, v: build_report(mesh, body, 2, ReportOptions(m_phases=v)),
+        "orderings": lambda mesh, body, v: build_report(mesh, body, 2, ReportOptions(orderings=v)),
+        "strategy": lambda mesh, body, v: build_report(mesh, body, 2, ReportOptions(strategy=v)),
+    },
+    "final_delta": {
+        "m_phases": lambda mesh, body, v: final_delta(mesh, body, 2, route="transform", m_phases=v),
+        "strategy": lambda mesh, body, v: final_delta(mesh, body, 2, strategy=v),
+    },
+    "transform_grid": {
+        "m_phases": lambda mesh, body, v: transform_grid(mesh, body, 2, m_phases=v),
+        "orderings": lambda mesh, body, v: transform_grid(mesh, body, 2, orderings=v),
+    },
+    "directional_constant": {
+        "m_phases": lambda mesh, body, v: directional_constant(mesh, body, ("1/2",), [2], m_phases=v),
+        "orderings": lambda mesh, body, v: directional_constant(mesh, body, ("1/2",), [2], orderings=v),
+    },
+    "d_estimate_transform": {
+        "m_phases": lambda mesh, body, v: d_estimate_transform(mesh, body, 2, m_phases=v),
+    },
+    "chebyshev_constant": {
+        "m_phases": lambda mesh, body, v: chebyshev_constant(mesh, body, 2, (2,), m_phases=v),
+    },
+    "max_vdm": {"strategy": lambda mesh, body, v: max_vdm(mesh, body, 2, v)},
+    "delta_k": {"strategy": lambda mesh, body, v: delta_k(mesh, body, 2, v)},
+}
+OPTION_MESSAGES = {"m_phases": r"^m_phases must be an integer, got ",
+                   "orderings": r"^orderings must be a non-empty sequence of names from ",
+                   "strategy": r"^run\.strategy\.(restarts|cap) must be an integer, got "}
+
+
+@pytest.mark.parametrize("entry, option, value", [
+    pytest.param(entry, option, value, id=f"{entry}-{option}-{value!r}")
+    for entry, calls in OPTION_CALLS.items() for option in calls for value in BAD_OPTIONS[option]])
+def test_a_malformed_run_option_is_refused_by_its_owner_before_any_solve(count_solves, circle64, simplex1,
+                                                                         entry, option, value):
+    # a fractional or string m_phases once reached the tableau shape, a fractional
+    # restart count a slice, and an empty orderings tuple returned an empty result
+    calls = count_solves()
+    with pytest.raises(ValidationError, match=OPTION_MESSAGES[option]):
+        OPTION_CALLS[entry][option](circle64, simplex1, value)
+    assert calls == []
+
+
+def test_integral_floats_give_the_bits_of_their_ints(tmp_path, circle64, simplex1):
+    # a level or m_phases of 2.0 or 32.0 runs as 2 or 32, down to report.json's bytes
+    for name, k, m_phases in (("float", 2.0, 32.0), ("int", 2, 32)):
+        report_to_json(build_report(circle64, simplex1, k, ReportOptions(m_phases=m_phases)),
+                       tmp_path / f"{name}.json")
+    assert (tmp_path / "float.json").read_bytes() == (tmp_path / "int.json").read_bytes()
+    rec = chebyshev_constant(circle64, simplex1, 2.0, (2.0,), m_phases=32.0)
+    assert rec == chebyshev_constant(circle64, simplex1, 2, (2,), m_phases=32)
+    assert type(rec.k) is int and type(rec.alpha[0]) is int
+    result = max_vdm(circle64, simplex1, 2.0)
+    assert result == max_vdm(circle64, simplex1, 2) and type(result.value.k) is int
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda mesh, body: chebyshev_constant(mesh, body, 2, (1.9,)), "alpha"),
+    (lambda mesh, body: lower_monomials(body, 2, (1.9,), GREVLEX), "alpha"),
+    (lambda mesh, body: Polynomial({(1.9,): 1}), "exponent"),
+    (lambda mesh, body: directional_constant(mesh, body, ("1/2",), [2.9, 4]), "schedule"),
+    (lambda mesh, body: vandermonde_det(mesh, body, 1, [0.5, 3]), "point_indices"),
+    (lambda mesh, body: max_vdm(mesh, body, 2.5), "k"),
+    (lambda mesh, body: chebyshev_constant(mesh, body, 2.5, (2,)), "k"),
+    (lambda mesh, body: build_report(mesh, body, 2.5), "k_max"),
+    (lambda mesh, body: final_delta(mesh, body, 2.5), "k"),
+    (lambda mesh, body: leja_diameter(mesh, body, 2.5), "k_max"),
+    (lambda mesh, body: leja_sequence(mesh, body, 2.5), "count"),
+    (lambda mesh, body: monomial_sequence(body, 2.5), "count"),
+    (lambda mesh, body: transform_grid(mesh, body, 2.5), "k"),
+    (lambda mesh, body: transform_grid(mesh, body, "2"), "k"),
+], ids=["cheb-alpha", "lower-alpha", "polynomial-key", "schedule", "point-index", "max-vdm-k",
+        "cheb-k", "report-k-max", "final-delta-k", "leja-k-max", "leja-count", "monomial-count", "grid-k", "grid-k-string"])
+def test_a_non_integral_count_is_refused_naming_its_argument(count_solves, mesh7, simplex1, call, name):
+    # int() once truncated these, so 1.9 solved alpha (1,) and point 0.5 read point 0
+    calls = count_solves()
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+        call(mesh7, simplex1)
+    assert calls == []
+
+
+def test_a_transform_cell_error_quotes_the_first_failed_rows_own_error(simplex1):
+    # log w = -1e308: from level 2 on the LP refuses every instance, and the cell
+    # error once listed only the failed exponents, not why they failed
+    mesh = _interval9_with_middle_log_weight(-1e308)
+    report = build_report(mesh, simplex1, 2)
+    for ordering in ORDERINGS:
+        assert report.rows[1].errors[f"transform:{ordering}"] == (
+            f"transform rows failed for {ordering}: [(0,), (1,), (2,)]; the first: ValidationError: "
+            "log w^k is not finite at every mesh point (a zero weight, or a power w^k beyond float range)")
+    with pytest.raises(ValidationError, match=r"; the first: ValidationError: log w\^k is not finite"):
+        d_estimate_transform(mesh, simplex1, 2)
+
+
 def test_build_report_propagates_programming_errors(mesh5, simplex1, monkeypatch):
     import ctdiam.tdiam as tdiam_mod
 
@@ -401,7 +510,7 @@ def test_report_serialization(tmp_path, mesh7, simplex1):
 
 def test_transform_mean_log_requires_complete_rows(mesh7, simplex1):
     table = transform_grid(mesh7, simplex1, 2, orderings=(GREVLEX,))
-    with pytest.raises(Exception):
+    with pytest.raises(ValidationError, match=r"; the first: not solved$"):
         transform_mean_log(table, CGREVLEX)
 
 

@@ -253,6 +253,14 @@ def test_max_vdm_refuses_a_level_below_one_or_an_unknown_strategy(mesh5, simplex
         max_vdm(mesh5, simplex1, k, strategy)
 
 
+def test_max_vdm_reads_the_config_form_of_a_strategy(mesh5, simplex1):
+    # strategy_from_config is max_vdm's one reader, so the dict build_report
+    # accepts is accepted here too (it used to raise "unknown strategy")
+    assert max_vdm(mesh5, simplex1, 2, {"kind": "greedy"}) == max_vdm(mesh5, simplex1, 2, Greedy())
+    assert max_vdm(mesh5, simplex1, 2, {"kind": "brute-force", "cap": 50.0}) == max_vdm(
+        mesh5, simplex1, 2, BruteForce(cap=50))
+
+
 def test_fekete_to_dict(mesh5, simplex1):
     result = max_vdm(mesh5, simplex1, 2, BruteForce())
     payload = fekete_to_dict(mesh5, result)
